@@ -45,7 +45,10 @@
 //! 9. streaming mutations on the loaded catalog diverge from a
 //!    from-scratch rebuild over the final object set, or one insert
 //!    stops beating one full rebuild by at least 10×
-//!    (`streaming` section).
+//!    (`streaming` section);
+//! 10. at acceptance scale, the graph-resident sweep (Greedy-DisC on the
+//!     `r_max` prefix view, then the zoom-in chain) stops beating the
+//!     same run's tree-backed sweep on wall clock.
 //!
 //! Usage: `cargo run --release -p disc-bench --bin zoom_graph_vs_tree
 //! [-- <output-path>]` (default `BENCH_zoom_graph.json`). `GRAPH_N`
@@ -182,6 +185,17 @@ fn main() {
             m.strat_assembly_ms,
             m.strat_selfjoin_ms
         );
+        // Same-run sweep gate: solving on the prefix view leaves the
+        // graph sweep no copy to pay, so with zero distance computations
+        // it must also win on wall clock. Like the ratio above, host
+        // speed cancels out, and smoke runs skip it.
+        assert!(
+            m.graph_sweep_ms < m.tree_sweep_ms,
+            "sweep gate: the graph-resident sweep ({:.1}ms) no longer beats \
+             the same run's tree-backed sweep ({:.1}ms)",
+            m.graph_sweep_ms,
+            m.tree_sweep_ms
+        );
     }
 
     // Zoom-out and multi-radius parity on the same stratified graph
@@ -245,7 +259,7 @@ fn main() {
     );
     let sweep = |g: &disc_graph::StratifiedDiskGraph| {
         let mut sols = Vec::new();
-        let mut prev = greedy_disc_graph(&g.view(R_MAX).to_unit_disk_graph());
+        let mut prev = greedy_disc_graph(&g.view(R_MAX));
         sols.push(prev.solution.clone());
         for &r_new in &TARGETS {
             prev = greedy_zoom_in_graph(g, &prev, r_new).result;

@@ -10,7 +10,7 @@ use crate::args::{self, BuildArgs, Command, DoctorArgs, ServeArgs, ZoomArgs};
 use crate::error::CliError;
 use crate::serve::{run_lines, JsonSink, ServeConfig};
 use crate::state::ServeState;
-use crate::worker::{solve_sweep, solve_zoom, validate_radii};
+use crate::worker::{solve_sweep, solve_zoom};
 
 /// Parses and runs one invocation; the caller maps the error to an
 /// exit code.
@@ -92,12 +92,12 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
 /// the hashes `disc serve` reports for the same snapshot and radii —
 /// both call the same graph-resident runners.
 ///
-/// The radius chain is validated up front — non-descending or
-/// duplicate radii, and radii outside `(0, r_max]`, are a typed usage
-/// error (exit code 2) before any solve starts.
+/// The radius chain is validated up front (by [`solve_zoom`] and
+/// [`solve_sweep`] themselves) — non-descending or duplicate radii, and
+/// radii outside `(0, r_max]`, are a typed usage error (exit code 2)
+/// before any solve starts.
 fn run_zoom(zoom: &ZoomArgs) -> Result<(), CliError> {
     let state = ServeState::open(&zoom.snapshot)?;
-    validate_radii(&zoom.radii, state.r_max)?;
     let token = zoom
         .deadline_ms
         .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));

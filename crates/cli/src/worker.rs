@@ -11,6 +11,13 @@
 //! the same functions, and the `*_checked` runners are pinned
 //! byte-identical to their plain twins when the token never fires.
 //!
+//! Both solve on the stratified graph in place, under the catalog read
+//! lock. A zoom, a sweep's first step and the repair-tracker bootstrap
+//! hand the prefix view ([`disc_graph::StratifiedDiskGraph::try_view`],
+//! one binary search per row) straight to Greedy-DisC: no request
+//! copies the view into an id-sorted CSR, because the runner reads rows
+//! as neighbour sets and its answer does not depend on row order.
+//!
 //! Two diagnostic ops ride along: `sleep` (occupies a worker, polling
 //! its token — the saturation and deadline tests are built from it) and
 //! `panic` (panics on purpose — the isolation test). Both are part of
@@ -33,7 +40,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use disc_core::{
-    greedy_disc_graph_checked, greedy_zoom_in_graph_checked, DiscResult, RepairableSolution,
+    greedy_disc_graph, greedy_disc_graph_checked, greedy_zoom_in_graph_checked, DiscResult,
+    RepairableSolution,
 };
 use disc_graph::{InsertReceipt, RemoveReceipt, StreamingCatalog};
 use disc_metric::{CancelToken, ObjId};
@@ -208,22 +216,23 @@ fn cacheable(result: DiscResult) -> Arc<CachedSolution> {
     })
 }
 
-/// One DisC solution at `radius`, via the graph-resident greedy runner.
-/// Holds the catalog read lock for the duration of the solve.
+/// One DisC solution at `radius ∈ (0, r_max]`, via the graph-resident
+/// greedy runner on the prefix view. Holds the catalog read lock for
+/// the duration of the solve.
 pub fn solve_zoom(
     state: &ServeState,
     radius: f64,
     cancel: Option<&CancelToken>,
 ) -> Result<Arc<CachedSolution>, CliError> {
+    validate_radii(&[radius], state.r_max)?;
     let catalog = state.catalog();
     let view = catalog.graph().try_view(radius)?;
-    let unit = view.to_unit_disk_graph();
-    let result = greedy_disc_graph_checked(&unit, cancel)?;
+    let result = greedy_disc_graph_checked(&view, cancel)?;
     Ok(cacheable(result))
 }
 
-/// Validates a sweep's radii: non-empty, finite, strictly descending,
-/// all within `(0, r_max]`.
+/// Validates a zoom radius or a sweep's radii: non-empty, finite,
+/// strictly descending, all within `(0, r_max]`.
 pub fn validate_radii(radii: &[f64], r_max: f64) -> Result<(), CliError> {
     if radii.is_empty() {
         return Err(CliError::Usage("sweep needs at least one radius".into()));
@@ -260,8 +269,7 @@ pub fn solve_sweep(
     let catalog = state.catalog();
     let mut steps = Vec::with_capacity(radii.len());
     let view = catalog.graph().try_view(radii[0])?;
-    let unit = view.to_unit_disk_graph();
-    let mut prev = greedy_disc_graph_checked(&unit, cancel)?;
+    let mut prev = greedy_disc_graph_checked(&view, cancel)?;
     steps.push(cacheable(prev.clone()));
     for &r in &radii[1..] {
         prev = greedy_zoom_in_graph_checked(catalog.graph(), &prev, r, cancel)?.result;
@@ -291,8 +299,7 @@ fn run_sleep(ms: u64, cancel: Option<&CancelToken>) -> Result<(), CliError> {
 /// selection to drift from).
 fn bootstrap_tracker(catalog: &StreamingCatalog, r_max: f64) -> Option<RepairableSolution> {
     let view = catalog.graph().try_view(r_max).ok()?;
-    let unit = view.to_unit_disk_graph();
-    let result = greedy_disc_graph_checked(&unit, None).ok()?;
+    let result = greedy_disc_graph(&view);
     RepairableSolution::from_result(catalog, &result).ok()
 }
 

@@ -694,7 +694,7 @@ fn out_of_range_radius_is_a_typed_failure() {
         Err(e) => e,
         Ok(_) => unreachable!("radius beyond r_max must fail"),
     };
-    assert_eq!(err.exit_code(), 5, "graph error family: {err}");
+    assert_eq!(err.exit_code(), 2, "usage error family: {err}");
 
     // And through the pool it becomes a status=error reply.
     let sink = Arc::new(Collect::default());
@@ -710,6 +710,40 @@ fn out_of_range_radius_is_a_typed_failure() {
     let snap = server.shutdown();
     assert_eq!(snap.failed, 1);
     assert!(snap.is_consistent());
+}
+
+#[test]
+fn zero_radius_zooms_are_usage_errors_and_cache_nothing() {
+    let state = open("zero-radius");
+    for r in [0.0, -0.0] {
+        let err = match disc_cli::worker::solve_zoom(&state, r, None) {
+            Err(e) => e,
+            Ok(_) => unreachable!("radius {r} is outside (0, r_max]"),
+        };
+        assert_eq!(err.exit_code(), 2, "usage error family: {err}");
+    }
+
+    // `-0` keys the same cache slot as `0`, so had the first request
+    // cached its answer, the other two would be hits.
+    let input = Cursor::new("id=1 zoom r=0\nid=2 zoom r=-0\nid=3 zoom r=0\nquit\n");
+    let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::new(disc_cli::serve::JsonSink::new(Arc::clone(&out)));
+    let snap = run_lines(state, ServeConfig::default(), input, sink).expect("serve loop runs");
+    assert_eq!(snap.submitted, 3);
+    assert_eq!(snap.failed, 3, "{snap:?}");
+    assert_eq!(snap.completed + snap.cache_hits, 0, "{snap:?}");
+    assert!(snap.is_consistent(), "{snap:?}");
+
+    let text = String::from_utf8(out.lock().expect("out lock").clone()).expect("utf8");
+    let usage = format!("\"status\":\"error\",\"error\":\"usage error: radius 0 outside the serveable range (0, {R_MAX}]\"");
+    let usage_neg = usage.replace("radius 0", "radius -0");
+    for (id, want) in [(1, &usage), (2, &usage_neg), (3, &usage)] {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{{\"id\":{id},")))
+            .unwrap_or_else(|| panic!("no reply for id {id}: {text}"));
+        assert!(line.contains(want.as_str()), "id {id}: {line}");
+    }
 }
 
 // ------------------------------------------------------------------

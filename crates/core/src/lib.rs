@@ -22,8 +22,9 @@
 //! ## Graph-resident execution ([`resident`])
 //!
 //! * [`greedy_disc_graph`] / [`greedy_c_graph`] / [`fast_c_graph`] — the
-//!   same heuristics over a [`disc_graph::UnitDiskGraph`] materialised
-//!   once (typically via the M-tree range self-join), with zero tree
+//!   same heuristics over any [`disc_graph::Adjacency`]: a
+//!   [`disc_graph::UnitDiskGraph`] materialised once (typically via the
+//!   M-tree range self-join) or a stratified prefix view, with zero tree
 //!   queries in the selection loop. Exact runners are pinned
 //!   byte-identical to their tree-backed counterparts; see [`resident`]
 //!   for the memory-vs-query trade.

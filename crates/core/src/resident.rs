@@ -1,5 +1,5 @@
 //! Graph-resident selection loops: the paper's heuristics executed over
-//! a materialised [`UnitDiskGraph`] with **zero tree queries**.
+//! a materialised graph with **zero tree queries**.
 //!
 //! The tree-backed runners in [`crate::greedy`] and [`crate::cover`]
 //! re-derive neighbourhoods with M-tree range queries on every
@@ -46,6 +46,20 @@
 //! adjacency is exact where Fast-C's truncated climbs are not — its
 //! solutions also coincide with Greedy-C's.
 //!
+//! ## The id-set runners take any [`Adjacency`]
+//!
+//! [`greedy_disc_graph`], [`greedy_c_graph`], [`fast_c_graph`] and their
+//! `_checked` twins are generic over [`Adjacency`]. They read each row
+//! as a neighbour *set* — one colour test or count per entry — and break
+//! ties through the heap by external rank, so the row order never
+//! reaches the output. A [`StratifiedView`]'s `(distance, id)`-sorted
+//! prefixes therefore give the same result as the id-sorted rows of the
+//! same view copied into a [`UnitDiskGraph`]
+//! ([`StratifiedView::to_unit_disk_graph`]); the `view_parity` suite
+//! pins that equality. Serving relies on it: `disc-cli` solves each zoom
+//! on [`StratifiedDiskGraph::try_view`] directly — one binary search per
+//! row, then the greedy scan — with no per-request edge list or CSR.
+//!
 //! ## Graph-resident zooming and multi-radius selection
 //!
 //! [`zoom_in_graph`] / [`greedy_zoom_in_graph`], [`zoom_out_graph`] and
@@ -83,8 +97,12 @@
 //! internal numbering (i.e. be the [`MTree::relabeled`] tree) — its leaf
 //! order is then exactly `0..n`, so the leaf-order passes degrade into
 //! sequential row scans.
+//!
+//! [`UnitDiskGraph`]: disc_graph::UnitDiskGraph
+//! [`StratifiedView`]: disc_graph::StratifiedView
+//! [`StratifiedView::to_unit_disk_graph`]: disc_graph::StratifiedView::to_unit_disk_graph
 
-use disc_graph::{StratifiedDiskGraph, UnitDiskGraph};
+use disc_graph::{Adjacency, StratifiedDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
 use disc_mtree::{Color, MTree};
@@ -95,12 +113,14 @@ use crate::result::{DiscResult, ZoomResult};
 use crate::zoom_out::ZoomOutVariant;
 use crate::{checkpoint, never_cancelled};
 
-/// Greedy-DisC (Algorithm 1) over a materialised graph. Identical
-/// solutions to the exact tree-backed variants
+/// Greedy-DisC (Algorithm 1) over any [`Adjacency`] — a
+/// [`UnitDiskGraph`](disc_graph::UnitDiskGraph) or a prefix view
+/// ([`StratifiedDiskGraph::view`]). Identical solutions to the exact
+/// tree-backed variants
 /// ([`crate::greedy_disc`] with [`crate::GreedyVariant::Grey`] or
 /// [`crate::GreedyVariant::White`]) and to
 /// [`disc_graph::reference::greedy_disc_ref`]; no node accesses.
-pub fn greedy_disc_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn greedy_disc_graph(g: &impl Adjacency) -> DiscResult {
     never_cancelled(greedy_disc_graph_checked(g, None))
 }
 
@@ -109,7 +129,7 @@ pub fn greedy_disc_graph(g: &UnitDiskGraph) -> DiscResult {
 /// partial solution escaping. Byte-identical to the plain runner when
 /// the token never cancels.
 pub fn greedy_disc_graph_checked(
-    g: &UnitDiskGraph,
+    g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
     let n = g.len();
@@ -172,44 +192,44 @@ fn cover_key(color: &[Color], counts: &[u32], id: ObjId) -> Option<u32> {
     }
 }
 
-/// Greedy-C (Section 2.3) over a materialised graph: candidates include
+/// Greedy-C (Section 2.3) over any [`Adjacency`]: candidates include
 /// grey objects, counts maintained exactly. Identical solutions to the
 /// tree-backed [`crate::greedy_c`] and to
 /// [`disc_graph::reference::greedy_c_ref`]; no node accesses.
-pub fn greedy_c_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn greedy_c_graph(g: &impl Adjacency) -> DiscResult {
     never_cancelled(run_cover_graph(g, false, None))
 }
 
 /// [`greedy_c_graph`] polling a [`CancelToken`] once per selection
 /// round; `Err(Cancelled)` on a fired deadline, no partial state.
 pub fn greedy_c_graph_checked(
-    g: &UnitDiskGraph,
+    g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
     run_cover_graph(g, false, cancel)
 }
 
-/// Fast-C over a materialised graph: the lazy-update strategy (no
+/// Fast-C over any [`Adjacency`]: the lazy-update strategy (no
 /// per-grey count cascades; a popped candidate is revalidated with one
 /// adjacency scan and re-queued if its key dropped). With exact CSR
 /// adjacency the revalidated keys are exact, so — unlike the
 /// tree-backed [`crate::fast_c`], whose truncated bottom-up climbs can
 /// leave counts stale — the solutions coincide with Greedy-C's.
-pub fn fast_c_graph(g: &UnitDiskGraph) -> DiscResult {
+pub fn fast_c_graph(g: &impl Adjacency) -> DiscResult {
     never_cancelled(run_cover_graph(g, true, None))
 }
 
 /// [`fast_c_graph`] polling a [`CancelToken`] once per selection round;
 /// `Err(Cancelled)` on a fired deadline, no partial state.
 pub fn fast_c_graph_checked(
-    g: &UnitDiskGraph,
+    g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
     run_cover_graph(g, true, cancel)
 }
 
 fn run_cover_graph(
-    g: &UnitDiskGraph,
+    g: &impl Adjacency,
     lazy: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
@@ -831,6 +851,7 @@ mod tests {
     use crate::verify::{verify_coverage, verify_disc};
     use disc_datasets::synthetic::{clustered, uniform};
     use disc_graph::reference::{greedy_c_ref, greedy_disc_ref};
+    use disc_graph::UnitDiskGraph;
     use disc_mtree::{MTree, MTreeConfig};
     use proptest::prelude::*;
 

@@ -197,3 +197,32 @@ fn explicit_cancel_is_observed() {
     t.cancel();
     assert_eq!(greedy_disc_graph_checked(&udg, Some(&t)), Err(Cancelled));
 }
+
+/// The prefix view is one more input of the id-set runners: a fired
+/// token cancels them on it too, and a live one stays transparent.
+#[test]
+fn checked_runners_on_the_prefix_view() {
+    let data = clustered(300, 2, 4, 174);
+    let tree = MTree::build(&data, MTreeConfig::with_capacity(10));
+    let strat = StratifiedDiskGraph::from_mtree(&tree, R);
+    let view = strat.view(R_SMALL);
+
+    let t = expired_token();
+    assert_eq!(greedy_disc_graph_checked(&view, Some(&t)), Err(Cancelled));
+    assert_eq!(greedy_c_graph_checked(&view, Some(&t)), Err(Cancelled));
+    assert_eq!(fast_c_graph_checked(&view, Some(&t)), Err(Cancelled));
+
+    let t = live_token();
+    assert_eq!(
+        greedy_disc_graph_checked(&view, Some(&t)),
+        Ok(greedy_disc_graph(&view))
+    );
+    assert_eq!(
+        greedy_c_graph_checked(&view, Some(&t)),
+        Ok(greedy_c_graph(&view))
+    );
+    assert_eq!(
+        fast_c_graph_checked(&view, Some(&t)),
+        Ok(fast_c_graph(&view))
+    );
+}

@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "Greedy-Zoom-In (stratified graph)".to_string(),
             build_dc.to_string(),
         ];
-        let mut prev_g = disc_core::greedy_disc_graph(&strat.view(r_max).to_unit_disk_graph());
+        let mut prev_g = disc_core::greedy_disc_graph(&strat.view(r_max));
         assert_eq!(
             prev_g.solution,
             tree_sols[0],

@@ -53,6 +53,8 @@ use std::sync::Arc;
 use disc_metric::{Dataset, IdPermutation, ObjId};
 use disc_mtree::MTree;
 
+use crate::Adjacency;
+
 /// Undirected graph over the objects of a dataset, with an edge `(i, j)`
 /// iff `dist(i, j) ≤ r` and `i ≠ j`. Stored as CSR; adjacency rows are
 /// sorted by id.
@@ -298,6 +300,33 @@ impl UnitDiskGraph {
     /// Vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = ObjId> + '_ {
         0..self.len()
+    }
+}
+
+impl Adjacency for UnitDiskGraph {
+    #[inline]
+    fn len(&self) -> usize {
+        UnitDiskGraph::len(self)
+    }
+
+    #[inline]
+    fn radius(&self) -> f64 {
+        self.radius
+    }
+
+    #[inline]
+    fn degree(&self, v: ObjId) -> usize {
+        UnitDiskGraph::degree(self, v)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: ObjId) -> &[ObjId] {
+        UnitDiskGraph::neighbors(self, v)
+    }
+
+    #[inline]
+    fn external_id(&self, v: ObjId) -> ObjId {
+        UnitDiskGraph::external_id(self, v)
     }
 }
 

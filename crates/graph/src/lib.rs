@@ -17,6 +17,9 @@
 //!   subgraph at any smaller radius is a zero-cost prefix view
 //!   ([`StratifiedDiskGraph::view`]) — the substrate of the
 //!   graph-resident zooming and multi-radius runners in `disc-core`,
+//! * [`Adjacency`] — the neighbour-set interface both implement (the
+//!   view through its prefixes), which `disc-core`'s id-set runners
+//!   read, so serving solves on a view without copying it,
 //! * [`sets`] — the coverage/dominance and dissimilarity/independence
 //!   predicates of Definition 1,
 //! * [`exact`] — an exact branch-and-bound solver for the minimum
@@ -28,6 +31,7 @@
 //! * [`jaccard`] — the Jaccard distance between solutions, the similarity
 //!   measure of the zooming experiments (Figures 13 and 16).
 
+pub mod adjacency;
 mod csr;
 pub mod error;
 pub mod exact;
@@ -38,6 +42,7 @@ pub mod sets;
 pub mod stratified;
 pub mod stream;
 
+pub use adjacency::Adjacency;
 pub use error::GraphError;
 pub use exact::minimum_independent_dominating_set;
 pub use graph::UnitDiskGraph;

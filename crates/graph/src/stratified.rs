@@ -59,7 +59,8 @@
 //!   multi-radius relevance weighting, or interactive radius tuning →
 //!   [`StratifiedDiskGraph::from_mtree`] once, then
 //!   [`StratifiedDiskGraph::view`] / [`StratifiedDiskGraph::row_within`]
-//!   per radius at zero additional distance computations.
+//!   per radius at zero additional distance computations. A view is an
+//!   [`Adjacency`], so the id-set selection runners solve on it directly.
 
 use std::sync::Arc;
 
@@ -69,6 +70,7 @@ use disc_mtree::{DistEdge, MTree, SelfJoinConfig};
 
 use crate::error::GraphError;
 use crate::graph::UnitDiskGraph;
+use crate::Adjacency;
 
 /// Distance-annotated CSR adjacency over the objects of a dataset at a
 /// maximum radius `r_max`, rows sorted by `(distance, id)` so every
@@ -923,10 +925,11 @@ impl StratifiedView<'_> {
 
     /// Materialises the view as a plain [`UnitDiskGraph`] (rows
     /// re-sorted by id). Pure array work — **zero** distance
-    /// computations — so a graph-resident pipeline can hand any radius
-    /// `r' ≤ r_max` to consumers expecting the id-sorted CSR (e.g.
-    /// `disc_core`'s `greedy_disc_graph`) without touching the index
-    /// again.
+    /// computations — but it allocates a transient edge list and a
+    /// second CSR. The selection runners take the view itself as an
+    /// [`Adjacency`], so serving never calls this: it remains the
+    /// id-sorted reference that parity pins and benches hold the view
+    /// path against.
     pub fn to_unit_disk_graph(&self) -> UnitDiskGraph {
         let mut edges = Vec::with_capacity(self.edge_count());
         for v in 0..self.len() {
@@ -938,6 +941,35 @@ impl StratifiedView<'_> {
         }
         UnitDiskGraph::from_edges(self.len(), self.radius, &edges)
             .with_permutation(self.graph.perm.clone())
+    }
+}
+
+/// Rows are the `(distance, id)`-sorted prefixes; external ids come from
+/// the underlying graph's permutation.
+impl Adjacency for StratifiedView<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        StratifiedView::len(self)
+    }
+
+    #[inline]
+    fn radius(&self) -> f64 {
+        self.radius
+    }
+
+    #[inline]
+    fn degree(&self, v: ObjId) -> usize {
+        StratifiedView::degree(self, v)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: ObjId) -> &[ObjId] {
+        StratifiedView::neighbors(self, v)
+    }
+
+    #[inline]
+    fn external_id(&self, v: ObjId) -> ObjId {
+        self.graph.external_id(v)
     }
 }
 
