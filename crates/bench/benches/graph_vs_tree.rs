@@ -1,6 +1,6 @@
 //! Bulk neighbourhood materialisation: CSR graph build (M-tree
-//! self-join vs O(n²) scan vs sharded scan) and graph-resident vs
-//! tree-backed selection loops.
+//! self-join vs O(n²) scan) and graph-resident vs tree-backed
+//! selection loops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use disc_bench::{bench_clustered, bench_tree};
@@ -23,10 +23,6 @@ fn graph_build(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("scan_n2", n), &n, |b, _| {
             b.iter(|| black_box(UnitDiskGraph::build(&data, RADIUS).edge_count()))
-        });
-        #[cfg(feature = "parallel")]
-        group.bench_with_input(BenchmarkId::new("scan_n2_parallel", n), &n, |b, _| {
-            b.iter(|| black_box(UnitDiskGraph::build_parallel(&data, RADIUS).edge_count()))
         });
     }
     group.finish();

@@ -21,8 +21,9 @@
 //! 3. graph-resident solutions must equal the tree-backed exact ones;
 //! 4. **parallel/serial parity** — the parallel self-join must charge
 //!    exactly the serial traversal's `distance_computations()`, emit a
-//!    byte-identical edge list, assemble a byte-identical sharded CSR,
-//!    and select the same solution (the `selfjoin_par` section).
+//!    byte-identical edge list, build a byte-identical CSR with that
+//!    many row-sort workers, and select the same solution (the
+//!    `selfjoin_par` section).
 //!
 //! Usage: `cargo run --release -p disc-bench --bin fig_graph_vs_tree
 //! [-- <output-path>]` (default `BENCH_graph_vs_tree.json`). `GRAPH_N`

@@ -170,8 +170,9 @@ pub struct SelfJoinPar {
     pub edges: usize,
     /// Whether the two edge lists are byte-identical (set and order).
     pub edges_identical: bool,
-    /// Whether serial `from_edges` and sharded `from_edges_sharded`
-    /// assemble byte-identical CSR arrays (`offsets` and `neighbors`).
+    /// Whether `from_edges` (one row-sort worker) and
+    /// `from_edges_sharded` (`threads` workers) build byte-identical CSR
+    /// arrays (`offsets` and `neighbors`).
     pub csr_identical: bool,
     /// Whether graph-resident Greedy-DisC picks the same solution on
     /// both graphs.
@@ -512,15 +513,18 @@ pub fn measure_zoom_graph_vs_tree(
 
     // Timed production build — `StratifiedDiskGraph::from_mtree`'s two
     // phases, driven through the same entry points it uses
-    // (`range_self_join_dist` + `from_dist_edges_auto`) so the
-    // annotated traversal and the radix-sorted CSR assembly are
-    // attributed separately without duplicating its dispatch.
+    // (`range_self_join_dist` + the one CSR assembly,
+    // `from_dist_edge_slices_checked` with one row-sort worker per
+    // core) so the annotated traversal and the radix-sorted CSR
+    // assembly are attributed separately.
     tree2.reset_distance_computations();
     let t = Instant::now();
     let edges = tree2.range_self_join_dist(r_max);
     let strat_selfjoin_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let t = Instant::now();
-    let strat = StratifiedDiskGraph::from_dist_edges_auto(tree2.len(), r_max, &edges);
+    let (strat, _) =
+        StratifiedDiskGraph::from_dist_edge_slices_checked(tree2.len(), r_max, &[&edges], 0, None)
+            .expect("valid radius, no cancel token");
     let strat_assembly_ms = t.elapsed().as_secs_f64() * 1_000.0;
     drop(edges);
     // The bijection rides on the graph (outside the timed phases; the

@@ -43,6 +43,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// every worker count (`SELF_JOIN_THREADS` forces the worker count
 /// when the `parallel` feature is compiled in; CI pins both with
 /// sha256 matrices).
+///
+/// The one JSON line on stdout carries the build's per-phase wall
+/// clocks as `phase_ms` (partition, renumber, tree, intra_join,
+/// boundary_join, merge, assembly — the keys `BENCH_scale.json` uses,
+/// from [`disc_core::ShardedBuildStats`]).
 fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     if !(build.radius.is_finite() && build.radius > 0.0) {
         return Err(CliError::Usage(format!(
@@ -72,7 +77,9 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     let s = &built.stats;
     println!(
         "{{\"op\":\"build\",\"status\":\"ok\",\"path\":{:?},\"n\":{},\"dim\":{},\"edges\":{},\"r_max\":{},\"bytes\":{},\
-         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"boundary_join_dc\":{}}}",
+         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"boundary_join_dc\":{},\
+         \"phase_ms\":{{\"partition\":{:.1},\"renumber\":{:.1},\"tree\":{:.1},\"intra_join\":{:.1},\
+         \"boundary_join\":{:.1},\"merge\":{:.1},\"assembly\":{:.1}}}}}",
         build.out.display().to_string(),
         built.data.len(),
         built.data.dim(),
@@ -83,6 +90,13 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
         s.boundary_pairs_joined,
         s.distance_computations(),
         s.boundary_join_dc,
+        s.partition_ms,
+        s.renumber_ms,
+        s.tree_ms,
+        s.intra_join_ms,
+        s.boundary_join_ms,
+        s.merge_ms,
+        s.assembly_ms,
     );
     Ok(())
 }

@@ -1,28 +1,34 @@
-//! Shared CSR assembly: the serial and sharded counting sorts behind
-//! both [`crate::UnitDiskGraph`] (plain id rows) and
-//! [`crate::StratifiedDiskGraph`] (distance-annotated rows).
+//! The one CSR assembly behind both graph types:
+//! [`crate::UnitDiskGraph`] (plain id rows) and
+//! [`crate::StratifiedDiskGraph`] (distance-annotated rows). Every
+//! constructor of either graph, the sharded production build included,
+//! ends in [`assemble_rows`].
 //!
-//! Two row layouts share the determinism-critical shard-range,
-//! degree-count and prefix-sum logic ([`degree_offsets`],
-//! [`shard_plan`]):
+//! The input is one or more slices of undirected edges: the sharded
+//! build hands over its intra-shard and boundary joins without
+//! concatenating them, every other caller passes one slice. Assembly
+//! runs in two phases:
 //!
-//! * **plain rows** ([`assemble`] / [`assemble_sharded`], generic over
-//!   [`RowEntry`]) — the entry is the opposite endpoint id, rows sort
-//!   by id;
-//! * **distance rows** ([`assemble_dist`] / [`assemble_dist_sharded`])
-//!   — each directed entry is written straight into the two *final*
-//!   aligned arrays (`dists`, `neighbors`), never materialising an
-//!   intermediate `(f64, id)` array-of-structs (the former split pass
-//!   was a fifth of the stratified assembly's wall clock); rows sort by
-//!   `(distance, id)`.
+//! 1. **merge** — a serial degree count and prefix sum over the slices,
+//!    then a fill that writes each directed entry straight into the two
+//!    *final* aligned arrays (`payloads`, `neighbors`);
+//! 2. **row sort** — rows are cut into contiguous ranges balanced by
+//!    entry count (not by vertex count), so sort work distributes
+//!    evenly even when degrees are skewed, and `workers` scoped threads
+//!    sort disjoint ranges.
+//!
+//! The row payload comes from the edge type ([`Edge`]): distance edges
+//! store an `f64` per entry and sort rows by `(distance, id)`; plain
+//! edges store `()` and sort rows by id. A `Vec<()>` never allocates,
+//! so plain rows cost exactly their id array.
 //!
 //! Determinism contract: the per-row order must be **total** (rows
-//! never repeat an id, so the id — after the payload key, if any —
+//! never repeat an id, so the id — after the distance, if any —
 //! suffices). Offsets are pure degree counts and every row is sorted by
 //! that total order, so the assembled arrays are a pure function of the
-//! edge *set* — serial and sharded assembly are byte-identical for
-//! every shard count (pinned by the graph tests and the workspace
-//! concurrency tier).
+//! edge *set*: byte-identical for every worker count and every split of
+//! the edges into slices (pinned by the graph tests, the workspace
+//! concurrency tier and the sharded build's snapshot identity).
 //!
 //! ## Radix-sorted distance rows
 //!
@@ -41,459 +47,107 @@
 //! until they are small enough for a branch-light integer sort. Unit
 //! tests pin order-identity against the comparison sort on duplicate
 //! distances, ±0.0, subnormals and all-equal rows.
-//!
-//! In the sharded assembly the row sort runs as its own parallel phase
-//! after the fill ([`sort_dist_rows_sharded`]): rows are cut into
-//! contiguous ranges balanced by entry count (not by the fill's vertex
-//! ranges), so sort work distributes evenly even when degrees are
-//! skewed. Per-row sorts are independent, so the phase split changes no
-//! byte of output.
+
+use std::time::Instant;
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
+use disc_mtree::DistEdge;
 
 /// Work items between cancellation checkpoints in the assembly loops:
 /// one relaxed atomic load per this many edges/rows keeps the poll cost
 /// unmeasurable while bounding post-cancel latency to microseconds.
-const CANCEL_CHUNK: usize = 4_096;
+pub(crate) const CANCEL_CHUNK: usize = 4_096;
 
-/// Raw distance-annotated CSR arrays: `(offsets, dists, neighbors)`.
-pub(crate) type DistCsr = (Vec<usize>, Vec<f64>, Vec<ObjId>);
+/// Raw CSR arrays: `(offsets, payloads, neighbors)`.
+pub(crate) type Csr<P> = (Vec<usize>, Vec<P>, Vec<ObjId>);
 
-/// A directed row entry derived from an undirected edge.
-pub(crate) trait RowEntry: Copy + Default + Send + Sync {
-    /// The undirected input edge type.
-    type Edge: Copy + Send + Sync;
-    /// Endpoints of an edge.
-    fn ends(e: &Self::Edge) -> (ObjId, ObjId);
-    /// The entry stored in one endpoint's row; `other` is the opposite
-    /// endpoint.
-    fn entry(e: &Self::Edge, other: ObjId) -> Self;
-    /// Total order of entries within a row (see the module docs).
-    fn cmp_row(a: &Self, b: &Self) -> std::cmp::Ordering;
-}
+/// An undirected input edge of [`assemble_rows`]: two endpoints and the
+/// payload both of its directed entries store.
+pub(crate) trait Edge {
+    /// Stored aligned with the neighbor ids: the distance, or nothing.
+    type Payload: Copy + Default + Send;
 
-/// Plain adjacency rows: the entry is the opposite endpoint, rows are
-/// sorted by id.
-impl RowEntry for ObjId {
-    type Edge = (ObjId, ObjId);
+    /// The endpoints `(i, j)` and the payload.
+    fn parts(&self) -> (ObjId, ObjId, Self::Payload);
 
-    #[inline]
-    fn ends(e: &Self::Edge) -> (ObjId, ObjId) {
-        (e.0, e.1)
-    }
-
-    #[inline]
-    fn entry(_e: &Self::Edge, other: ObjId) -> Self {
-        other
-    }
-
-    #[inline]
-    fn cmp_row(a: &Self, b: &Self) -> std::cmp::Ordering {
-        a.cmp(b)
-    }
-}
-
-/// A distance-annotated undirected edge, as the self-join emits it.
-pub(crate) type DistEdge = (ObjId, ObjId, f64);
-
-/// Degree counts turned into the `n + 1` CSR row boundaries — the one
-/// offsets definition every assembly path shares.
-fn degree_offsets<E>(n: usize, edges: &[E], ends: impl Fn(&E) -> (ObjId, ObjId)) -> Vec<usize> {
-    let mut offsets = vec![0usize; n + 1];
-    for e in edges {
-        let (i, j) = ends(e);
-        debug_assert!(i != j, "self-loop ({i}, {j})");
-        offsets[i + 1] += 1;
-        offsets[j + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    offsets
-}
-
-/// The sharding plan every parallel assembly path shares: resolves the
-/// shard count (`0` = one per core, honouring the serial fallback for
-/// small inputs by returning `None`), buckets edges by owning shard
-/// (input order preserved; an edge crossing two shards lands in both
-/// buckets) and fixes the vertex ranges.
-struct ShardPlan<E> {
-    shards: usize,
-    span: usize,
-    buckets: Vec<Vec<E>>,
-}
-
-impl<E: Copy> ShardPlan<E> {
-    fn new(
-        n: usize,
-        edges: &[E],
-        shards: usize,
-        ends: impl Fn(&E) -> (ObjId, ObjId),
-    ) -> Option<Self> {
-        let shards = if shards == 0 {
-            // Below this size the serial assembly beats spawn + join.
-            const MIN_PARALLEL_EDGES: usize = 4_096;
-            let auto = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            if auto <= 1 || edges.len() < MIN_PARALLEL_EDGES {
-                return None;
-            }
-            auto
-        } else {
-            shards
-        };
-        let shards = shards.clamp(1, n.max(1));
-        // Vertex ranges: shard s owns [s * span, min((s + 1) * span, n)).
-        let span = n.div_ceil(shards).max(1);
-        let mut buckets: Vec<Vec<E>> = vec![Vec::new(); shards];
-        for e in edges {
-            let (i, j) = ends(e);
-            debug_assert!(i != j, "self-loop ({i}, {j})");
-            let si = (i / span).min(shards - 1);
-            let sj = (j / span).min(shards - 1);
-            buckets[si].push(*e);
-            if sj != si {
-                buckets[sj].push(*e);
-            }
-        }
-        Some(Self {
-            shards,
-            span,
-            buckets,
-        })
-    }
-
-    fn range(&self, s: usize, n: usize) -> std::ops::Range<usize> {
-        (s * self.span).min(n)..((s + 1) * self.span).min(n)
-    }
-
-    /// Phase 1 of every sharded assembly: per-shard degree counts with
-    /// a local exclusive prefix sum, combined into the global offsets
-    /// array (identical to [`degree_offsets`]' output).
-    fn offsets(
-        &self,
-        n: usize,
-        ends: impl Fn(&E) -> (ObjId, ObjId) + Sync + Send + Copy,
-    ) -> Vec<usize>
-    where
-        E: Send + Sync,
-    {
-        let locals: Vec<Vec<usize>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards)
-                .map(|s| {
-                    let r = self.range(s, n);
-                    let bucket = &self.buckets[s];
-                    scope.spawn(move || {
-                        let mut counts = vec![0usize; r.len() + 1];
-                        for e in bucket {
-                            let (i, j) = ends(e);
-                            if r.contains(&i) {
-                                counts[i - r.start + 1] += 1;
-                            }
-                            if r.contains(&j) {
-                                counts[j - r.start + 1] += 1;
-                            }
-                        }
-                        for k in 0..r.len() {
-                            counts[k + 1] += counts[k];
-                        }
-                        counts
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(counts) => counts,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut offsets = vec![0usize; n + 1];
-        let mut base = 0usize;
-        for (s, local) in locals.iter().enumerate() {
-            let r = self.range(s, n);
-            for (k, v) in r.clone().enumerate() {
-                offsets[v] = base + local[k];
-            }
-            base += local[r.len()];
-        }
-        offsets[n] = base;
-        offsets
-    }
-}
-
-/// Serial counting-sort assembly for plain rows: degree counts, prefix
-/// sum, fill, per-row sort. Returns `(offsets, entries)` with `n + 1`
-/// offsets.
-pub(crate) fn assemble<T: RowEntry>(n: usize, edges: &[T::Edge]) -> (Vec<usize>, Vec<T>) {
-    let offsets = degree_offsets(n, edges, T::ends);
-    let mut entries = vec![T::default(); offsets[n]];
-    let mut cursor = offsets.clone();
-    for e in edges {
-        let (i, j) = T::ends(e);
-        entries[cursor[i]] = T::entry(e, j);
-        cursor[i] += 1;
-        entries[cursor[j]] = T::entry(e, i);
-        cursor[j] += 1;
-    }
-    for v in 0..n {
-        sort_row::<T>(&mut entries[offsets[v]..offsets[v + 1]], v);
-    }
-    (offsets, entries)
-}
-
-/// [`assemble`] as a parallel counting sort over `std::thread::scope`
-/// workers: shards own contiguous vertex ranges, count degrees and
-/// prefix-sum locally, then fill and sort disjoint slices of the entry
-/// array. Byte-identical output to [`assemble`] for every shard count.
-///
-/// `shards == 0` picks one shard per available core and falls back to
-/// the serial assembly when that is 1 or the input is small; an
-/// explicit shard count is honoured exactly (the concurrency tests
-/// force 1, 2, 3 and 8).
-pub(crate) fn assemble_sharded<T: RowEntry>(
-    n: usize,
-    edges: &[T::Edge],
-    shards: usize,
-) -> (Vec<usize>, Vec<T>) {
-    let Some(plan) = ShardPlan::new(n, edges, shards, T::ends) else {
-        return assemble(n, edges);
-    };
-    let offsets = plan.offsets(n, T::ends);
-
-    // Phase 2: each shard fills and sorts its disjoint slice of the
-    // entry array (slices handed out via split_at_mut).
-    let mut entries = vec![T::default(); offsets[n]];
-    std::thread::scope(|scope| {
-        let offsets = &offsets;
-        let mut rest: &mut [T] = &mut entries;
-        for (s, bucket) in plan.buckets.iter().enumerate() {
-            let r = plan.range(s, n);
-            let shard_len = offsets[r.end] - offsets[r.start];
-            let (mine, tail) = rest.split_at_mut(shard_len);
-            rest = tail;
-            scope.spawn(move || {
-                let shard_base = offsets[r.start];
-                let mut cursor: Vec<usize> =
-                    offsets[r.clone()].iter().map(|&o| o - shard_base).collect();
-                for e in bucket {
-                    let (i, j) = T::ends(e);
-                    if r.contains(&i) {
-                        mine[cursor[i - r.start]] = T::entry(e, j);
-                        cursor[i - r.start] += 1;
-                    }
-                    if r.contains(&j) {
-                        mine[cursor[j - r.start]] = T::entry(e, i);
-                        cursor[j - r.start] += 1;
-                    }
-                }
-                for v in r.clone() {
-                    sort_row::<T>(
-                        &mut mine[offsets[v] - shard_base..offsets[v + 1] - shard_base],
-                        v,
-                    );
-                }
-            });
-        }
-    });
-    (offsets, entries)
-}
-
-/// Sorts one plain row by the entry total order and (debug) rejects
-/// duplicate edges, which would surface as adjacent equal entries.
-fn sort_row<T: RowEntry>(row: &mut [T], v: ObjId) {
-    row.sort_unstable_by(T::cmp_row);
-    debug_assert!(
-        row.windows(2)
-            .all(|w| T::cmp_row(&w[0], &w[1]) != std::cmp::Ordering::Equal),
-        "duplicate edge incident to vertex {v}"
+    /// Sorts one row, held as aligned payload and id slices, into the
+    /// row's total order (see the module docs).
+    fn order_row(
+        ps: &mut [Self::Payload],
+        ids: &mut [ObjId],
+        scratch: &mut RowScratch<Self::Payload>,
     );
 }
 
-// ---------------------------------------------------------------------
-// Distance-annotated rows
-// ---------------------------------------------------------------------
+/// Plain rows: no payload, sorted by id.
+impl Edge for (ObjId, ObjId) {
+    type Payload = ();
 
-/// Serial assembly of distance-annotated rows, straight into the two
-/// aligned output arrays: returns `(offsets, dists, neighbors)` with
-/// each row sorted by `(total_cmp(dist), id)`.
-pub(crate) fn assemble_dist(n: usize, edges: &[DistEdge]) -> (Vec<usize>, Vec<f64>, Vec<ObjId>) {
-    let Ok(out) = assemble_dist_serial_core(n, edges, None) else {
-        unreachable!("cancellation is impossible without a token")
-    };
-    out
-}
+    #[inline]
+    fn parts(&self) -> (ObjId, ObjId, ()) {
+        (self.0, self.1, ())
+    }
 
-/// [`assemble_dist`] with cooperative cancellation: the fill and sort
-/// loops poll the token every [`CANCEL_CHUNK`] work items. On
-/// `Err(Cancelled)` the partially assembled arrays are dropped — no
-/// partial CSR escapes.
-fn assemble_dist_serial_core(
-    n: usize,
-    edges: &[DistEdge],
-    cancel: Option<&CancelToken>,
-) -> Result<DistCsr, Cancelled> {
-    if let Some(c) = cancel {
-        c.checkpoint()?;
-    }
-    let offsets = degree_offsets(n, edges, |e| (e.0, e.1));
-    let total = offsets[n];
-    let mut dists = vec![0.0f64; total];
-    let mut neighbors = vec![0 as ObjId; total];
-    let mut cursor = offsets.clone();
-    for (t, &(i, j, d)) in edges.iter().enumerate() {
-        if t % CANCEL_CHUNK == 0 {
-            if let Some(c) = cancel {
-                c.checkpoint()?;
-            }
-        }
-        let ci = cursor[i];
-        dists[ci] = d;
-        neighbors[ci] = j;
-        cursor[i] = ci + 1;
-        let cj = cursor[j];
-        dists[cj] = d;
-        neighbors[cj] = i;
-        cursor[j] = cj + 1;
-    }
-    let mut scratch = DistSortScratch::default();
-    for v in 0..n {
-        if v % CANCEL_CHUNK == 0 {
-            if let Some(c) = cancel {
-                c.checkpoint()?;
-            }
-        }
-        let row = offsets[v]..offsets[v + 1];
-        sort_dist_row(
-            &mut dists[row.clone()],
-            &mut neighbors[row],
-            &mut scratch,
-            v,
+    fn order_row(_: &mut [()], ids: &mut [ObjId], _: &mut RowScratch<()>) {
+        ids.sort_unstable();
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "duplicate edge in a plain row"
         );
     }
-    Ok((offsets, dists, neighbors))
 }
 
-/// [`assemble_dist`] as a parallel counting sort: same shard plan as
-/// [`assemble_sharded`], filling and sorting disjoint slices of *both*
-/// output arrays. Byte-identical to the serial assembly for every shard
-/// count.
-pub(crate) fn assemble_dist_sharded(
-    n: usize,
-    edges: &[DistEdge],
-    shards: usize,
-) -> (Vec<usize>, Vec<f64>, Vec<ObjId>) {
-    let Ok(out) = assemble_dist_checked(n, edges, shards, None) else {
-        unreachable!("cancellation is impossible without a token")
-    };
-    out
-}
+/// Distance rows: sorted by `(total_cmp(dist), id)` via [`sort_dist_row`].
+impl Edge for DistEdge {
+    type Payload = f64;
 
-/// The cancellable assembly entry point behind
-/// [`crate::StratifiedDiskGraph`]'s checked builders: sharded (or
-/// serial, per the shard plan) distance-row assembly that polls the
-/// token every [`CANCEL_CHUNK`] work items per worker. On
-/// `Err(Cancelled)` every partially filled slice is dropped with the
-/// arrays — callers never observe a partial CSR.
-pub(crate) fn assemble_dist_checked(
-    n: usize,
-    edges: &[DistEdge],
-    shards: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<DistCsr, Cancelled> {
-    let ends = |e: &DistEdge| (e.0, e.1);
-    let Some(plan) = ShardPlan::new(n, edges, shards, ends) else {
-        return assemble_dist_serial_core(n, edges, cancel);
-    };
-    if let Some(c) = cancel {
-        c.checkpoint()?;
+    #[inline]
+    fn parts(&self) -> DistEdge {
+        *self
     }
-    let offsets = plan.offsets(n, ends);
 
-    let total = offsets[n];
-    let mut dists = vec![0.0f64; total];
-    let mut neighbors = vec![0 as ObjId; total];
-    let aborted = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let offsets = &offsets;
-        let aborted = &aborted;
-        let mut rest_d: &mut [f64] = &mut dists;
-        let mut rest_n: &mut [ObjId] = &mut neighbors;
-        for (s, bucket) in plan.buckets.iter().enumerate() {
-            let r = plan.range(s, n);
-            let shard_len = offsets[r.end] - offsets[r.start];
-            let (mine_d, tail_d) = rest_d.split_at_mut(shard_len);
-            rest_d = tail_d;
-            let (mine_n, tail_n) = rest_n.split_at_mut(shard_len);
-            rest_n = tail_n;
-            scope.spawn(move || {
-                let shard_base = offsets[r.start];
-                let mut cursor: Vec<usize> =
-                    offsets[r.clone()].iter().map(|&o| o - shard_base).collect();
-                for (t, &(i, j, d)) in bucket.iter().enumerate() {
-                    if t % CANCEL_CHUNK == 0 {
-                        if let Some(c) = cancel {
-                            if c.checkpoint().is_err() {
-                                aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                    if r.contains(&i) {
-                        let c = cursor[i - r.start];
-                        mine_d[c] = d;
-                        mine_n[c] = j;
-                        cursor[i - r.start] = c + 1;
-                    }
-                    if r.contains(&j) {
-                        let c = cursor[j - r.start];
-                        mine_d[c] = d;
-                        mine_n[c] = i;
-                        cursor[j - r.start] = c + 1;
-                    }
-                }
-            });
-        }
-    });
-    if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-        return Err(Cancelled);
+    fn order_row(ds: &mut [f64], ids: &mut [ObjId], scratch: &mut RowScratch<f64>) {
+        sort_dist_row(ds, ids, scratch);
     }
-    sort_dist_rows_sharded(&offsets, &mut dists, &mut neighbors, plan.shards, cancel)?;
-    Ok((offsets, dists, neighbors))
 }
 
-/// Multi-source distance-row assembly for the sharded build: assembles
-/// one CSR from several per-task edge slices (intra-shard self-joins
-/// plus boundary cross-joins) **without concatenating them** — the
-/// degree count and fill walk the slices in place, then the row sort
-/// runs as the same entry-balanced parallel phase the single-source
-/// assembly uses.
+/// Wall-clock split of one CSR assembly: the merge walk (degree count +
+/// fill over the edge slices) vs the parallel row-sort phase. The
+/// sharded build reports both as build phases.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AssemblyBreakdown {
+    /// Degree count and fill over the input slices, in milliseconds.
+    pub merge_ms: f64,
+    /// Entry-balanced parallel row sort, in milliseconds.
+    pub sort_ms: f64,
+}
+
+/// Assembles the CSR of the undirected edges in `slices` over `n`
+/// vertices: a serial merge into the final arrays, then the
+/// entry-balanced parallel row sort (see the module docs). Edges may
+/// come in any order and orientation; each unordered pair must appear
+/// at most once overall, and self-loops are rejected (debug).
 ///
-/// Because offsets are pure degree counts and every row is sorted by
-/// the total `(dist_order_key, id)` order, the output is byte-identical
-/// to [`assemble_dist`] over any concatenation of the slices — and
-/// therefore to the unsharded build whenever the slices union to the
-/// same edge set. `workers == 0` sizes the sort phase to the available
-/// cores.
-///
-/// On `Err(Cancelled)` the partially assembled arrays are dropped — no
-/// partial CSR escapes.
-pub(crate) fn assemble_dist_multi_checked(
+/// `workers` sizes the sort phase: `0` is one worker per available core,
+/// or one below 4096 entries; any count is clamped to the row count.
+/// Output bytes do not depend on it. The token is polled every
+/// [`CANCEL_CHUNK`] edges of the merge and rows of each sort worker; on
+/// `Err(Cancelled)` the partial arrays are dropped, so no partial CSR
+/// escapes.
+pub(crate) fn assemble_rows<E: Edge>(
     n: usize,
-    slices: &[&[DistEdge]],
+    slices: &[&[E]],
     workers: usize,
     cancel: Option<&CancelToken>,
-) -> Result<(DistCsr, AssemblyTimings), Cancelled> {
-    if let Some(c) = cancel {
-        c.checkpoint()?;
-    }
-    let merge_start = std::time::Instant::now();
+) -> Result<(Csr<E::Payload>, AssemblyBreakdown), Cancelled> {
+    let poll = || cancel.map_or(Ok(()), CancelToken::checkpoint);
+    poll()?;
+    let merge_start = Instant::now();
     let mut offsets = vec![0usize; n + 1];
     for slice in slices {
-        for &(i, j, _) in *slice {
+        for e in *slice {
+            let (i, j, _) = e.parts();
             debug_assert!(i != j, "self-loop ({i}, {j})");
             offsets[i + 1] += 1;
             offsets[j + 1] += 1;
@@ -503,65 +157,50 @@ pub(crate) fn assemble_dist_multi_checked(
         offsets[v + 1] += offsets[v];
     }
     let total = offsets[n];
-    let mut dists = vec![0.0f64; total];
+    let mut payloads = vec![E::Payload::default(); total];
     let mut neighbors = vec![0 as ObjId; total];
     let mut cursor = offsets.clone();
     for slice in slices {
-        for (t, &(i, j, d)) in slice.iter().enumerate() {
+        for (t, e) in slice.iter().enumerate() {
             if t % CANCEL_CHUNK == 0 {
-                if let Some(c) = cancel {
-                    c.checkpoint()?;
-                }
+                poll()?;
             }
+            let (i, j, p) = e.parts();
             let ci = cursor[i];
-            dists[ci] = d;
+            payloads[ci] = p;
             neighbors[ci] = j;
             cursor[i] = ci + 1;
             let cj = cursor[j];
-            dists[cj] = d;
+            payloads[cj] = p;
             neighbors[cj] = i;
             cursor[j] = cj + 1;
         }
     }
-    let workers = if workers == 0 {
-        if total < 4_096 {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        }
-    } else {
-        workers
+    let workers = match workers {
+        0 if total < 4_096 => 1,
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        w => w,
+    }
+    .clamp(1, n.max(1));
+    let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
+    let sort_start = Instant::now();
+    sort_rows::<E>(&offsets, &mut payloads, &mut neighbors, workers, cancel)?;
+    let breakdown = AssemblyBreakdown {
+        merge_ms,
+        sort_ms: sort_start.elapsed().as_secs_f64() * 1e3,
     };
-    let merge = merge_start.elapsed();
-    let sort_start = std::time::Instant::now();
-    sort_dist_rows_sharded(&offsets, &mut dists, &mut neighbors, workers.max(1), cancel)?;
-    let timings = AssemblyTimings {
-        merge,
-        sort: sort_start.elapsed(),
-    };
-    Ok(((offsets, dists, neighbors), timings))
+    Ok(((offsets, payloads, neighbors), breakdown))
 }
 
-/// Wall-clock split of the multi-source assembly: the degree-count +
-/// fill merge walk vs the parallel row-sort phase.
-pub(crate) struct AssemblyTimings {
-    pub merge: std::time::Duration,
-    pub sort: std::time::Duration,
-}
-
-/// The sort half of the sharded distance-row assembly, decoupled from
-/// the fill: rows are partitioned into contiguous ranges balanced by
-/// **entry count** (one binary search on `offsets` per cut) rather than
-/// inheriting the fill's vertex-range shards, so a worker owning a few
-/// heavy rows sorts as much data as one owning many light rows. Each
-/// worker sorts a disjoint slice of both arrays with its own scratch;
-/// per-row sorts are independent, so the output is byte-identical to
-/// sorting serially (and to the former fused fill-and-sort).
-fn sort_dist_rows_sharded(
+/// The row-sort phase of [`assemble_rows`]: rows are partitioned into
+/// contiguous ranges balanced by **entry count** (one binary search on
+/// `offsets` per cut), so a worker owning a few heavy rows sorts as much
+/// data as one owning many light rows. Each worker sorts a disjoint
+/// slice of both arrays with its own scratch; per-row sorts are
+/// independent, so the output is byte-identical to sorting serially.
+fn sort_rows<E: Edge>(
     offsets: &[usize],
-    dists: &mut [f64],
+    payloads: &mut [E::Payload],
     neighbors: &mut [ObjId],
     workers: usize,
     cancel: Option<&CancelToken>,
@@ -581,18 +220,18 @@ fn sort_dist_rows_sharded(
     let aborted = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         let aborted = &aborted;
-        let mut rest_d: &mut [f64] = dists;
+        let mut rest_p: &mut [E::Payload] = payloads;
         let mut rest_n: &mut [ObjId] = neighbors;
         for w in 0..workers {
             let (lo, hi) = (cuts[w], cuts[w + 1]);
             let len = offsets[hi] - offsets[lo];
-            let (mine_d, tail_d) = rest_d.split_at_mut(len);
-            rest_d = tail_d;
+            let (mine_p, tail_p) = rest_p.split_at_mut(len);
+            rest_p = tail_p;
             let (mine_n, tail_n) = rest_n.split_at_mut(len);
             rest_n = tail_n;
             scope.spawn(move || {
                 let base = offsets[lo];
-                let mut scratch = DistSortScratch::default();
+                let mut scratch = RowScratch::default();
                 for (t, v) in (lo..hi).enumerate() {
                     if t % CANCEL_CHUNK == 0 {
                         if let Some(c) = cancel {
@@ -603,7 +242,7 @@ fn sort_dist_rows_sharded(
                         }
                     }
                     let row = offsets[v] - base..offsets[v + 1] - base;
-                    sort_dist_row(&mut mine_d[row.clone()], &mut mine_n[row], &mut scratch, v);
+                    E::order_row(&mut mine_p[row.clone()], &mut mine_n[row], &mut scratch);
                 }
             });
         }
@@ -614,11 +253,12 @@ fn sort_dist_rows_sharded(
     Ok(())
 }
 
-/// Reusable scatter buffers for [`sort_dist_row`], one per assembly
-/// worker, reused across the rows it sorts.
+/// Reusable scatter buffers for [`Edge::order_row`], one per sort
+/// worker, reused across the rows it sorts (only the distance rows'
+/// radix sort touches them).
 #[derive(Default)]
-struct DistSortScratch {
-    spare_d: Vec<f64>,
+pub(crate) struct RowScratch<P> {
+    spare_p: Vec<P>,
     spare_i: Vec<ObjId>,
 }
 
@@ -640,7 +280,7 @@ const RADIX_MIN: usize = 48;
 /// into `(total_cmp(dist), id)` order via [`msd_radix`]. Debug builds
 /// reject duplicate edges, which would surface as equal (key, id)
 /// pairs.
-fn sort_dist_row(ds: &mut [f64], ids: &mut [ObjId], scratch: &mut DistSortScratch, v: ObjId) {
+fn sort_dist_row(ds: &mut [f64], ids: &mut [ObjId], scratch: &mut RowScratch<f64>) {
     debug_assert_eq!(ds.len(), ids.len());
     let n = ds.len();
     if n < 2 {
@@ -649,17 +289,16 @@ fn sort_dist_row(ds: &mut [f64], ids: &mut [ObjId], scratch: &mut DistSortScratc
     if n <= RADIX_MIN {
         insertion(ds, ids);
     } else {
-        let DistSortScratch { spare_d, spare_i } = scratch;
-        spare_d.resize(n.max(spare_d.len()), 0.0);
+        let RowScratch { spare_p, spare_i } = scratch;
+        spare_p.resize(n.max(spare_p.len()), 0.0);
         spare_i.resize(n.max(spare_i.len()), 0);
-        msd_radix(ds, ids, &mut spare_d[..n], &mut spare_i[..n]);
+        msd_radix(ds, ids, &mut spare_p[..n], &mut spare_i[..n]);
     }
-    let _ = v;
     debug_assert!(
         ds.windows(2)
             .zip(ids.windows(2))
             .all(|(d, i)| (dist_order_key(d[0]), i[0]) < (dist_order_key(d[1]), i[1])),
-        "duplicate edge incident to vertex {v}"
+        "duplicate edge in a distance row"
     );
 }
 
@@ -780,8 +419,8 @@ mod tests {
     fn radix(row: &[(f64, ObjId)]) -> Vec<(f64, ObjId)> {
         let mut ds: Vec<f64> = row.iter().map(|e| e.0).collect();
         let mut ids: Vec<ObjId> = row.iter().map(|e| e.1).collect();
-        let mut scratch = DistSortScratch::default();
-        sort_dist_row(&mut ds, &mut ids, &mut scratch, 0);
+        let mut scratch = RowScratch::default();
+        sort_dist_row(&mut ds, &mut ids, &mut scratch);
         ds.into_iter().zip(ids).collect()
     }
 
@@ -944,9 +583,18 @@ mod tests {
                 edges.push((a, b, (next() % 1_000) as f64 * 1e-3));
             }
         }
-        let serial = assemble_dist(n, &edges);
+        // The raw arrays of the assembly every constructor ends in.
+        let assembled = |slices: &[&[DistEdge]], workers| {
+            let (g, _) = crate::StratifiedDiskGraph::from_dist_edge_slices_checked(
+                n, 1.0, slices, workers, None,
+            )
+            .expect("valid radius, no token");
+            let (o, d, nb) = (g.offsets(), g.dists_flat(), g.neighbors_flat());
+            (o.to_vec(), d.to_vec(), nb.to_vec())
+        };
+        let serial = assembled(&[&edges], 1);
         for shards in [0, 1, 2, 3, 8, 200] {
-            let sharded = assemble_dist_sharded(n, &edges, shards);
+            let sharded = assembled(&[&edges], shards);
             assert_eq!(serial.0, sharded.0, "offsets, shards={shards}");
             assert_eq!(
                 serial.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
@@ -964,10 +612,7 @@ mod tests {
             let (a, b) = edges.split_at(cut);
             let empty: &[DistEdge] = &[];
             for workers in [1, 3] {
-                let Ok((multi, _)) = assemble_dist_multi_checked(n, &[a, empty, b], workers, None)
-                else {
-                    unreachable!("cancellation is impossible without a token")
-                };
+                let multi = assembled(&[a, empty, b], workers);
                 assert_eq!(serial.0, multi.0, "offsets, cut={cut}");
                 assert_eq!(
                     serial.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),

@@ -104,6 +104,15 @@ pub enum GraphError {
     /// A streaming delete would empty the graph (the id bijection cannot
     /// represent zero vertices, and a dataset is never empty either).
     LastVertex,
+    /// A streaming delete found an edge without its mirrored entry: row
+    /// `row` does not hold `id` at the distance `id`'s own row records,
+    /// so the CSR is not symmetric. The graph is left unmodified.
+    MissingMirror {
+        /// The row that should hold the mirrored entry.
+        row: usize,
+        /// The vertex whose entry is missing from that row.
+        id: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -156,6 +165,10 @@ impl fmt::Display for GraphError {
                 write!(f, "external id {id} is already mapped to a live vertex")
             }
             Self::LastVertex => f.write_str("cannot remove the last remaining vertex"),
+            Self::MissingMirror { row, id } => write!(
+                f,
+                "row {row} lacks the mirrored entry of its edge to {id}; the CSR is not symmetric"
+            ),
         }
     }
 }

@@ -15,38 +15,36 @@
 //!
 //! * [`UnitDiskGraph::from_mtree`] — bulk-materialises the graph with
 //!   one M-tree [`range_self_join`](disc_mtree::MTree::range_self_join)
-//!   traversal. This is the production path: node-pair pruning computes
-//!   far fewer than `n(n−1)/2` distances, and once the CSR is resident
-//!   the selection heuristics run with **zero** further index queries.
-//!   Prefer it whenever the edge list fits in memory (≈16 bytes per
-//!   edge transiently, 8 bytes per directed edge resident) and the
-//!   whole graph will be consumed — i.e. a full Greedy-DisC / Greedy-C
-//!   run. Prefer the tree-backed runners instead when memory is tight or
-//!   when only a few selections are needed (zooming a small
-//!   neighbourhood). When the radius *changes between selections* —
-//!   zoom-in/zoom-out sweeps, per-object radii — use the
-//!   radius-stratified sibling [`crate::StratifiedDiskGraph`], which
-//!   answers every radius below its build radius from one
-//!   distance-annotated self-join.
-//!   With the `parallel` feature enabled, both the self-join traversal
-//!   (see `disc-mtree`) and the CSR assembly below run multi-threaded,
-//!   producing a byte-identical graph.
+//!   traversal. Node-pair pruning computes far fewer than `n(n−1)/2`
+//!   distances, and once the CSR is resident the selection heuristics
+//!   run with **zero** further index queries. Prefer it whenever the
+//!   edge list fits in memory (≈16 bytes per edge transiently, 8 bytes
+//!   per directed edge resident) and the whole graph will be consumed —
+//!   i.e. a full Greedy-DisC / Greedy-C run. Prefer the tree-backed
+//!   runners instead when memory is tight or when only a few selections
+//!   are needed (zooming a small neighbourhood). When the radius
+//!   *changes between selections* — zoom-in/zoom-out sweeps, per-object
+//!   radii — use the radius-stratified sibling
+//!   [`crate::StratifiedDiskGraph`], which answers every radius below
+//!   its build radius from one distance-annotated self-join (the
+//!   production `disc build` path). With the `parallel` feature enabled
+//!   the self-join traversal runs multi-threaded (see `disc-mtree`);
+//!   the CSR row sort always uses one worker per core.
 //! * [`UnitDiskGraph::build`] — the O(n²) all-pairs scan, kept as the
 //!   validation reference the property tests compare against.
-//! * [`UnitDiskGraph::build_parallel`] — the same scan sharded across
-//!   threads with `std::thread::scope` (behind the `parallel` feature);
-//!   byte-identical output, useful on multi-core hosts when no M-tree
-//!   exists yet.
-//! * [`UnitDiskGraph::from_edges`] — serial CSR assembly from any edge
-//!   list (the self-join's output format), public so other producers
-//!   can feed the same consumers.
-//! * [`UnitDiskGraph::from_edges_sharded`] — the same assembly as a
-//!   parallel counting sort: shards own contiguous vertex ranges,
-//!   count degrees and prefix-sum locally, then fill and sort disjoint
-//!   slices of the `neighbors` array. Byte-identical `offsets` /
-//!   `neighbors` for every shard count, because the offsets are pure
-//!   degree counts and each adjacency row is sorted (and duplicate
-//!   free), so its final content is independent of fill order.
+//! * [`UnitDiskGraph::from_edges`] — CSR assembly from any edge list
+//!   (the self-join's output format), public so other producers can
+//!   feed the same consumers.
+//! * [`UnitDiskGraph::from_edges_sharded`] — the same assembly with an
+//!   explicit row-sort worker count, which the concurrency pins and the
+//!   benches' parity checks set.
+//!
+//! Every constructor ends in the crate's one CSR assembly (the private
+//! `csr` module, shared with the stratified graph): a serial degree
+//! count and fill, then an entry-balanced parallel row sort. Offsets
+//! are pure degree counts and each adjacency row is sorted (and
+//! duplicate free), so `offsets` / `neighbors` are byte-identical for
+//! every worker count.
 
 use std::sync::Arc;
 
@@ -94,48 +92,29 @@ impl UnitDiskGraph {
     }
 
     /// Materialises `G_{P,r}` with one M-tree range self-join (the bulk
-    /// production path; distance computations are charged to the tree's
-    /// counter). With the `parallel` feature enabled both the self-join
-    /// traversal and the CSR assembly run multi-threaded — the graph is
-    /// byte-identical either way.
+    /// path; distance computations are charged to the tree's counter),
+    /// assembled with one row-sort worker per core. The graph is
+    /// byte-identical at every thread count.
     pub fn from_mtree(tree: &MTree<'_>, radius: f64) -> Self {
         let edges = tree.range_self_join(radius);
-        #[cfg(feature = "parallel")]
-        let g = Self::from_edges_sharded(tree.len(), radius, &edges, 0);
-        #[cfg(not(feature = "parallel"))]
-        let g = Self::from_edges(tree.len(), radius, &edges);
-        g.with_permutation(tree.data().permutation().cloned())
+        Self::from_edges_sharded(tree.len(), radius, &edges, 0)
+            .with_permutation(tree.data().permutation().cloned())
     }
 
-    /// Assembles the CSR from an undirected edge list over `n` vertices.
-    /// Edges may be in any order and orientation; each unordered pair
-    /// must appear at most once, and self-loops are rejected (debug).
+    /// Assembles the CSR from an undirected edge list over `n` vertices
+    /// with one row-sort worker. Edges may be in any order and
+    /// orientation; each unordered pair must appear at most once, and
+    /// self-loops are rejected (debug).
     pub fn from_edges(n: usize, radius: f64, edges: &[(ObjId, ObjId)]) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let (offsets, neighbors) = crate::csr::assemble::<ObjId>(n, edges);
-        Self {
-            radius,
-            offsets,
-            neighbors,
-            perm: None,
-        }
+        Self::from_edges_sharded(n, radius, edges, 1)
     }
 
-    /// [`UnitDiskGraph::from_edges`] as a parallel counting sort over
-    /// `std::thread::scope` workers (the shared assembly in the crate's
-    /// private `csr` module, also behind the stratified variant): shards
-    /// own contiguous vertex ranges, count degrees and prefix-sum
-    /// locally, then fill and sort disjoint slices of the `neighbors`
-    /// array. The resulting `offsets` / `neighbors` are
-    /// **byte-identical** to the serial assembly for every shard count:
-    /// offsets are pure degree counts, and every adjacency row is
-    /// sorted and duplicate-free, so its content does not depend on
-    /// fill order.
-    ///
-    /// `shards == 0` picks one shard per available core and falls back
-    /// to the serial assembly when that is 1 or the input is small; an
-    /// explicit shard count is honoured exactly (the concurrency tests
-    /// force 1, 2, 3 and 8).
+    /// [`UnitDiskGraph::from_edges`] with `shards` row-sort workers:
+    /// `0` picks one per available core (one for small inputs), and any
+    /// count is clamped to the vertex count. The resulting `offsets` /
+    /// `neighbors` are **byte-identical** for every count: offsets are
+    /// pure degree counts, and every adjacency row is sorted and
+    /// duplicate-free, so its content does not depend on fill order.
     pub fn from_edges_sharded(
         n: usize,
         radius: f64,
@@ -143,60 +122,16 @@ impl UnitDiskGraph {
         shards: usize,
     ) -> Self {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let (offsets, neighbors) = crate::csr::assemble_sharded::<ObjId>(n, edges, shards);
+        let Ok(((offsets, _, neighbors), _)) = crate::csr::assemble_rows(n, &[edges], shards, None)
+        else {
+            unreachable!("cancellation is impossible without a token")
+        };
         Self {
             radius,
             offsets,
             neighbors,
             perm: None,
         }
-    }
-
-    /// The O(n²) scan sharded over `std::thread::scope` threads: each
-    /// thread scans the upper-triangle pairs of a strided row subset
-    /// (stride balances the shrinking rows), producing per-thread edge
-    /// lists merged by [`UnitDiskGraph::from_edges`] — the same total
-    /// distance work as the serial scan and byte-identical output to
-    /// [`UnitDiskGraph::build`].
-    #[cfg(feature = "parallel")]
-    pub fn build_parallel(data: &Dataset, radius: f64) -> Self {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let n = data.len();
-        // Below this size thread spawn/join dominates the scan.
-        const MIN_PARALLEL: usize = 512;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if threads <= 1 || n < MIN_PARALLEL {
-            return Self::build(data, radius);
-        }
-        let edges: Vec<(ObjId, ObjId)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mut edges = Vec::new();
-                        let mut i = t;
-                        while i < n {
-                            for j in (i + 1)..n {
-                                if data.dist(i, j) <= radius {
-                                    edges.push((i, j));
-                                }
-                            }
-                            i += threads;
-                        }
-                        edges
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(edges) => edges,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        Self::from_edges(n, radius, &edges).with_permutation(data.permutation().cloned())
     }
 
     /// Attaches (or clears) the internal↔external id bijection — the
@@ -547,19 +482,6 @@ mod tests {
         for r in [0.0, 0.5, 1.0, 2.0] {
             assert_eq!(
                 UnitDiskGraph::from_mtree(&tree, r),
-                UnitDiskGraph::build(&data, r),
-                "r={r}"
-            );
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_build_matches_serial() {
-        let data = random_data_metric(700, 9, Metric::Euclidean);
-        for r in [0.02, 0.1, 0.4] {
-            assert_eq!(
-                UnitDiskGraph::build_parallel(&data, r),
                 UnitDiskGraph::build(&data, r),
                 "r={r}"
             );

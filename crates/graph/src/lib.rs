@@ -43,10 +43,11 @@ pub mod stratified;
 pub mod stream;
 
 pub use adjacency::Adjacency;
+pub use csr::AssemblyBreakdown;
 pub use error::GraphError;
 pub use exact::minimum_independent_dominating_set;
 pub use graph::UnitDiskGraph;
 pub use jaccard::jaccard_distance;
 pub use sets::{is_dominating, is_independent, is_independent_dominating};
-pub use stratified::{AssemblyBreakdown, StratifiedDiskGraph, StratifiedView};
+pub use stratified::{StratifiedDiskGraph, StratifiedView};
 pub use stream::{InsertReceipt, RemoveReceipt, StreamError, StreamingCatalog};

@@ -26,8 +26,9 @@
 //!
 //! Sorting by the `(distance, id)` pair — a total order, since a row
 //! never repeats an id — makes the array contents a pure function of the
-//! edge *set*, so serial and sharded assembly are byte-identical, and
-//! duplicate distance values (ties) have a canonical ordering. The sort
+//! edge *set*, so the assembly is byte-identical at every worker count
+//! and for every split of the edges into slices, and duplicate
+//! distance values (ties) have a canonical ordering. The sort
 //! itself never compares floats: `f64::to_bits`, sign-flipped so
 //! unsigned integer order coincides with `f64::total_cmp`, feeds an MSD
 //! radix sort that partitions straight on the bytes that actually vary
@@ -60,7 +61,18 @@
 //!   [`StratifiedDiskGraph::from_mtree`] once, then
 //!   [`StratifiedDiskGraph::view`] / [`StratifiedDiskGraph::row_within`]
 //!   per radius at zero additional distance computations. A view is an
-//!   [`Adjacency`], so the id-set selection runners solve on it directly.
+//!   [`Adjacency`], so the id-set selection runners solve on it directly;
+//! * a **persisted, served** catalog → `disc_core::build_sharded` (the
+//!   `disc build` pipeline): per-shard self-joins and boundary
+//!   cross-joins handed as separate slices to
+//!   [`StratifiedDiskGraph::from_dist_edge_slices_checked`].
+//!
+//! Every constructor, for this graph and for [`UnitDiskGraph`], ends in
+//! the same assembly: a serial degree count and fill over the edge
+//! slices, then the entry-balanced parallel row sort. Only the worker
+//! count differs: one for [`StratifiedDiskGraph::from_dist_edges`] and
+//! [`StratifiedDiskGraph::build`], one per core for
+//! [`StratifiedDiskGraph::from_mtree`], the caller's for the rest.
 
 use std::sync::Arc;
 
@@ -70,7 +82,7 @@ use disc_mtree::{DistEdge, MTree, SelfJoinConfig};
 
 use crate::error::GraphError;
 use crate::graph::UnitDiskGraph;
-use crate::Adjacency;
+use crate::{Adjacency, AssemblyBreakdown};
 
 /// Distance-annotated CSR adjacency over the objects of a dataset at a
 /// maximum radius `r_max`, rows sorted by `(distance, id)` so every
@@ -101,13 +113,13 @@ impl StratifiedDiskGraph {
     /// M-tree self-join at `r_max` (distance computations are charged to
     /// the tree's counter; the selection/zooming consumers then run at
     /// zero additional distance computations for every radius
-    /// `≤ r_max`). With the `parallel` feature enabled both the
-    /// self-join traversal and the CSR assembly run multi-threaded — the
-    /// graph is byte-identical either way, distance annotations
-    /// included.
+    /// `≤ r_max`), assembled with one row-sort worker per core. With the
+    /// `parallel` feature enabled the self-join traversal runs
+    /// multi-threaded too. The graph is byte-identical either way,
+    /// distance annotations included.
     pub fn from_mtree(tree: &MTree<'_>, r_max: f64) -> Self {
         let edges = tree.range_self_join_dist(r_max);
-        Self::from_dist_edges_auto(tree.len(), r_max, &edges)
+        Self::from_dist_edges_sharded(tree.len(), r_max, &edges, 0)
             .with_permutation(tree.data().permutation().cloned())
     }
 
@@ -119,7 +131,7 @@ impl StratifiedDiskGraph {
     /// and the tree's counters account exactly for the work performed.
     ///
     /// `config.threads` drives both the traversal worker count and the
-    /// assembly shard count (`0` = auto). The built graph is
+    /// assembly's row-sort worker count (`0` = auto). The built graph is
     /// byte-identical to [`StratifiedDiskGraph::from_mtree`]'s for every
     /// thread count.
     pub fn from_mtree_checked(
@@ -129,50 +141,29 @@ impl StratifiedDiskGraph {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, GraphError> {
         let edges = tree.range_self_join_dist_checked(r_max, config, cancel)?;
-        Ok(
-            Self::from_dist_edges_checked(tree.len(), r_max, &edges, config.threads, cancel)?
-                .with_permutation(tree.data().permutation().cloned()),
-        )
+        let (graph, _) = Self::from_dist_edge_slices_checked(
+            tree.len(),
+            r_max,
+            &[&edges],
+            config.threads,
+            cancel,
+        )?;
+        Ok(graph.with_permutation(tree.data().permutation().cloned()))
     }
 
-    /// Checked, cancellable CSR assembly from a distance-annotated edge
-    /// list (the assembly half of
-    /// [`StratifiedDiskGraph::from_mtree_checked`]). `shards == 0`
-    /// picks one shard per core with the usual serial fallback.
-    pub fn from_dist_edges_checked(
-        n: usize,
-        r_max: f64,
-        edges: &[DistEdge],
-        shards: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Self, GraphError> {
-        if r_max.is_nan() || r_max < 0.0 {
-            return Err(GraphError::InvalidRadius(r_max));
-        }
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) =
-            crate::csr::assemble_dist_checked(n, edges, shards, cancel)?;
-        Ok(Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        })
-    }
-
-    /// Multi-source counterpart of
-    /// [`StratifiedDiskGraph::from_dist_edges_checked`] for the sharded
-    /// build: assembles one graph from several per-task edge slices
-    /// (intra-shard self-joins plus boundary cross-joins) without ever
-    /// concatenating them into one allocation. Offsets are pure degree
-    /// counts and rows sort by the total `(distance, id)` order, so the
-    /// result is byte-identical to the single-source assembly over any
-    /// interleaving of the slices — the property the sharded build's
-    /// snapshot-identity gate rests on. `workers` drives the parallel
-    /// row-sort phase (`0` = auto). The returned [`AssemblyBreakdown`]
-    /// separates the merge (degree count + fill over the slices) from
-    /// the row-sort phase for the scale bench's per-phase report.
+    /// Checked, cancellable CSR assembly from one or more
+    /// distance-annotated edge slices — the assembly every constructor
+    /// ends in. The sharded build passes its intra-shard self-joins and
+    /// boundary cross-joins as separate slices, never concatenating
+    /// them into one allocation. Offsets are pure degree counts and rows
+    /// sort by the total `(distance, id)` order, so the result is
+    /// byte-identical over any split of the same edge set into slices —
+    /// the property the sharded build's snapshot-identity gate rests
+    /// on. `workers` drives the parallel row-sort phase (`0` = one per
+    /// core, or one for small inputs; clamped to the vertex count). The
+    /// returned [`AssemblyBreakdown`] separates the merge (degree count
+    /// and fill over the slices) from the row-sort phase for the build's
+    /// per-phase report.
     pub fn from_dist_edge_slices_checked(
         n: usize,
         r_max: f64,
@@ -186,18 +177,14 @@ impl StratifiedDiskGraph {
         for slice in slices {
             debug_validate_distances(r_max, slice);
         }
-        let ((offsets, dists, neighbors), timings) =
-            crate::csr::assemble_dist_multi_checked(n, slices, workers, cancel)?;
+        let ((offsets, dists, neighbors), breakdown) =
+            crate::csr::assemble_rows(n, slices, workers, cancel)?;
         let graph = Self {
             radius: r_max,
             offsets,
             neighbors,
             dists,
             perm: None,
-        };
-        let breakdown = AssemblyBreakdown {
-            merge_ms: timings.merge.as_secs_f64() * 1e3,
-            sort_ms: timings.sort.as_secs_f64() * 1e3,
         };
         Ok((graph, breakdown))
     }
@@ -287,22 +274,6 @@ impl StratifiedDiskGraph {
         })
     }
 
-    /// The assembly half of [`StratifiedDiskGraph::from_mtree`]: picks
-    /// the sharded (auto shard count) or serial CSR path exactly as the
-    /// production build does — sharded when the `parallel` feature is
-    /// on, serial otherwise. Exposed so benchmarks timing the build
-    /// phases separately measure the same pipeline `from_mtree` runs.
-    pub fn from_dist_edges_auto(n: usize, r_max: f64, edges: &[DistEdge]) -> Self {
-        #[cfg(feature = "parallel")]
-        {
-            Self::from_dist_edges_sharded(n, r_max, edges, 0)
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            Self::from_dist_edges(n, r_max, edges)
-        }
-    }
-
     /// Materialises the stratified graph by examining all pairs (O(n²);
     /// the validation reference the property tests compare against).
     pub fn build(data: &Dataset, r_max: f64) -> Self {
@@ -321,35 +292,21 @@ impl StratifiedDiskGraph {
     }
 
     /// Assembles the stratified CSR from a distance-annotated undirected
-    /// edge list over `n` vertices. Edges may be in any order and
-    /// orientation; each unordered pair must appear at most once, with
-    /// its exact distance `≤ r_max`; self-loops are rejected (debug).
+    /// edge list over `n` vertices with one row-sort worker. Edges may
+    /// be in any order and orientation; each unordered pair must appear
+    /// at most once, with its exact distance `≤ r_max`; self-loops are
+    /// rejected (debug).
     pub fn from_dist_edges(n: usize, r_max: f64, edges: &[DistEdge]) -> Self {
-        assert!(r_max >= 0.0, "radius must be non-negative");
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) = crate::csr::assemble_dist(n, edges);
-        Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        }
+        Self::from_dist_edges_sharded(n, r_max, edges, 1)
     }
 
-    /// [`StratifiedDiskGraph::from_dist_edges`] as a parallel counting
-    /// sort over `std::thread::scope` workers — the same shard plan as
-    /// [`UnitDiskGraph::from_edges_sharded`], writing the `dists` /
-    /// `neighbors` arrays directly. Byte-identical `offsets` /
-    /// `neighbors` / `dists` for every shard count: offsets are pure
-    /// degree counts, and each row's `(distance, id)` sort key is a
-    /// total order (ids are unique within a row), so row content is
-    /// independent of fill order.
-    ///
-    /// `shards == 0` picks one shard per available core and falls back
-    /// to the serial assembly when that is 1 or the input is small; an
-    /// explicit shard count is honoured exactly (the concurrency tests
-    /// force 1, 2, 3 and 8).
+    /// [`StratifiedDiskGraph::from_dist_edges`] with `shards` row-sort
+    /// workers: `0` picks one per available core (one for small
+    /// inputs), and any count is clamped to the vertex count.
+    /// Byte-identical `offsets` / `neighbors` / `dists` for every count:
+    /// offsets are pure degree counts, and each row's `(distance, id)`
+    /// sort key is a total order (ids are unique within a row), so row
+    /// content is independent of fill order.
     pub fn from_dist_edges_sharded(
         n: usize,
         r_max: f64,
@@ -357,15 +314,11 @@ impl StratifiedDiskGraph {
         shards: usize,
     ) -> Self {
         assert!(r_max >= 0.0, "radius must be non-negative");
-        debug_validate_distances(r_max, edges);
-        let (offsets, dists, neighbors) = crate::csr::assemble_dist_sharded(n, edges, shards);
-        Self {
-            radius: r_max,
-            offsets,
-            neighbors,
-            dists,
-            perm: None,
-        }
+        let Ok((graph, _)) = Self::from_dist_edge_slices_checked(n, r_max, &[edges], shards, None)
+        else {
+            unreachable!("a valid radius without a token cannot fail")
+        };
+        graph
     }
 
     /// Attaches (or clears) the internal↔external id bijection — the
@@ -666,6 +619,11 @@ impl StratifiedDiskGraph {
     /// (kept as [`StratifiedDiskGraph::remove_object_rescan`], the
     /// streaming bench's baseline) rewrote all three arrays entry by
     /// entry. Zero distance computations either way.
+    ///
+    /// A neighbor row without the mirrored entry (an asymmetric CSR,
+    /// which [`StratifiedDiskGraph::from_csr_parts`] does not rule out)
+    /// fails with [`GraphError::MissingMirror`] before anything is
+    /// written.
     pub fn remove_object(&mut self, v: ObjId) -> Result<ObjId, GraphError> {
         let n = self.len();
         if v >= n {
@@ -708,12 +666,14 @@ impl StratifiedDiskGraph {
                     b = m;
                 }
             }
-            debug_assert!(
-                a < hi
-                    && self.neighbors[a] == v
-                    && self.dists[a].to_bits() == self.dists[k].to_bits(),
-                "mirrored slot for edge ({u}, {v}) missing — asymmetric CSR"
-            );
+            // Snapshot loads do not check symmetry, so a missing mirror
+            // is refused here, before the first write.
+            if !(a < hi
+                && self.neighbors[a] == v
+                && self.dists[a].to_bits() == self.dists[k].to_bits())
+            {
+                return Err(GraphError::MissingMirror { row: u, id: v });
+            }
             dead.push(a);
         }
         dead.sort_unstable();
@@ -845,18 +805,6 @@ impl StratifiedDiskGraph {
     pub fn vertices(&self) -> impl Iterator<Item = ObjId> + '_ {
         0..self.len()
     }
-}
-
-/// Wall-clock split of the multi-source CSR assembly
-/// ([`StratifiedDiskGraph::from_dist_edge_slices_checked`]): the merge
-/// walk (degree count + fill over the edge slices) vs the parallel
-/// row-sort phase. Consumed by the sharded build's per-phase stats.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AssemblyBreakdown {
-    /// Degree count and fill over the input slices, in milliseconds.
-    pub merge_ms: f64,
-    /// Entry-balanced parallel row sort, in milliseconds.
-    pub sort_ms: f64,
 }
 
 /// Debug-only input validation: every annotated distance must be a
@@ -1288,8 +1236,8 @@ mod tests {
             )
             .unwrap_err();
             assert!(matches!(err, GraphError::InvalidRadius(_)), "r={r}: {err}");
-            let err =
-                StratifiedDiskGraph::from_dist_edges_checked(10, r, &[], 1, None).unwrap_err();
+            let err = StratifiedDiskGraph::from_dist_edge_slices_checked(10, r, &[], 1, None)
+                .unwrap_err();
             assert!(matches!(err, GraphError::InvalidRadius(_)), "r={r}: {err}");
         }
     }
@@ -1329,10 +1277,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for shards in [1, 3] {
-            let err = StratifiedDiskGraph::from_dist_edges_checked(
+            let err = StratifiedDiskGraph::from_dist_edge_slices_checked(
                 200,
                 0.4,
-                &edges,
+                &[&edges],
                 shards,
                 Some(&token),
             )
@@ -1341,8 +1289,9 @@ mod tests {
         }
         // The same call without a token matches the plain assembly.
         let plain = StratifiedDiskGraph::from_dist_edges(200, 0.4, &edges);
-        let checked = StratifiedDiskGraph::from_dist_edges_checked(200, 0.4, &edges, 3, None)
-            .expect("uncancelled assembly succeeds");
+        let (checked, _) =
+            StratifiedDiskGraph::from_dist_edge_slices_checked(200, 0.4, &[&edges], 3, None)
+                .expect("uncancelled assembly succeeds");
         assert_eq!(checked, plain);
     }
 
@@ -1606,6 +1555,50 @@ mod tests {
     }
 
     #[test]
+    fn slice_assembly_cancels_cleanly_at_every_checkpoint() {
+        let data = random_data_metric(300, 79, Metric::Euclidean);
+        let tree = MTree::build(&data, MTreeConfig::default());
+        let edges = tree.range_self_join_dist(0.2);
+        let third = edges.len() / 3;
+        let slices: [&[DistEdge]; 3] = [
+            &edges[..third],
+            &edges[third..2 * third],
+            &edges[2 * third..],
+        ];
+        let full = StratifiedDiskGraph::from_dist_edges(data.len(), 0.2, &edges);
+        // The merge polls once up front and once per CANCEL_CHUNK edges
+        // of each slice; a budget beyond that trips in the row sort.
+        let merge_checks = 1 + slices
+            .iter()
+            .map(|s| s.len().div_ceil(crate::csr::CANCEL_CHUNK) as u64)
+            .sum::<u64>();
+        for workers in [1, 3] {
+            let (mut sort_cancels, mut completed) = (0, 0);
+            for budget in 1..=merge_checks + 8 {
+                let token = CancelToken::with_check_budget(budget);
+                match StratifiedDiskGraph::from_dist_edge_slices_checked(
+                    data.len(),
+                    0.2,
+                    &slices,
+                    workers,
+                    Some(&token),
+                ) {
+                    Ok((g, _)) => {
+                        assert_eq!(g, full, "workers={workers} budget={budget}");
+                        completed += 1;
+                    }
+                    Err(e) => {
+                        assert_eq!(e, GraphError::Cancelled, "workers={workers}");
+                        sort_cancels += (budget > merge_checks) as usize;
+                    }
+                }
+            }
+            assert!(sort_cancels >= 1, "no budget cancelled the row sort");
+            assert!(completed >= 1, "no budget let the assembly finish");
+        }
+    }
+
+    #[test]
     fn interleaved_inserts_and_removes_track_external_ids() {
         let r_max = 0.4;
         let mut data = random_data_metric(30, 74, Metric::Manhattan);
@@ -1670,6 +1663,48 @@ mod tests {
         );
         let mut one = StratifiedDiskGraph::from_dist_edges(1, 0.5, &[]);
         assert_eq!(one.remove_object(0).unwrap_err(), GraphError::LastVertex);
+    }
+
+    #[test]
+    fn remove_object_refuses_an_asymmetric_csr_before_any_write() {
+        // Both graphs pass `from_csr_parts`, which does not check
+        // symmetry. Case 1 (rows 0:[1,2] 1:[] 2:[0]) lacks the mirror
+        // of edge (0,1); case 2 (rows 0:[1,2] 1:[0,2] 2:[1]) lacks the
+        // mirror of edge (0,2), which a blind unlink would take from
+        // edge (2,1) instead.
+        let cases = [
+            (
+                vec![0usize, 2, 2, 3],
+                vec![1usize, 2, 0],
+                vec![0.1, 0.2, 0.2],
+                GraphError::MissingMirror { row: 1, id: 0 },
+            ),
+            (
+                vec![0, 2, 4, 5],
+                vec![1, 2, 0, 2, 1],
+                vec![0.1, 0.2, 0.1, 0.3, 0.3],
+                GraphError::MissingMirror { row: 2, id: 0 },
+            ),
+        ];
+        for (offsets, neighbors, dists, want) in cases {
+            let g = StratifiedDiskGraph::from_csr_parts(0.5, offsets, neighbors, dists)
+                .expect("rows are valid one by one");
+            let mut mutated = g.clone();
+            assert_eq!(mutated.remove_object(0).unwrap_err(), want);
+            assert_eq!(mutated, g, "graph changed by a refused delete");
+
+            // The catalog and serve's delete refuse it the same way.
+            let pts = vec![Point::new2(0.0, 0.0); 3];
+            let data = Dataset::new("asymmetric", Metric::Euclidean, pts);
+            let mut cat = crate::StreamingCatalog::try_new(data, g.clone()).expect("consistent");
+            assert_eq!(
+                cat.remove_external(0).unwrap_err(),
+                crate::StreamError::Graph(want)
+            );
+            assert_eq!(cat.graph(), &g);
+            assert_eq!(cat.len(), 3);
+            assert!(cat.tombstones().is_empty());
+        }
     }
 
     #[test]
