@@ -10,6 +10,10 @@
 //! is on (see [`crate::par`]); results and cost counters are identical
 //! either way. Update loops reuse one scratch hit buffer per algorithm
 //! run instead of allocating a fresh `Vec` per range query.
+//!
+//! The updates only write `counts`: every object enters the
+//! [`LazyMaxHeap`] once, at seeding, and the heap reads the fallen
+//! counts back at pop time (see [`crate::heap`]).
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
@@ -90,7 +94,6 @@ pub fn grey_update(
     tree: &MTree<'_>,
     colors: &ColorState,
     counts: &mut [u32],
-    heap: &mut LazyMaxHeap,
     newly_grey: &[ObjId],
     update_radius: f64,
     exact: bool,
@@ -100,7 +103,6 @@ pub fn grey_update(
         tree,
         colors,
         counts,
-        heap,
         newly_grey,
         update_radius,
         exact,
@@ -110,12 +112,10 @@ pub fn grey_update(
 
 /// [`grey_update`] writing its range queries into a caller-owned scratch
 /// buffer, so per-selection update rounds share one allocation.
-#[allow(clippy::too_many_arguments)]
 pub fn grey_update_with_scratch(
     tree: &MTree<'_>,
     colors: &ColorState,
     counts: &mut [u32],
-    heap: &mut LazyMaxHeap,
     newly_grey: &[ObjId],
     update_radius: f64,
     exact: bool,
@@ -130,7 +130,6 @@ pub fn grey_update_with_scratch(
                     "exact grey update underflows object {o}"
                 );
                 counts[o] = counts[o].saturating_sub(1);
-                heap.push(o, counts[o]);
             }
         }
     }
@@ -178,16 +177,7 @@ pub fn greedy_white_pass_checked(
         colors.set_color(tree, picked, Color::Black);
         tree.range_query_objs_pruned_into(picked, r, colors, &mut sel_scratch);
         let newly_grey = grey_out_white_hits(tree, colors, picked, &sel_scratch);
-        grey_update_with_scratch(
-            tree,
-            colors,
-            counts,
-            heap,
-            &newly_grey,
-            r,
-            true,
-            &mut upd_scratch,
-        );
+        grey_update_with_scratch(tree, colors, counts, &newly_grey, r, true, &mut upd_scratch);
         solution.push(picked);
     }
     Ok(())

@@ -102,6 +102,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
                 }
                 debug_assert!(fresh < counts[cand], "truncated counts only shrink");
                 counts[cand] = fresh;
+                // The pop took the candidate's only entry: re-queue it.
                 let bonus = u32::from(colors.is_white(cand));
                 heap.push(cand, fresh + bonus);
             }
@@ -128,7 +129,6 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
             for &o in picked_hits.iter() {
                 if o != picked && colors.color(o) != Color::Black {
                     counts[o] = counts[o].saturating_sub(1);
-                    heap.push(o, counts[o] + u32::from(colors.is_white(o)));
                 }
             }
         }
@@ -140,8 +140,6 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
             .collect();
         for &pj in &newly_grey {
             colors.set_color(tree, pj, Color::Grey);
-            // The candidate lost its self-term.
-            heap.push(pj, counts[pj]);
         }
         if !fast {
             // Greedy-C: exact refresh — one query per newly grey object,
@@ -151,7 +149,6 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
                 for &o in upd_scratch.iter() {
                     if o != pj && colors.color(o) != Color::Black {
                         counts[o] = counts[o].saturating_sub(1);
-                        heap.push(o, counts[o] + u32::from(colors.is_white(o)));
                     }
                 }
             }
@@ -171,10 +168,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
                     .iter()
                     .filter(|&&pj| pj != x && data.dist(x, pj) <= r)
                     .count() as u32;
-                if delta > 0 {
-                    counts[x] = counts[x].saturating_sub(delta);
-                    heap.push(x, counts[x] + u32::from(colors.is_white(x)));
-                }
+                counts[x] = counts[x].saturating_sub(delta);
             }
         }
         solution.push(picked);

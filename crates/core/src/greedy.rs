@@ -27,7 +27,6 @@ use disc_metric::ObjId;
 use disc_mtree::{Color, ColorState, MTree};
 
 use crate::counts::{grey_out_white_hits, grey_update_with_scratch, init_all_white};
-use crate::heap::LazyMaxHeap;
 use crate::result::DiscResult;
 
 /// Count-update strategy for Greedy-DisC.
@@ -135,7 +134,6 @@ fn run_greedy(
                     tree,
                     &colors,
                     &mut counts,
-                    &mut heap,
                     &newly_grey,
                     update_radius,
                     exact,
@@ -148,7 +146,6 @@ fn run_greedy(
                     tree,
                     &colors,
                     &mut counts,
-                    &mut heap,
                     picked,
                     &newly_grey,
                     r,
@@ -199,7 +196,6 @@ fn white_update(
     tree: &MTree<'_>,
     colors: &ColorState,
     counts: &mut [u32],
-    heap: &mut LazyMaxHeap,
     picked: ObjId,
     newly_grey: &[ObjId],
     r: f64,
@@ -228,7 +224,6 @@ fn white_update(
                 counts[o]
             );
             counts[o] = counts[o].saturating_sub(delta);
-            heap.push(o, counts[o]);
         }
     }
 }

@@ -6,33 +6,29 @@
 //! `disc-graph`). The rank defaults to the object id itself; runners on
 //! a renumbered graph pass the object's *external* id instead, which
 //! keeps pop order — and therefore every solution — independent of the
-//! internal numbering. Keys in the heap may go stale when counts are
-//! decremented; the caller supplies the authoritative key at pop time
-//! and stale entries are re-inserted with their current key. This is
-//! correct as long as keys only ever *decrease*, which holds for all
-//! DisC heuristics (coverage counts shrink monotonically).
+//! internal numbering.
 //!
-//! ## Stale-entry cap
+//! ## Push once, revalidate at pop
 //!
-//! Every `push` after a key change leaves the object's previous entry in
-//! the heap. The heap tracks the key of each object's *latest* push
-//! (`latest`) and the number of objects with a live entry (`live`);
-//! entries whose key no longer matches `latest` are discarded on pop
-//! without consulting the caller. When total entries exceed **2× the
-//! live objects** (plus a small floor to avoid thrashing tiny heaps),
-//! the heap rebuilds itself from the heap's own surviving entries — one
-//! per live object — so memory stays `O(live)` instead of
-//! `O(total pushes)` even for the Lazy variants' long runs of
-//! decrement-and-repush.
+//! Each candidate is pushed **once**, at seeding, and its key may only
+//! ever *decrease* afterwards — which holds for all DisC heuristics
+//! (coverage counts shrink monotonically). The caller keeps the
+//! authoritative keys (usually a `counts` array) and does not touch the
+//! heap when they fall, so a stored key is an **upper bound** on the
+//! current one. [`LazyMaxHeap::pop_valid`] asks for the current key of
+//! the top entry: if it is lower, the entry is re-queued at that key;
+//! if it matches, the object is returned. The returned object is then
+//! the exact maximum by (current key desc, rank asc) over every live
+//! candidate, since every other entry's current key is at most its
+//! stored key, which is at most the winner's. This is the lazy-greedy
+//! pattern (CELF, Leskovec et al., KDD 2007): the heap never holds more
+//! than one entry per object, and a count decrement costs one array
+//! write instead of a heap push.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use disc_metric::ObjId;
-
-/// Entry floor below which no rebuild triggers (rebuilding a tiny heap
-/// costs more than the duplicates it reclaims).
-const REBUILD_FLOOR: usize = 64;
 
 /// Lazy max-heap over `(key, rank, object)` with smallest-rank
 /// tie-breaking (rank = object id unless pushed via [`push_ranked`]).
@@ -41,12 +37,6 @@ const REBUILD_FLOOR: usize = 64;
 #[derive(Clone, Debug, Default)]
 pub struct LazyMaxHeap {
     heap: BinaryHeap<(u32, Reverse<ObjId>, ObjId)>,
-    /// Key of each object's most recent push, `None` once the object has
-    /// been popped successfully or reported gone by the caller. Grown on
-    /// demand.
-    latest: Vec<Option<u32>>,
-    /// Number of `Some` slots in `latest`.
-    live: usize,
 }
 
 impl LazyMaxHeap {
@@ -54,100 +44,56 @@ impl LazyMaxHeap {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             heap: BinaryHeap::with_capacity(n),
-            latest: vec![None; n],
-            live: 0,
         }
     }
 
-    /// Inserts (or re-inserts after a key change) an object, breaking
-    /// key ties towards the smallest object id.
+    /// Inserts a candidate, breaking key ties towards the smallest
+    /// object id.
     pub fn push(&mut self, object: ObjId, key: u32) {
         self.push_ranked(object, object, key);
     }
 
-    /// Inserts (or re-inserts after a key change) an object with an
-    /// explicit tie-break rank. Every push of one object must use the
-    /// same rank, and ranks must be distinct across objects (a
-    /// bijection — e.g. the external id on a renumbered graph). Old
-    /// entries for the same object may remain; they are discarded
-    /// lazily, and a rebuild reclaims them once they outnumber live
-    /// entries 2:1.
+    /// Inserts a candidate with an explicit tie-break rank. Ranks must be
+    /// distinct across objects (a bijection — e.g. the external id on a
+    /// renumbered graph), and an object is pushed once: later key drops
+    /// are picked up by [`LazyMaxHeap::pop_valid`], not by re-pushing.
     pub fn push_ranked(&mut self, object: ObjId, rank: ObjId, key: u32) {
-        if object >= self.latest.len() {
-            self.latest.resize(object + 1, None);
-        }
-        if self.latest[object].is_none() {
-            self.live += 1;
-        }
-        self.latest[object] = Some(key);
         self.heap.push((key, Reverse(rank), object));
-        if self.heap.len() > REBUILD_FLOOR && self.heap.len() > 2 * self.live {
-            self.rebuild();
-        }
-    }
-
-    /// Drops every superseded entry, keeping exactly one entry (the
-    /// latest key) per live object. Works over the heap's own entries —
-    /// O(entries + live), independent of how many objects ever existed —
-    /// temporarily clearing `latest` as a seen-mark so equal-key
-    /// duplicates of one object collapse too.
-    fn rebuild(&mut self) {
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let mut kept: Vec<(u32, Reverse<ObjId>, ObjId)> = Vec::with_capacity(self.live);
-        for (key, rank, object) in entries {
-            if self.latest[object] == Some(key) {
-                kept.push((key, rank, object));
-                self.latest[object] = None;
-            }
-        }
-        debug_assert_eq!(kept.len(), self.live);
-        for &(key, _, object) in &kept {
-            self.latest[object] = Some(key);
-        }
-        self.heap = BinaryHeap::from(kept);
     }
 
     /// Pops the candidate with the largest current key (ties to the
     /// smallest rank). `current_key` returns the authoritative key for a
-    /// still-valid candidate and `None` for objects that are no longer
-    /// candidates.
+    /// still-valid candidate — at most the key it was pushed with — and
+    /// `None` for objects that are no longer candidates, whose entries
+    /// are dropped.
     ///
     /// Returns `None` when no valid candidate remains.
     pub fn pop_valid(
         &mut self,
         mut current_key: impl FnMut(ObjId) -> Option<u32>,
     ) -> Option<ObjId> {
-        while let Some((key, rank, object)) = self.heap.pop() {
-            if self.latest[object] != Some(key) {
-                // Superseded by a later push, or the object was already
-                // retired: a fresher entry (if any) is still queued.
-                continue;
-            }
+        while let Some(mut top) = self.heap.peek_mut() {
+            let (key, _, object) = *top;
             match current_key(object) {
-                Some(cur) if cur == key => {
-                    // The entry leaves the heap with the pop.
-                    self.latest[object] = None;
-                    self.live -= 1;
-                    return Some(object);
-                }
+                Some(cur) if cur == key => return Some(PeekMut::pop(top).2),
                 Some(cur) => {
                     debug_assert!(
                         cur < key,
                         "keys must only decrease (object {object}: {key} -> {cur})"
                     );
-                    self.latest[object] = Some(cur);
-                    self.heap.push((cur, rank, object));
+                    // Re-queued in place: the sift-down runs when `top`
+                    // drops.
+                    top.0 = cur;
                 }
                 None => {
-                    self.latest[object] = None;
-                    self.live -= 1;
+                    PeekMut::pop(top);
                 }
             }
         }
         None
     }
 
-    /// Number of entries (including stale duplicates pending cleanup).
+    /// Number of queued entries: at most one per pushed object.
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -156,16 +102,13 @@ impl LazyMaxHeap {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Number of objects with a live (non-superseded) entry.
-    pub fn live_len(&self) -> usize {
-        self.live
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
     #[test]
     fn pops_largest_key_first() {
@@ -242,7 +185,7 @@ mod tests {
     fn duplicate_entries_resolve_to_one_pop() {
         let mut h = LazyMaxHeap::default();
         h.push(0, 5);
-        h.push(0, 3); // re-push after decrement
+        h.push(0, 3); // a second entry for one object
         let mut alive = true;
         let first = h.pop_valid(|_| alive.then_some(3));
         assert_eq!(first, Some(0));
@@ -255,55 +198,62 @@ mod tests {
         let mut h = LazyMaxHeap::with_capacity(2);
         assert!(h.is_empty());
         h.push(4, 1);
-        h.push(4, 0);
+        h.push(5, 0);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.live_len(), 1);
+        // Object 4's key fell to 0: its entry is re-queued, not
+        // duplicated, and leaves with the pop.
+        assert_eq!(h.pop_valid(|_| Some(0)), Some(4));
+        assert_eq!(h.len(), 1);
     }
+
+    // The push-once heap has no separate rebuild pass: the in-place
+    // re-queue in `pop_valid` is its only rebuild of stale entries. The
+    // three `rebuild_*` tests pin that re-queue.
 
     #[test]
     fn rebuild_caps_stale_entries() {
-        // Two live objects, thousands of decrement-and-repush rounds:
-        // without the rebuild the heap would hold every push.
+        // Two objects, thousands of key drops each seen by `pop_valid`:
+        // every stale entry is re-queued in place, so the heap never holds
+        // more than the two pushes.
         let mut h = LazyMaxHeap::with_capacity(2);
         let rounds = 10_000u32;
-        for k in (0..rounds).rev() {
-            h.push(0, k);
-            h.push(1, k);
-        }
-        assert!(
-            h.len() <= 2 * REBUILD_FLOOR + 2,
-            "stale entries unbounded: {}",
-            h.len()
-        );
-        assert_eq!(h.live_len(), 2);
-        // Popping still yields both objects at their final keys, ties to
-        // the smallest id.
-        assert_eq!(h.pop_valid(|_| Some(0)), Some(0));
+        h.push(0, rounds);
+        h.push(1, rounds);
+        let mut keys = [rounds; 2];
+        let mut consulted = 0u32;
+        // Each consult sees the key one lower than queued, down to 0.
+        let first = h.pop_valid(|o| {
+            consulted += 1;
+            keys[o] = keys[o].saturating_sub(1);
+            Some(keys[o])
+        });
+        // Both objects walked rounds → 0 one re-queue at a time, then the
+        // tie at key 0 went to the smallest id.
+        assert_eq!(first, Some(0));
+        assert_eq!(consulted, 2 * rounds + 1);
+        assert_eq!(h.len(), 1, "stale entries were not re-queued in place");
         assert_eq!(h.pop_valid(|_| Some(0)), Some(1));
         assert_eq!(h.pop_valid(|_| Some(0)), None);
+        assert!(h.is_empty());
     }
 
     #[test]
     fn rebuild_preserves_pop_order_across_many_objects() {
-        // Interleave pushes so rebuilds trigger mid-stream, then verify
-        // the pop sequence equals the sorted (key desc, id asc) order.
+        // Each object is pushed once with a stale upper bound (its key
+        // plus up to 3), so most pops re-queue entries first; the pop
+        // sequence must still equal the sorted (key desc, id asc) order.
         let n = 200usize;
-        let mut keys: Vec<u32> = (0..n).map(|i| ((i * 37) % 91) as u32 + 1).collect();
+        let keys: Vec<u32> = (0..n).map(|i| ((i * 37) % 91) as u32 + 1).collect();
         let mut h = LazyMaxHeap::with_capacity(n);
         for (i, &k) in keys.iter().enumerate() {
-            // Push a decreasing ladder per object to pile up staleness.
-            for extra in (0..4).rev() {
-                h.push(i, k + extra);
-            }
+            h.push(i, k + (i % 4) as u32);
         }
-        // Final authoritative key is `keys[i]`; the ladder pushed
-        // k+3..k, so the latest push already matches.
         let mut want: Vec<(u32, usize)> = keys.iter().copied().zip(0..n).collect();
         want.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut got = Vec::new();
         while let Some(o) = h.pop_valid(|o| Some(keys[o])) {
             got.push((keys[o], o));
-            keys[o] = 0; // retired objects keep returning their key; mark
+            assert!(h.len() <= n - got.len());
         }
         assert_eq!(got.len(), n);
         assert_eq!(got, want);
@@ -312,24 +262,69 @@ mod tests {
     #[test]
     fn rebuild_preserves_ranked_pop_order() {
         // Same as above but with ranks decoupled from ids (reversed), so
-        // a rebuild that dropped ranks would scramble tie groups.
+        // a re-queue that dropped ranks would scramble tie groups.
         let n = 200usize;
         let keys: Vec<u32> = (0..n).map(|i| ((i * 13) % 7) as u32 + 1).collect();
         let rank = |i: usize| n - 1 - i;
         let mut h = LazyMaxHeap::with_capacity(n);
         for (i, &k) in keys.iter().enumerate() {
-            for extra in (0..4).rev() {
-                h.push_ranked(i, rank(i), k + extra);
-            }
+            h.push_ranked(i, rank(i), k + (i % 4) as u32);
         }
         let mut want: Vec<(u32, usize)> = keys.iter().copied().zip(0..n).collect();
         want.sort_by(|a, b| b.0.cmp(&a.0).then(rank(a.1).cmp(&rank(b.1))));
-        let mut keys = keys;
         let mut got = Vec::new();
         while let Some(o) = h.pop_valid(|o| Some(keys[o])) {
             got.push((keys[o], o));
-            keys[o] = 0;
         }
         assert_eq!(got, want);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The push-once contract: n objects pushed once with distinct
+        /// ranks, keys lowered arbitrarily (and candidates retired)
+        /// between pops; every pop returns the exact (current key desc,
+        /// rank asc) maximum over the live candidates, and the heap never
+        /// holds more than n entries.
+        #[test]
+        fn push_once_pops_the_exact_current_maximum(
+            seed in 0u64..1_000_000,
+            n in 0usize..80,
+            key_cap in 0u32..12,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rank: Vec<ObjId> = (0..n).collect();
+            for i in (1..n).rev() {
+                rank.swap(i, rng.random_range(0..=i));
+            }
+            let seeded: Vec<u32> = (0..n).map(|_| rng.random_range(0..=key_cap)).collect();
+            let mut h = LazyMaxHeap::with_capacity(n);
+            for (o, &k) in seeded.iter().enumerate() {
+                h.push_ranked(o, rank[o], k);
+            }
+            let mut key: Vec<Option<u32>> = seeded.into_iter().map(Some).collect();
+            loop {
+                for k in key.iter_mut() {
+                    let Some(cur) = *k else { continue };
+                    match rng.random_range(0u32..8) {
+                        0..=2 => *k = Some(rng.random_range(0..=cur)),
+                        3 => *k = None,
+                        _ => {}
+                    }
+                }
+                let want = (0..n)
+                    .filter_map(|o| key[o].map(|k| (k, Reverse(rank[o]), o)))
+                    .max()
+                    .map(|(_, _, o)| o);
+                let got = h.pop_valid(|o| key[o]);
+                prop_assert!(h.len() <= n);
+                prop_assert_eq!(got, want);
+                match got {
+                    Some(o) => key[o] = None,
+                    None => break,
+                }
+            }
+            prop_assert!(h.is_empty());
+        }
     }
 }

@@ -153,7 +153,6 @@ pub fn multi_radius_greedy_disc_checked(
             for (x, _) in neighbors_of(tree, pj, radii, pruned, &colors) {
                 if colors.is_white(x) {
                     counts[x] -= 1;
-                    heap.push(x, counts[x]);
                 }
             }
         }

@@ -46,6 +46,15 @@
 //! adjacency is exact where Fast-C's truncated climbs are not — its
 //! solutions also coincide with Greedy-C's.
 //!
+//! Every candidate enters the heap once, at seeding. The exact runners
+//! then only decrement a `counts` array — one branch-free
+//! `counts[w] -= u32::from(…)` per adjacency entry, since a colour
+//! branch mispredicts on `(distance, id)`-ordered view rows — and the
+//! heap's [`LazyMaxHeap::pop_valid`] re-queues any entry whose stored
+//! key has fallen behind its count, so each pop is still the exact
+//! (count desc, external rank asc) maximum. Fast-C keeps no counts at
+//! all: its pop-time key is a scan of the candidate's row.
+//!
 //! ## The id-set runners take any [`Adjacency`]
 //!
 //! [`greedy_disc_graph`], [`greedy_c_graph`], [`fast_c_graph`] and their
@@ -162,13 +171,14 @@ pub fn greedy_disc_graph_checked(
             color[u] = Color::Grey;
             white -= 1;
         }
+        // No heap push: `pop_valid` catches up with the fallen counts.
         for &u in &newly_grey {
             for &w in g.neighbors(u) {
-                if color[w] == Color::White {
-                    debug_assert!(counts[w] > 0, "exact counts cannot underflow");
-                    counts[w] -= 1;
-                    heap.push_ranked(w, g.external_id(w), counts[w]);
-                }
+                debug_assert!(
+                    color[w] != Color::White || counts[w] > 0,
+                    "exact counts cannot underflow"
+                );
+                counts[w] -= u32::from(color[w] == Color::White);
             }
         }
         solution.push(g.external_id(picked));
@@ -209,12 +219,13 @@ pub fn greedy_c_graph_checked(
     run_cover_graph(g, false, cancel)
 }
 
-/// Fast-C over any [`Adjacency`]: the lazy-update strategy (no
-/// per-grey count cascades; a popped candidate is revalidated with one
-/// adjacency scan and re-queued if its key dropped). With exact CSR
-/// adjacency the revalidated keys are exact, so — unlike the
-/// tree-backed [`crate::fast_c`], whose truncated bottom-up climbs can
-/// leave counts stale — the solutions coincide with Greedy-C's.
+/// Fast-C over any [`Adjacency`]: the lazy-update strategy (no count
+/// updates at all; the heap's pop-time key is one adjacency scan of the
+/// popped candidate, and [`LazyMaxHeap::pop_valid`] re-queues it if
+/// that key dropped). With exact CSR adjacency the revalidated keys are
+/// exact, so — unlike the tree-backed [`crate::fast_c`], whose truncated
+/// bottom-up climbs can leave counts stale — the solutions coincide
+/// with Greedy-C's.
 pub fn fast_c_graph(g: &impl Adjacency) -> DiscResult {
     never_cancelled(run_cover_graph(g, true, None))
 }
@@ -241,45 +252,29 @@ fn run_cover_graph(
     for (id, &c) in counts.iter().enumerate() {
         heap.push_ranked(id, g.external_id(id), c + 1); // all white: self-term applies
     }
-    // Lazy mode: `key[v]` mirrors the last key pushed for `v`, so the
-    // pop closure can acknowledge stale keys and the revalidation scan
-    // decides whether they are still current.
-    let mut key: Vec<u32> = if lazy {
-        counts.iter().map(|&c| c + 1).collect()
-    } else {
-        Vec::new()
-    };
     let mut newly_grey: Vec<ObjId> = Vec::new();
     let mut solution = Vec::new();
     while white > 0 {
         checkpoint(cancel)?;
+        // Greedy-C reads its exact counts; Fast-C keeps none and rescans
+        // the popped candidate's row (white neighbours plus the
+        // self-term), which `pop_valid` re-queues while it falls short
+        // of the stored key.
         let picked = if lazy {
-            let mut selected = None;
-            while let Some(cand) = heap.pop_valid(|id| (color[id] != Color::Black).then(|| key[id]))
-            {
-                let fresh = g
-                    .neighbors(cand)
-                    .iter()
-                    .filter(|&&u| color[u] == Color::White)
-                    .count() as u32
-                    + u32::from(color[cand] == Color::White);
-                if fresh == key[cand] {
-                    selected = Some(cand);
-                    break;
-                }
-                debug_assert!(fresh < key[cand], "keys only shrink");
-                key[cand] = fresh;
-                heap.push_ranked(cand, g.external_id(cand), fresh);
-            }
-            match selected {
-                Some(s) => s,
-                None => unreachable!("white objects remain, so candidates exist"),
-            }
+            heap.pop_valid(|id| {
+                (color[id] != Color::Black).then(|| {
+                    g.neighbors(id)
+                        .iter()
+                        .filter(|&&u| color[u] == Color::White)
+                        .count() as u32
+                        + u32::from(color[id] == Color::White)
+                })
+            })
         } else {
-            match heap.pop_valid(|id| cover_key(&color, &counts, id)) {
-                Some(c) => c,
-                None => unreachable!("white objects remain, so candidates exist"),
-            }
+            heap.pop_valid(|id| cover_key(&color, &counts, id))
+        };
+        let Some(picked) = picked else {
+            unreachable!("white objects remain, so candidates exist")
         };
 
         let was_white = color[picked] == Color::White;
@@ -290,15 +285,11 @@ fn run_cover_graph(
                 // `picked` left the white set: every non-black
                 // neighbour's count drops.
                 for &u in g.neighbors(picked) {
-                    if color[u] != Color::Black {
-                        debug_assert!(counts[u] > 0, "exact counts cannot underflow");
-                        counts[u] -= 1;
-                        heap.push_ranked(
-                            u,
-                            g.external_id(u),
-                            counts[u] + u32::from(color[u] == Color::White),
-                        );
-                    }
+                    debug_assert!(
+                        color[u] == Color::Black || counts[u] > 0,
+                        "exact counts cannot underflow"
+                    );
+                    counts[u] -= u32::from(color[u] != Color::Black);
                 }
             }
         }
@@ -312,23 +303,15 @@ fn run_cover_graph(
         for &u in &newly_grey {
             color[u] = Color::Grey;
             white -= 1;
-            if !lazy {
-                // The candidate lost its self-term.
-                heap.push_ranked(u, g.external_id(u), counts[u]);
-            }
         }
         if !lazy {
             for &u in &newly_grey {
                 for &w in g.neighbors(u) {
-                    if color[w] != Color::Black {
-                        debug_assert!(counts[w] > 0, "exact counts cannot underflow");
-                        counts[w] -= 1;
-                        heap.push_ranked(
-                            w,
-                            g.external_id(w),
-                            counts[w] + u32::from(color[w] == Color::White),
-                        );
-                    }
+                    debug_assert!(
+                        color[w] == Color::Black || counts[w] > 0,
+                        "exact counts cannot underflow"
+                    );
+                    counts[w] -= u32::from(color[w] != Color::Black);
                 }
             }
         }
@@ -466,11 +449,11 @@ where
         }
         for &u in &newly_grey {
             for w in neighbors_of(u) {
-                if color[w] == Color::White {
-                    debug_assert!(counts[w] > 0, "exact counts cannot underflow");
-                    counts[w] -= 1;
-                    heap.push_ranked(w, external(w), counts[w]);
-                }
+                debug_assert!(
+                    color[w] != Color::White || counts[w] > 0,
+                    "exact counts cannot underflow"
+                );
+                counts[w] -= u32::from(color[w] == Color::White);
             }
         }
         solution.push(external(picked));

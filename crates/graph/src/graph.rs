@@ -38,13 +38,16 @@
 //! * [`UnitDiskGraph::from_edges_sharded`] — the same assembly with an
 //!   explicit row-sort worker count, which the concurrency pins and the
 //!   benches' parity checks set.
+//! * [`StratifiedView::to_unit_disk_graph`](crate::StratifiedView::to_unit_disk_graph)
+//!   — the id-sorted copy of a stratified prefix view, by an O(E)
+//!   counting-sort transpose of its rows: no edge list, no sort.
 //!
-//! Every constructor ends in the crate's one CSR assembly (the private
-//! `csr` module, shared with the stratified graph): a serial degree
-//! count and fill, then an entry-balanced parallel row sort. Offsets
-//! are pure degree counts and each adjacency row is sorted (and
-//! duplicate free), so `offsets` / `neighbors` are byte-identical for
-//! every worker count.
+//! Every edge-list constructor ends in the crate's one CSR assembly
+//! (the private `csr` module, shared with the stratified graph): a
+//! serial degree count and fill, then an entry-balanced parallel row
+//! sort. Offsets are pure degree counts and each adjacency row is
+//! sorted (and duplicate free), so `offsets` / `neighbors` are
+//! byte-identical for every worker count.
 
 use std::sync::Arc;
 
@@ -126,6 +129,15 @@ impl UnitDiskGraph {
         else {
             unreachable!("cancellation is impossible without a token")
         };
+        Self::from_csr(radius, offsets, neighbors)
+    }
+
+    /// Wraps finished CSR arrays with no id permutation. The caller
+    /// owns the layout: `offsets` holds `n + 1` non-decreasing entries
+    /// from 0 to `neighbors.len()`, and every row is sorted by id.
+    pub(crate) fn from_csr(radius: f64, offsets: Vec<usize>, neighbors: Vec<ObjId>) -> Self {
+        debug_assert_eq!(offsets.first(), Some(&0));
+        debug_assert_eq!(offsets.last(), Some(&neighbors.len()));
         Self {
             radius,
             offsets,

@@ -871,23 +871,38 @@ impl StratifiedView<'_> {
         (0..self.len()).map(|v| self.degree(v)).sum::<usize>() / 2
     }
 
-    /// Materialises the view as a plain [`UnitDiskGraph`] (rows
-    /// re-sorted by id). Pure array work — **zero** distance
-    /// computations — but it allocates a transient edge list and a
-    /// second CSR. The selection runners take the view itself as an
-    /// [`Adjacency`], so serving never calls this: it remains the
+    /// Materialises the view as a plain [`UnitDiskGraph`] (rows in id
+    /// order). Pure array work — **zero** distance computations, no
+    /// edge list and no sort: a serial counting-sort transpose in O(E).
+    /// An in-degree pass sizes the rows; then every `v` in ascending
+    /// order is appended to the row of each of its neighbours, which
+    /// leaves each row id-sorted. On a symmetric CSR the transpose is
+    /// the view itself; on an asymmetric one (which
+    /// [`StratifiedDiskGraph::from_csr_parts`] admits) it is still a
+    /// plain transpose. The selection runners take the view itself as
+    /// an [`Adjacency`], so serving never calls this: it remains the
     /// id-sorted reference that parity pins and benches hold the view
     /// path against.
     pub fn to_unit_disk_graph(&self) -> UnitDiskGraph {
-        let mut edges = Vec::with_capacity(self.edge_count());
-        for v in 0..self.len() {
+        let n = self.len();
+        let mut offsets = vec![0usize; n + 1];
+        for v in 0..n {
             for &u in self.neighbors(v) {
-                if v < u {
-                    edges.push((v, u));
-                }
+                offsets[u + 1] += 1;
             }
         }
-        UnitDiskGraph::from_edges(self.len(), self.radius, &edges)
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut neighbors = vec![0; offsets[n]];
+        for v in 0..n {
+            for &u in self.neighbors(v) {
+                neighbors[next[u]] = v;
+                next[u] += 1;
+            }
+        }
+        UnitDiskGraph::from_csr(self.radius, offsets, neighbors)
             .with_permutation(self.graph.perm.clone())
     }
 }
@@ -1689,6 +1704,16 @@ mod tests {
         for (offsets, neighbors, dists, want) in cases {
             let g = StratifiedDiskGraph::from_csr_parts(0.5, offsets, neighbors, dists)
                 .expect("rows are valid one by one");
+            // The id-sorted copy is a plain transpose: row u lists every
+            // v whose row holds u.
+            let copy = g.view(0.5).to_unit_disk_graph();
+            for u in g.vertices() {
+                let want: Vec<ObjId> = g
+                    .vertices()
+                    .filter(|&v| g.neighbors(v).contains(&u))
+                    .collect();
+                assert_eq!(copy.neighbors(u), want.as_slice(), "row {u}");
+            }
             let mut mutated = g.clone();
             assert_eq!(mutated.remove_object(0).unwrap_err(), want);
             assert_eq!(mutated, g, "graph changed by a refused delete");
