@@ -44,10 +44,14 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// when the `parallel` feature is compiled in; CI pins both with
 /// sha256 matrices).
 ///
+/// The snapshot streams to `--out` through [`disc_store::write_snapshot`],
+/// so the write holds one chunk, not the file.
+///
 /// The one JSON line on stdout carries the build's per-phase wall
 /// clocks as `phase_ms` (partition, renumber, tree, intra_join,
 /// boundary_join, merge, assembly — the keys `BENCH_scale.json` uses,
-/// from [`disc_core::ShardedBuildStats`]).
+/// from [`disc_core::ShardedBuildStats`]) and, where the kernel reports
+/// it, the process's memory high-water mark as `peak_rss_mib`.
 fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     if !(build.radius.is_finite() && build.radius > 0.0) {
         return Err(CliError::Usage(format!(
@@ -72,12 +76,12 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
         ..ShardedBuildConfig::default()
     };
     let built = build_sharded_with(&data, build.radius, build.shards, config, None)?;
-    let bytes = disc_store::encode(&built.data, &built.graph)?;
-    std::fs::write(&build.out, &bytes)?;
+    let bytes = disc_store::write_snapshot(&build.out, &built.data, &built.graph)?;
+    let peak = peak_rss_mib().map_or(String::new(), |mib| format!("\"peak_rss_mib\":{mib:.1},"));
     let s = &built.stats;
     println!(
         "{{\"op\":\"build\",\"status\":\"ok\",\"path\":{:?},\"n\":{},\"dim\":{},\"edges\":{},\"r_max\":{},\"bytes\":{},\
-         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"boundary_join_dc\":{},\
+         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"boundary_join_dc\":{},{peak}\
          \"phase_ms\":{{\"partition\":{:.1},\"renumber\":{:.1},\"tree\":{:.1},\"intra_join\":{:.1},\
          \"boundary_join\":{:.1},\"merge\":{:.1},\"assembly\":{:.1}}}}}",
         build.out.display().to_string(),
@@ -85,7 +89,7 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
         built.data.dim(),
         built.graph.edge_count(),
         build.radius,
-        bytes.len(),
+        bytes,
         s.shards,
         s.boundary_pairs_joined,
         s.distance_computations(),
@@ -99,6 +103,22 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
         s.assembly_ms,
     );
     Ok(())
+}
+
+/// This process's resident-set high-water mark (`VmHWM` in
+/// `/proc/self/status`), in MiB; `None` where the kernel does not
+/// report it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 /// `disc zoom`: open, solve the radius (or descending chain), print

@@ -1,7 +1,8 @@
 //! Pins the `disc build` verb end to end through the binary: it writes
 //! a snapshot that loads, and its one JSON line on stdout reports the
 //! build's per-phase wall clocks under `phase_ms`, with the same keys
-//! `BENCH_scale.json` uses.
+//! `BENCH_scale.json` uses, and the process's memory high-water mark
+//! as `peak_rss_mib`.
 
 use std::process::Command;
 
@@ -60,6 +61,12 @@ fn build_line_reports_every_phase_timing() {
                 "{key} = {ms}, shards={shards}"
             );
         }
+        let peak: f64 = line
+            .split_once("\"peak_rss_mib\":")
+            .and_then(|(_, rest)| rest.split(',').next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("peak_rss_mib number: {line}"));
+        assert!(peak > 0.0, "peak_rss_mib = {peak}, shards={shards}");
         let bytes = disc_store::read_snapshot(&out).expect("read snapshot");
         disc_store::decode(bytes.as_bytes()).expect("the written snapshot decodes");
     }

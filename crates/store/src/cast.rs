@@ -10,6 +10,8 @@
 //! misaligned buffers with [`crate::StoreError::Misaligned`] and
 //! enforcing 8-byte-granular section extents.
 
+use std::io::{self, Read};
+
 /// Reinterprets `bytes` as native-endian `u64`s without copying.
 ///
 /// # Panics
@@ -55,6 +57,25 @@ pub(crate) fn as_f64s(bytes: &[u8]) -> &[f64] {
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<f64>(), bytes.len() / 8) }
 }
 
+/// Views `words` as their bytes, for writing into: the one mutable
+/// reinterpretation, used to fill [`AlignedBytes`] storage in place.
+fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
+    // SAFETY: the region is `words.len() * 8` initialized bytes inside
+    // one allocation; u8 has no alignment or validity requirements, and
+    // every byte pattern written through the view is a valid u64. The
+    // returned slice reborrows `words` mutably, so nothing else can
+    // observe the words while it lives.
+    unsafe {
+        std::slice::from_raw_parts_mut(
+            words.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(words),
+        )
+    }
+}
+
+/// Bytes per `read` call in [`AlignedBytes::read_to_end`].
+const READ_CHUNK: usize = 1 << 20;
+
 /// An owned byte buffer backed by `u64` storage, so its first byte is
 /// always 8-byte aligned. File reads land here before validation:
 /// `Vec<u8>` from `std::fs::read` carries no alignment guarantee, and
@@ -70,16 +91,33 @@ impl AlignedBytes {
     /// Copies `bytes` into fresh 8-byte-aligned storage.
     pub fn copy_from(bytes: &[u8]) -> Self {
         let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // Scatter through the u64 words without unsafe: each word packs
-        // up to 8 consecutive input bytes in native order.
-        for (w, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            *w = u64::from_ne_bytes(buf);
-        }
+        words_as_bytes_mut(&mut words)[..bytes.len()].copy_from_slice(bytes);
         Self {
             words,
             len: bytes.len(),
+        }
+    }
+
+    /// Reads `reader` to EOF straight into fresh 8-byte-aligned
+    /// storage, [`READ_CHUNK`] bytes per `read` — the file's one copy.
+    /// `size_hint` (the file length, when known) sizes the storage up
+    /// front with one spare word, so the read that sees EOF needs no
+    /// growth; a reader that yields more than the hint doubles it.
+    pub(crate) fn read_to_end(reader: &mut impl Read, size_hint: usize) -> io::Result<Self> {
+        let mut words = vec![0u64; size_hint / 8 + 1];
+        let mut len = 0;
+        loop {
+            if len == words.len() * 8 {
+                words.resize(words.len() * 2, 0);
+            }
+            let bytes = words_as_bytes_mut(&mut words);
+            let end = bytes.len().min(len + READ_CHUNK);
+            match reader.read(&mut bytes[len..end]) {
+                Ok(0) => return Ok(Self { words, len }),
+                Ok(read) => len += read,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 

@@ -15,9 +15,15 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hashes `bytes` with FNV-1a 64.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET_BASIS, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
+    fnv1a_64_from(FNV_OFFSET_BASIS, bytes)
+}
+
+/// Continues an FNV-1a 64 fold from state `h` — the streamed form of
+/// [`fnv1a_64`]: `fnv1a_64(a ++ b) == fnv1a_64_from(fnv1a_64(a), b)`.
+pub(crate) fn fnv1a_64_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@
 //! zero-copy [`SnapshotView`] over it. Every rejection is a typed
 //! [`StoreError`]; nothing on the load path panics on untrusted bytes.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Cursor, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use disc_graph::{GraphError, StratifiedDiskGraph, StreamingCatalog};
 use disc_metric::{Dataset, IdPermutation, Metric, ObjId};
 
 use crate::cast::{as_f64s, as_u64s, AlignedBytes};
-use crate::checksum::fnv1a_64;
+use crate::checksum::{fnv1a_64, fnv1a_64_from};
 use crate::error::{SectionId, StoreError};
 
 /// First eight bytes of every snapshot.
@@ -203,179 +205,302 @@ fn encode_with_stream(
     parts: &SnapshotParts<'_>,
     stream: Option<(ObjId, &[ObjId])>,
 ) -> Result<Vec<u8>, StoreError> {
-    if parts.offsets.is_empty() {
-        return Err(GraphError::EmptyOffsets.into());
-    }
-    let n = parts.offsets.len() - 1;
-    let edge_total = parts.offsets[n];
-    if parts.coords.len() != n * parts.dim {
-        return Err(StoreError::SectionSizeMismatch {
-            section: SectionId::Coords,
-            expected: (n * parts.dim * 8) as u64,
-            found: (parts.coords.len() * 8) as u64,
-        });
-    }
-    if parts.neighbors.len() != edge_total || parts.dists.len() != edge_total {
-        return Err(GraphError::ArrayLengthMismatch {
-            expected: edge_total,
-            neighbors: parts.neighbors.len(),
-            dists: parts.dists.len(),
+    Plan::new(parts, stream)?.to_vec()
+}
+
+/// A snapshot that passed every encode-side check, with its section
+/// lengths laid out: [`Plan::write_to`] can no longer fail except on
+/// I/O. Every writer goes through it, so [`encode`]'s bytes and
+/// [`write_snapshot`]'s file are the same by construction.
+struct Plan<'a> {
+    parts: SnapshotParts<'a>,
+    stream: Option<(ObjId, &'a [ObjId])>,
+    version: u32,
+    /// Padded payload length of each section, in file order.
+    lens: [usize; SECTION_COUNT],
+    file_len: usize,
+}
+
+impl<'a> Plan<'a> {
+    /// Rejects structurally inconsistent parts and streaming state.
+    fn new(
+        parts: &SnapshotParts<'a>,
+        stream: Option<(ObjId, &'a [ObjId])>,
+    ) -> Result<Self, StoreError> {
+        if parts.offsets.is_empty() {
+            return Err(GraphError::EmptyOffsets.into());
         }
-        .into());
-    }
-    if !(parts.radius.is_finite() && parts.radius >= 0.0) {
-        return Err(GraphError::InvalidRadius(parts.radius).into());
-    }
-    if let Some(ext) = parts.ext_ids {
-        if ext.len() != n {
+        let n = parts.offsets.len() - 1;
+        let edge_total = parts.offsets[n];
+        if parts.coords.len() != n * parts.dim {
             return Err(StoreError::SectionSizeMismatch {
-                section: SectionId::ExtIds,
-                expected: (n * 8) as u64,
-                found: (ext.len() * 8) as u64,
+                section: SectionId::Coords,
+                expected: (n * parts.dim * 8) as u64,
+                found: (parts.coords.len() * 8) as u64,
             });
         }
-    }
-    match stream {
-        None => {
-            if let Some(ext) = parts.ext_ids {
-                let mut seen = vec![false; n];
-                for &e in ext {
-                    if e >= n || std::mem::replace(&mut seen[e], true) {
+        if parts.neighbors.len() != edge_total || parts.dists.len() != edge_total {
+            return Err(GraphError::ArrayLengthMismatch {
+                expected: edge_total,
+                neighbors: parts.neighbors.len(),
+                dists: parts.dists.len(),
+            }
+            .into());
+        }
+        if !(parts.radius.is_finite() && parts.radius >= 0.0) {
+            return Err(GraphError::InvalidRadius(parts.radius).into());
+        }
+        if let Some(ext) = parts.ext_ids {
+            if ext.len() != n {
+                return Err(StoreError::SectionSizeMismatch {
+                    section: SectionId::ExtIds,
+                    expected: (n * 8) as u64,
+                    found: (ext.len() * 8) as u64,
+                });
+            }
+        }
+        match stream {
+            None => {
+                if let Some(ext) = parts.ext_ids {
+                    let mut seen = vec![false; n];
+                    for &e in ext {
+                        if e >= n || std::mem::replace(&mut seen[e], true) {
+                            return Err(StoreError::BadLayout {
+                                detail: "external ids are not a permutation of 0..n",
+                            });
+                        }
+                    }
+                }
+            }
+            Some((next_external, tombstones)) => {
+                let Some(ext) = parts.ext_ids else {
+                    return Err(StoreError::BadLayout {
+                        detail: "streaming snapshot requires explicit external ids",
+                    });
+                };
+                if n + tombstones.len() != next_external {
+                    return Err(StoreError::BadLayout {
+                        detail: "live + tombstoned ids do not account for every assigned id",
+                    });
+                }
+                // One mark per ever-assigned id catches duplicates and
+                // live/tombstone overlap in a single pass.
+                let mut seen = vec![false; next_external];
+                for (k, &t) in tombstones.iter().enumerate() {
+                    if k > 0 && tombstones[k - 1] >= t {
                         return Err(StoreError::BadLayout {
-                            detail: "external ids are not a permutation of 0..n",
+                            detail: "tombstones are not strictly ascending",
+                        });
+                    }
+                    if t >= next_external {
+                        return Err(StoreError::BadLayout {
+                            detail: "tombstone at or past the next external id",
+                        });
+                    }
+                    seen[t] = true;
+                }
+                for &e in ext {
+                    if e >= next_external || std::mem::replace(&mut seen[e], true) {
+                        return Err(StoreError::BadLayout {
+                            detail: "external ids are not distinct live ids below next_external",
                         });
                     }
                 }
             }
         }
-        Some((next_external, tombstones)) => {
-            let Some(ext) = parts.ext_ids else {
-                return Err(StoreError::BadLayout {
-                    detail: "streaming snapshot requires explicit external ids",
-                });
-            };
-            if n + tombstones.len() != next_external {
-                return Err(StoreError::BadLayout {
-                    detail: "live + tombstoned ids do not account for every assigned id",
-                });
-            }
-            // One mark per ever-assigned id catches duplicates and
-            // live/tombstone overlap in a single pass.
-            let mut seen = vec![false; next_external];
-            for (k, &t) in tombstones.iter().enumerate() {
-                if k > 0 && tombstones[k - 1] >= t {
-                    return Err(StoreError::BadLayout {
-                        detail: "tombstones are not strictly ascending",
-                    });
-                }
-                if t >= next_external {
-                    return Err(StoreError::BadLayout {
-                        detail: "tombstone at or past the next external id",
-                    });
-                }
-                seen[t] = true;
-            }
-            for &e in ext {
-                if e >= next_external || std::mem::replace(&mut seen[e], true) {
-                    return Err(StoreError::BadLayout {
-                        detail: "external ids are not distinct live ids below next_external",
-                    });
-                }
-            }
+
+        let ext_ids_len = match stream {
+            None => n * 8,
+            Some((_, tombstones)) => (2 + tombstones.len() + n) * 8,
+        };
+        let lens = [
+            META_LEN,
+            parts.coords.len() * 8,
+            parts.offsets.len() * 8,
+            parts.neighbors.len() * 8,
+            parts.dists.len() * 8,
+            ext_ids_len,
+            parts.name.len(),
+        ]
+        .map(align8);
+        Ok(Self {
+            parts: *parts,
+            stream,
+            version: if stream.is_some() {
+                STREAM_VERSION
+            } else {
+                VERSION
+            },
+            lens,
+            file_len: TABLE_END + lens.iter().sum::<usize>(),
+        })
+    }
+
+    /// The snapshot in memory: [`Plan::write_to`] into a `Vec`.
+    fn to_vec(&self) -> Result<Vec<u8>, StoreError> {
+        let mut out = Cursor::new(Vec::with_capacity(self.file_len));
+        match self.write_to(&mut out) {
+            Ok(()) => Ok(out.into_inner()),
+            Err(e) => unreachable!("writing into a Vec cannot fail: {e}"),
         }
     }
 
-    let name_bytes = parts.name.as_bytes();
-    let ext_ids_len = match stream {
-        None => n * 8,
-        Some((_, tombstones)) => (2 + tombstones.len() + n) * 8,
-    };
-    let payload_lens: [usize; SECTION_COUNT] = [
-        META_LEN,
-        parts.coords.len() * 8,
-        parts.offsets.len() * 8,
-        parts.neighbors.len() * 8,
-        parts.dists.len() * 8,
-        ext_ids_len,
-        name_bytes.len(),
-    ];
-    let padded_lens = payload_lens.map(align8);
-    let file_len = TABLE_END + padded_lens.iter().sum::<usize>();
-    let mut buf = vec![0u8; file_len];
-
-    buf[..8].copy_from_slice(&MAGIC);
-    let version = match stream {
-        None => VERSION,
-        Some(_) => STREAM_VERSION,
-    };
-    write_u32(&mut buf, OFF_VERSION, version);
-    write_u32(&mut buf, OFF_ENDIAN, ENDIAN_MARKER);
-    write_u64(&mut buf, OFF_SECTION_COUNT, SECTION_COUNT as u64);
-    write_u64(&mut buf, OFF_FILE_LEN, file_len as u64);
-    write_u64(&mut buf, OFF_RESERVED, 0);
-
-    // Section payloads, contiguous and 8-byte aligned from TABLE_END on:
-    // every byte between two section starts belongs to (and is
-    // checksummed with) the earlier section, padding included.
-    let mut off = TABLE_END;
-    for (i, &padded) in padded_lens.iter().enumerate() {
-        match SECTION_ORDER[i] {
-            SectionId::Meta => {
-                let m = off;
-                write_u64(&mut buf, m, parts.dim as u64);
-                write_u64(&mut buf, m + 8, n as u64);
-                write_u64(&mut buf, m + 16, metric_tag(parts.metric));
-                write_u64(&mut buf, m + 24, parts.radius.to_bits());
-                write_u64(&mut buf, m + 32, edge_total as u64);
-                write_u64(&mut buf, m + 40, name_bytes.len() as u64);
-            }
-            SectionId::Coords => write_f64_section(&mut buf, off, parts.coords),
-            SectionId::Offsets => write_usize_section(&mut buf, off, parts.offsets),
-            SectionId::Neighbors => write_usize_section(&mut buf, off, parts.neighbors),
-            SectionId::Dists => write_f64_section(&mut buf, off, parts.dists),
-            SectionId::ExtIds => match (stream, parts.ext_ids) {
-                (Some((next_external, tombstones)), Some(ext)) => {
-                    write_u64(&mut buf, off, next_external as u64);
-                    write_u64(&mut buf, off + 8, tombstones.len() as u64);
-                    write_usize_section(&mut buf, off + 16, tombstones);
-                    write_usize_section(&mut buf, off + 16 + tombstones.len() * 8, ext);
-                }
-                (Some(_), None) => unreachable!("validated above: streaming requires ext ids"),
-                (None, Some(ext)) => write_usize_section(&mut buf, off, ext),
-                (None, None) => {
-                    for (j, chunk) in buf[off..off + n * 8].chunks_exact_mut(8).enumerate() {
-                        chunk.copy_from_slice(&(j as u64).to_ne_bytes());
+    /// Streams the snapshot into `out`, which must be positioned at 0:
+    /// zeros where the header and section table go, then each section
+    /// through a [`CHUNK`]-byte buffer that folds its checksum on the
+    /// way, then the header and table. A write cut short leaves zeros
+    /// in the magic, so the file fails closed as
+    /// [`StoreError::BadMagic`].
+    fn write_to<W: Write + Seek>(&self, out: &mut W) -> io::Result<()> {
+        let p = &self.parts;
+        let n = p.offsets.len() - 1;
+        let mut head = [0u8; TABLE_END];
+        out.write_all(&head)?;
+        let mut sink = SectionSink::new(out);
+        let mut off = TABLE_END;
+        for (i, section) in SECTION_ORDER.iter().enumerate() {
+            match section {
+                SectionId::Meta => sink.put_words(&[
+                    p.dim as u64,
+                    n as u64,
+                    metric_tag(p.metric),
+                    p.radius.to_bits(),
+                    p.offsets[n] as u64,
+                    p.name.len() as u64,
+                ])?,
+                SectionId::Coords => sink.put(p.coords, |v| v.to_bits().to_ne_bytes())?,
+                SectionId::Offsets => sink.put_ids(p.offsets)?,
+                SectionId::Neighbors => sink.put_ids(p.neighbors)?,
+                SectionId::Dists => sink.put(p.dists, |v| v.to_bits().to_ne_bytes())?,
+                SectionId::ExtIds => {
+                    if let Some((next_external, tombstones)) = self.stream {
+                        sink.put_words(&[next_external as u64, tombstones.len() as u64])?;
+                        sink.put_ids(tombstones)?;
+                    }
+                    match p.ext_ids {
+                        Some(ext) => sink.put_ids(ext)?,
+                        None => sink.put_identity(n)?,
                     }
                 }
-            },
-            SectionId::Name => buf[off..off + name_bytes.len()].copy_from_slice(name_bytes),
-            SectionId::Header | SectionId::SectionTable => unreachable!("not payload sections"),
+                SectionId::Name => sink.put(p.name.as_bytes(), |b| [b])?,
+                SectionId::Header | SectionId::SectionTable => {
+                    unreachable!("not payload sections")
+                }
+            }
+            let (len, checksum) = sink.end_section()?;
+            debug_assert_eq!(len, self.lens[i]);
+            let entry = HEADER_LEN + i * TABLE_ENTRY_LEN;
+            write_u64(&mut head, entry, (i + 1) as u64);
+            write_u64(&mut head, entry + 8, off as u64);
+            write_u64(&mut head, entry + 16, len as u64);
+            write_u64(&mut head, entry + 24, checksum);
+            off += len;
         }
-        let checksum = fnv1a_64(&buf[off..off + padded]);
-        let entry = HEADER_LEN + i * TABLE_ENTRY_LEN;
-        write_u64(&mut buf, entry, (i + 1) as u64);
-        write_u64(&mut buf, entry + 8, off as u64);
-        write_u64(&mut buf, entry + 16, padded as u64);
-        write_u64(&mut buf, entry + 24, checksum);
-        off += padded;
-    }
+        debug_assert_eq!(off, self.file_len);
 
-    let table_checksum = fnv1a_64(&buf[HEADER_LEN..TABLE_END]);
-    write_u64(&mut buf, OFF_TABLE_CHECKSUM, table_checksum);
-    let header_checksum = fnv1a_64(&buf[..OFF_HEADER_CHECKSUM]);
-    write_u64(&mut buf, OFF_HEADER_CHECKSUM, header_checksum);
-    Ok(buf)
-}
-
-fn write_f64_section(buf: &mut [u8], off: usize, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        buf[off + i * 8..off + i * 8 + 8].copy_from_slice(&v.to_bits().to_ne_bytes());
+        head[..8].copy_from_slice(&MAGIC);
+        write_u32(&mut head, OFF_VERSION, self.version);
+        write_u32(&mut head, OFF_ENDIAN, ENDIAN_MARKER);
+        write_u64(&mut head, OFF_SECTION_COUNT, SECTION_COUNT as u64);
+        write_u64(&mut head, OFF_FILE_LEN, self.file_len as u64);
+        write_u64(&mut head, OFF_RESERVED, 0);
+        let table_checksum = fnv1a_64(&head[HEADER_LEN..TABLE_END]);
+        write_u64(&mut head, OFF_TABLE_CHECKSUM, table_checksum);
+        let header_checksum = fnv1a_64(&head[..OFF_HEADER_CHECKSUM]);
+        write_u64(&mut head, OFF_HEADER_CHECKSUM, header_checksum);
+        out.seek(SeekFrom::Start(0))?;
+        out.write_all(&head)
     }
 }
 
-fn write_usize_section(buf: &mut [u8], off: usize, values: &[usize]) {
-    for (i, &v) in values.iter().enumerate() {
-        buf[off + i * 8..off + i * 8 + 8].copy_from_slice(&(v as u64).to_ne_bytes());
+/// Bytes per streamed write. Sections pass through a buffer this size
+/// on their way out, so a write holds one chunk, never the file.
+const CHUNK: usize = 1 << 16;
+
+/// Streams one section at a time into `out`, folding the section's
+/// checksum over each chunk as it is written.
+struct SectionSink<'w, W> {
+    out: &'w mut W,
+    buf: Vec<u8>,
+    fill: usize,
+    /// Bytes of the current section already written.
+    written: usize,
+    checksum: u64,
+}
+
+impl<'w, W: Write> SectionSink<'w, W> {
+    fn new(out: &'w mut W) -> Self {
+        Self {
+            out,
+            buf: vec![0; CHUNK],
+            fill: 0,
+            written: 0,
+            checksum: fnv1a_64(&[]),
+        }
+    }
+
+    /// Appends `values`, each encoded as `N` bytes.
+    fn put<T: Copy, const N: usize>(
+        &mut self,
+        mut values: &[T],
+        encode: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        while !values.is_empty() {
+            let room = (CHUNK - self.fill) / N;
+            if room == 0 {
+                self.drain()?;
+                continue;
+            }
+            let (now, rest) = values.split_at(room.min(values.len()));
+            let dst = &mut self.buf[self.fill..self.fill + now.len() * N];
+            for (d, &v) in dst.chunks_exact_mut(N).zip(now) {
+                d.copy_from_slice(&encode(v));
+            }
+            self.fill += now.len() * N;
+            values = rest;
+        }
+        Ok(())
+    }
+
+    fn put_words(&mut self, words: &[u64]) -> io::Result<()> {
+        self.put(words, u64::to_ne_bytes)
+    }
+
+    fn put_ids(&mut self, ids: &[usize]) -> io::Result<()> {
+        self.put(ids, |v| (v as u64).to_ne_bytes())
+    }
+
+    /// The identity id map `0..n`, a chunk at a time.
+    fn put_identity(&mut self, n: usize) -> io::Result<()> {
+        let mut ids = Vec::with_capacity(CHUNK / 8);
+        for start in (0..n).step_by(CHUNK / 8) {
+            ids.clear();
+            ids.extend(start..n.min(start + CHUNK / 8));
+            self.put_ids(&ids)?;
+        }
+        Ok(())
+    }
+
+    /// Checksums and writes the buffered bytes.
+    fn drain(&mut self) -> io::Result<()> {
+        let bytes = &self.buf[..self.fill];
+        self.checksum = fnv1a_64_from(self.checksum, bytes);
+        self.out.write_all(bytes)?;
+        self.written += self.fill;
+        self.fill = 0;
+        Ok(())
+    }
+
+    /// Zero-pads the section to 8 bytes and writes it out; returns its
+    /// padded length and checksum, and starts the next section.
+    fn end_section(&mut self) -> io::Result<(usize, u64)> {
+        let pad = align8(self.fill) - self.fill;
+        self.put(&[0u8; 8][..pad], |b| [b])?;
+        self.drain()?;
+        let done = (self.written, self.checksum);
+        self.written = 0;
+        self.checksum = fnv1a_64(&[]);
+        Ok(done)
     }
 }
 
@@ -384,6 +509,15 @@ fn write_usize_section(buf: &mut [u8], off: usize, values: &[usize]) {
 /// internal↔external id permutation (a graph must be snapshotted with
 /// the dataset it was built from).
 pub fn encode(dataset: &Dataset, graph: &StratifiedDiskGraph) -> Result<Vec<u8>, StoreError> {
+    encode_parts(&pair_parts(dataset, graph)?)
+}
+
+/// The parts of a dataset/graph pair, once they agree on the object
+/// count and the id permutation.
+fn pair_parts<'a>(
+    dataset: &'a Dataset,
+    graph: &'a StratifiedDiskGraph,
+) -> Result<SnapshotParts<'a>, StoreError> {
     let graph_n = graph.offsets().len() - 1;
     if dataset.len() != graph_n {
         return Err(StoreError::VertexCountMismatch {
@@ -396,7 +530,7 @@ pub fn encode(dataset: &Dataset, graph: &StratifiedDiskGraph) -> Result<Vec<u8>,
             detail: "dataset and graph disagree on the id permutation",
         });
     }
-    encode_parts(&SnapshotParts {
+    Ok(SnapshotParts {
         name: dataset.name(),
         metric: dataset.metric(),
         dim: dataset.dim(),
@@ -463,6 +597,17 @@ pub struct SnapshotView<'a> {
 
 fn to_usize(v: u64, what: &'static str) -> Result<usize, StoreError> {
     usize::try_from(v).map_err(|_| StoreError::BadLayout { detail: what })
+}
+
+/// Widens stored ids to `usize` in one exact-size pass. The range
+/// check, `what` on failure, compiles away where `usize` is 64 bits.
+fn widen(values: &[u64], what: &'static str) -> Result<Vec<usize>, StoreError> {
+    if usize::BITS < u64::BITS {
+        if let Some(&max) = values.iter().max() {
+            to_usize(max, what)?;
+        }
+    }
+    Ok(values.iter().map(|&v| v as usize).collect())
 }
 
 /// Validates `bytes` as a snapshot and returns a zero-copy view.
@@ -923,10 +1068,7 @@ impl<'a> SnapshotView<'a> {
     /// Materialises the stored internal↔external id bijection; `None`
     /// when the stored ids are the identity.
     pub fn permutation(&self) -> Result<Option<Arc<IdPermutation>>, StoreError> {
-        let mut ext = Vec::with_capacity(self.ext_ids.len());
-        for &v in self.ext_ids {
-            ext.push(to_usize(v, "external id exceeds usize")?);
-        }
+        let ext = widen(self.ext_ids, "external id exceeds usize")?;
         let perm = if self.version == STREAM_VERSION {
             // Sparse: ids may exceed n (appended) and leave holes
             // (tombstones); load() proved distinctness.
@@ -953,10 +1095,7 @@ impl<'a> SnapshotView<'a> {
         let dataset = self.dataset()?.with_permutation(perm.clone());
         let graph = self.graph()?.with_permutation(perm);
         let next = to_usize(self.next_external, "next external id exceeds usize")?;
-        let mut tombstones = Vec::with_capacity(self.tombstones.len());
-        for &t in self.tombstones {
-            tombstones.push(to_usize(t, "tombstone exceeds usize")?);
-        }
+        let tombstones = widen(self.tombstones, "tombstone exceeds usize")?;
         StreamingCatalog::from_parts(dataset, graph, next, tombstones).map_err(StoreError::from)
     }
 
@@ -975,18 +1114,10 @@ impl<'a> SnapshotView<'a> {
     /// distance range) and fails closed on violation; the stored id
     /// permutation is attached to the result.
     pub fn graph(&self) -> Result<StratifiedDiskGraph, StoreError> {
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        for &v in self.offsets {
-            offsets.push(to_usize(v, "offset exceeds usize")?);
-        }
-        let mut neighbors = Vec::with_capacity(self.neighbors.len());
-        for &v in self.neighbors {
-            neighbors.push(to_usize(v, "neighbor id exceeds usize")?);
-        }
         let g = StratifiedDiskGraph::from_csr_parts(
             self.radius,
-            offsets,
-            neighbors,
+            widen(self.offsets, "offset exceeds usize")?,
+            widen(self.neighbors, "neighbor id exceeds usize")?,
             self.dists.to_vec(),
         )?;
         Ok(g.with_permutation(self.permutation()?))
@@ -1011,22 +1142,34 @@ pub fn decode_stream(bytes: &[u8]) -> Result<StreamingCatalog, StoreError> {
 }
 
 /// Encodes and writes a snapshot to `path`, returning the byte length
-/// written. Encoding failures surface as `InvalidData` I/O errors.
+/// written. Every encode check runs before the file is created, so an
+/// encoding failure (surfaced as an `InvalidData` I/O error) leaves an
+/// existing file untouched. The write streams through one
+/// [`CHUNK`]-sized buffer: the bytes are [`encode`]'s, but the file is
+/// never held in memory.
 pub fn write_snapshot(
     path: impl AsRef<Path>,
     dataset: &Dataset,
     graph: &StratifiedDiskGraph,
-) -> std::io::Result<u64> {
-    let bytes = encode(dataset, graph)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    std::fs::write(path, &bytes)?;
-    Ok(bytes.len() as u64)
+) -> io::Result<u64> {
+    let invalid = |e: StoreError| io::Error::new(io::ErrorKind::InvalidData, e);
+    let parts = pair_parts(dataset, graph).map_err(invalid)?;
+    let plan = Plan::new(&parts, None).map_err(invalid)?;
+    let mut out = BufWriter::with_capacity(CHUNK, File::create(path)?);
+    plan.write_to(&mut out)?;
+    out.flush()?;
+    Ok(plan.file_len as u64)
 }
 
-/// Reads a snapshot file into an 8-byte-aligned buffer, ready for
-/// [`load`]. Validation is the caller's next step — this function only
-/// does I/O.
-pub fn read_snapshot(path: impl AsRef<Path>) -> std::io::Result<AlignedBytes> {
-    let raw = std::fs::read(path)?;
-    Ok(AlignedBytes::copy_from(&raw))
+/// Reads a snapshot file to EOF straight into an 8-byte-aligned buffer,
+/// ready for [`load`]: one copy of the file, no intermediate `Vec<u8>`.
+/// Validation is the caller's next step; this function only does I/O.
+pub fn read_snapshot(path: impl AsRef<Path>) -> io::Result<AlignedBytes> {
+    let mut file = File::open(path)?;
+    let size_hint = file
+        .metadata()
+        .ok()
+        .and_then(|m| usize::try_from(m.len()).ok())
+        .unwrap_or(0);
+    AlignedBytes::read_to_end(&mut file, size_hint)
 }
