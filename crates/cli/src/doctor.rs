@@ -6,10 +6,14 @@
 //! [`disc_store::load`]. This module only formats: one line per
 //! checksummed region using the store's canonical section names
 //! (`header`, `section table`, `meta`, `coords`, `offsets`,
-//! `neighbors`, `dists`, `name`), the header diagnosis, and a final
-//! `verdict:` line a script can grep.
+//! `neighbors`, `dists`, `ext ids`, `name`), the header diagnosis —
+//! its `version:` line marks 4 supported, 2 and 3 supported legacy,
+//! anything else unsupported — and a final `verdict:` line a script
+//! can grep.
 
-use disc_store::{SectionCheck, SnapshotReport, ENDIAN_MARKER, STREAM_VERSION, VERSION};
+use disc_store::{
+    SectionCheck, SnapshotReport, DENSE_VERSION, ENDIAN_MARKER, STREAM_VERSION, VERSION,
+};
 
 fn render_check(check: &SectionCheck) -> String {
     let status = match check.computed {
@@ -44,11 +48,12 @@ pub fn render(label: &str, report: &SnapshotReport) -> String {
     ));
     match report.version {
         Some(v) if v == VERSION => out.push_str(&format!("version:  {v} (supported)\n")),
-        Some(v) if v == STREAM_VERSION => {
-            out.push_str(&format!("version:  {v} (supported, streaming)\n"))
+        Some(v) if v == DENSE_VERSION || v == STREAM_VERSION => {
+            out.push_str(&format!("version:  {v} (supported, legacy)\n"))
         }
         Some(v) => out.push_str(&format!(
-            "version:  {v} (UNSUPPORTED, this build reads {VERSION} and {STREAM_VERSION})\n"
+            "version:  {v} (UNSUPPORTED, this build reads {DENSE_VERSION}, {STREAM_VERSION} \
+             and {VERSION})\n"
         )),
         None => out.push_str("version:  unreadable (header missing)\n"),
     }

@@ -94,10 +94,11 @@
 //! entries stay valid DisC covers of the mutated catalog under the
 //! same bounded-drift contract as [`disc_core::RepairableSolution`];
 //! an unknown/tombstoned `ext` is a usage error reply. A mutated
-//! catalog persists as a **version-3** snapshot (`next_external` + the
-//! sorted tombstone list + explicit external ids appended to the v2
-//! layout); dense catalogs keep writing byte-identical v2 files, and
-//! both versions load for serving.
+//! catalog persists its `next_external`, sorted tombstone list and
+//! explicit external ids in the snapshot's ext-ids section; a dense
+//! catalog has `next_external = n` and no tombstones. Snapshots are
+//! written as format version 4; legacy versions 2 and 3 still load for
+//! serving.
 //!
 //! ## Doctor output
 //!
@@ -105,7 +106,7 @@
 //! `snapshot:`/`magic:`/`version:`/`endian:`/`length:` header block,
 //! one `checks:` line per checksummed region (named `header`,
 //! `section table`, `meta`, `coords`, `offsets`, `neighbors`,
-//! `dists`, `name`) with `ok`, `MISMATCH (stored …, computed …)`, or
+//! `dists`, `ext ids`, `name`) with `ok`, `MISMATCH (stored …, computed …)`, or
 //! `MISSING`, and a final `verdict: clean` or
 //! `verdict: REJECTED: <reason>` line that always matches what
 //! `disc serve` would do with the file, because the verdict *is*

@@ -47,8 +47,8 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Opens and fully validates the snapshot at `path` (dense v2 or
-    /// streaming v3).
+    /// Opens and fully validates the snapshot at `path` (format v4, or
+    /// legacy v2 or v3).
     ///
     /// I/O failures map to exit code 4; any validation failure — from a
     /// flipped bit to a version skew — is a [`CliError::Store`] (exit

@@ -36,8 +36,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// The pipeline renumbers objects into the shard plan's canonical
 /// split order before any join — a spatially local order, so edge
 /// endpoints land in near-contiguous CSR rows — and the snapshot
-/// persists the internal↔external bijection (format v2); every served
-/// solution and wire hash stays in external ids.
+/// persists the internal↔external bijection in its ext-ids section;
+/// every served solution and wire hash stays in external ids.
 ///
 /// The snapshot is **byte-identical at every `--shards` value** and at
 /// every worker count (`SELF_JOIN_THREADS` forces the worker count

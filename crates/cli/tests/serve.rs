@@ -128,7 +128,7 @@ fn sleep_req(id: u64, ms: u64) -> Request {
 fn corrupted_snapshot_rejected_at_startup_naming_the_section() {
     let path = snapshot_file("startup-reject");
     let bytes = std::fs::read(&path).expect("read snapshot back");
-    // Coords payload starts at byte 328 in the v2 layout.
+    // Coords payload starts at byte 328 in every format version.
     let bad = corrupt(
         &bytes,
         Fault::BitFlip {

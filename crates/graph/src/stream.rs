@@ -152,7 +152,7 @@ impl StreamingCatalog {
         Self::from_parts(data, graph, next_external, tombstones)
     }
 
-    /// Reassembles a catalog from persisted parts (the snapshot v3 load
+    /// Reassembles a catalog from persisted parts (the snapshot load
     /// path), re-validating the streaming invariants fail-closed:
     /// dataset and graph agree on count and numbering, every live
     /// external id is below `next_external`, and the tombstones are

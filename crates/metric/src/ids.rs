@@ -101,7 +101,7 @@ impl IdPermutation {
     /// and insertions append fresh ids at and beyond the original `n`.
     /// Only duplicates are rejected; [`IdPermutation::is_dense`] reports
     /// whether the result happens to be a permutation of `0..len` (the
-    /// only shape snapshot format v2 can persist).
+    /// only shape the legacy snapshot format v2 can persist).
     pub fn try_new_sparse(to_external: Vec<ObjId>) -> Result<Self, PermutationError> {
         let n = to_external.len();
         if n == 0 {
@@ -123,9 +123,9 @@ impl IdPermutation {
 
     /// Whether the external side is exactly a permutation of `0..len`
     /// (no holes, no appended ids). Dense permutations are what
-    /// [`IdPermutation::try_new`] accepts and what snapshot format v2
-    /// persists; a streaming catalog that has deleted or appended
-    /// objects goes sparse and needs format v3.
+    /// [`IdPermutation::try_new`] accepts and what the legacy snapshot
+    /// format v2 persists; a streaming catalog that has deleted or
+    /// appended objects goes sparse, which formats v3 and v4 persist.
     pub fn is_dense(&self) -> bool {
         self.to_internal.len() == self.to_external.len()
     }

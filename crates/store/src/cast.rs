@@ -1,9 +1,10 @@
-//! Alignment-checked reinterpretation of byte buffers as `u64`/`f64`
-//! slices — the zero-copy substrate of the validated snapshot views —
-//! plus [`AlignedBytes`], an owned byte buffer whose storage is
-//! guaranteed to start on an 8-byte boundary.
+//! Alignment-checked reinterpretation of byte buffers as
+//! `u64`/`u32`/`f64` slices — the zero-copy substrate of the validated
+//! snapshot views — plus [`AlignedBytes`], an owned byte buffer whose
+//! storage is guaranteed to start on an 8-byte boundary, filled in
+//! place through a byte view of its words.
 //!
-//! This is the only module in the workspace that uses `unsafe`. Both
+//! This is the only module in the workspace that uses `unsafe`. The
 //! casts check the invariants they rely on (8-byte start alignment and a
 //! length that is a multiple of 8) and panic on violation; the load
 //! pipeline establishes those invariants before any cast by rejecting
@@ -34,6 +35,30 @@ pub(crate) fn as_u64s(bytes: &[u8]) -> &[u64] {
     // bit pattern is a valid u64. The returned slice borrows `bytes`,
     // so the aliasing and lifetime rules are inherited.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) }
+}
+
+/// Reinterprets `bytes` as native-endian `u32`s without copying — the
+/// 32-bit neighbor ids of format v4.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`as_u64s`] (8-byte alignment
+/// and length are stricter than a `u32` needs; every section has both).
+pub(crate) fn as_u32s(bytes: &[u8]) -> &[u32] {
+    assert!(
+        bytes.as_ptr().align_offset(8) == 0,
+        "byte buffer must be 8-byte aligned"
+    );
+    assert!(
+        bytes.len().is_multiple_of(8),
+        "byte length must be a multiple of 8, got {}",
+        bytes.len()
+    );
+    // SAFETY: the pointer is 8-byte (so 4-byte) aligned and the region
+    // holds `len / 4` complete u32 values, all within the borrowed
+    // slice; any bit pattern is a valid u32. The returned slice borrows
+    // `bytes`, so the aliasing and lifetime rules are inherited.
+    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) }
 }
 
 /// Reinterprets `bytes` as native-endian `f64`s without copying.
@@ -114,7 +139,10 @@ impl AlignedBytes {
             let end = bytes.len().min(len + READ_CHUNK);
             match reader.read(&mut bytes[len..end]) {
                 Ok(0) => return Ok(Self { words, len }),
-                Ok(read) => len += read,
+                // `Read` is safe to implement, so a reader may overstate
+                // its count; `as_bytes` relies on `len` staying inside
+                // the words.
+                Ok(read) => len += read.min(end - len),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -166,6 +194,11 @@ mod tests {
         let b = aligned.as_bytes();
         assert_eq!(as_u64s(&b[..8]), &[0xDEAD_BEEF]);
         assert_eq!(as_f64s(&b[8..16]), &[2.5]);
+        let halves = [0xDEAD_BEEF_u32.to_ne_bytes(), 7u32.to_ne_bytes()].concat();
+        assert_eq!(
+            as_u32s(AlignedBytes::copy_from(&halves).as_bytes()),
+            &[0xDEAD_BEEF, 7]
+        );
     }
 
     #[test]

@@ -27,13 +27,15 @@ pub enum SectionId {
     Coords,
     /// CSR row boundaries (`n + 1` u64 values).
     Offsets,
-    /// CSR neighbor ids (`edge_total` u64 values).
+    /// CSR neighbor ids (`edge_total` u32 values, zero-padded to 8
+    /// bytes; u64 values in versions 2 and 3).
     Neighbors,
     /// CSR edge distances (`edge_total` f64 values).
     Dists,
-    /// External id of each internal object (`n` u64 values, a
-    /// permutation of `0..n`; the identity when the snapshot was not
-    /// renumbered).
+    /// Streaming state and the external id of each internal object:
+    /// `next_external`, the tombstone count, the tombstones, then `n`
+    /// distinct ids (u64 values; version 2 holds only the ids, a
+    /// permutation of `0..n`).
     ExtIds,
     /// UTF-8 dataset name, zero-padded to an 8-byte boundary.
     Name,
@@ -131,6 +133,12 @@ pub enum StoreError {
         /// The unrecognised tag.
         tag: u64,
     },
+    /// A neighbor id passed to the encoder does not fit the 32 bits the
+    /// format stores it in.
+    NeighborIdTooWide {
+        /// The largest neighbor id.
+        id: usize,
+    },
     /// Dataset and graph passed to the encoder disagree on the number of
     /// objects.
     VertexCountMismatch {
@@ -187,6 +195,9 @@ impl fmt::Display for StoreError {
                 "{section} section holds {found} bytes but meta implies {expected}"
             ),
             Self::UnknownMetric { tag } => write!(f, "unknown metric tag {tag}"),
+            Self::NeighborIdTooWide { id } => {
+                write!(f, "neighbor id {id} does not fit in the 32 bits stored")
+            }
             Self::VertexCountMismatch { dataset, graph } => write!(
                 f,
                 "dataset has {dataset} objects but the graph has {graph} vertices"

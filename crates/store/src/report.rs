@@ -3,12 +3,15 @@
 //! [`load`](crate::load) stops at the first broken layer — the right
 //! behaviour for a serving process, the wrong one for an operator
 //! holding a damaged file who wants to know *everything* that is wrong
-//! with it. [`inspect`] reads the same version-1 layout but keeps going:
-//! it reports the magic/version/endianness diagnosis, the truncation
-//! point if the buffer is shorter than the header promises, and a
+//! with it. [`inspect`] reads the same layout but keeps going: it
+//! reports the magic/version/endianness diagnosis, the truncation point
+//! if the buffer is shorter than the header promises, and a
 //! stored-vs-computed checksum line for every checksummed region that
-//! is present (header, section table, and each of the six payload
-//! sections).
+//! is present (header, section table, and each of the seven payload
+//! sections). Payload sections are checksummed the way [`load`] does
+//! for the stamped version: FNV-1a for versions 2 and 3, the word
+//! checksum for any other, so a resealed skew to an unknown version
+//! reads as a version problem, not as damage.
 //!
 //! The [`SnapshotReport::verdict`] field is computed by calling
 //! [`load`](crate::load) on the same bytes, so a doctor report can
@@ -18,9 +21,9 @@
 use crate::checksum::fnv1a_64;
 use crate::error::{SectionId, StoreError};
 use crate::snapshot::{
-    load, read_u32, read_u64, ENDIAN_MARKER, HEADER_LEN, MAGIC, OFF_FILE_LEN, OFF_HEADER_CHECKSUM,
-    OFF_TABLE_CHECKSUM, SECTION_COUNT, SECTION_ORDER, STREAM_VERSION, TABLE_END, TABLE_ENTRY_LEN,
-    VERSION,
+    is_supported, load, read_u32, read_u64, section_checksum, ENDIAN_MARKER, HEADER_LEN, MAGIC,
+    OFF_FILE_LEN, OFF_HEADER_CHECKSUM, OFF_TABLE_CHECKSUM, SECTION_COUNT, SECTION_ORDER, TABLE_END,
+    TABLE_ENTRY_LEN,
 };
 
 const OFF_ENDIAN: usize = 12;
@@ -70,7 +73,7 @@ pub struct SnapshotReport {
     /// header declares — the truncation point is `have`.
     pub truncated_to: Option<u64>,
     /// Checksum lines for every region whose extent is known: header
-    /// and section table first, then the six payload sections in file
+    /// and section table first, then the seven payload sections in file
     /// order (payload lines require a readable section table).
     pub checks: Vec<SectionCheck>,
     /// The fail-fast [`load`](crate::load) outcome on the same bytes —
@@ -95,10 +98,10 @@ impl SnapshotReport {
             .collect()
     }
 
-    /// Whether the version is one this build reads (the dense baseline
-    /// or the streaming extension).
+    /// Whether the version is one this build reads: the current one,
+    /// or legacy 2 or 3.
     pub fn version_ok(&self) -> bool {
-        matches!(self.version, Some(VERSION | STREAM_VERSION))
+        self.version.is_some_and(is_supported)
     }
 
     /// Whether the endianness marker reads back as written.
@@ -107,12 +110,20 @@ impl SnapshotReport {
     }
 }
 
-/// Checksums the region `[off, off + len)` if it lies inside `bytes`.
-fn check_region(bytes: &[u8], section: SectionId, off: u64, len: u64, stored: u64) -> SectionCheck {
+/// Checksums the region `[off, off + len)` with `checksum` if it lies
+/// inside `bytes`.
+fn check_region(
+    bytes: &[u8],
+    section: SectionId,
+    off: u64,
+    len: u64,
+    stored: u64,
+    checksum: impl Fn(&[u8]) -> u64,
+) -> SectionCheck {
     let computed = off
         .checked_add(len)
         .filter(|&end| end <= bytes.len() as u64)
-        .map(|end| fnv1a_64(&bytes[off as usize..end as usize]));
+        .map(|end| checksum(&bytes[off as usize..end as usize]));
     SectionCheck {
         section,
         offset: off,
@@ -125,8 +136,8 @@ fn check_region(bytes: &[u8], section: SectionId, off: u64, len: u64, stored: u6
 /// Triage a snapshot buffer: every determinable diagnosis, no fail-fast.
 ///
 /// Never panics on damaged bytes — regions that are missing are reported
-/// as such instead of indexed out of bounds. The fixed version-1 layout
-/// (header at 0, section table at 56..248) is assumed for *locating*
+/// as such instead of indexed out of bounds. The fixed layout (header
+/// at 0..56, section table at 56..280) is assumed for *locating*
 /// regions; whether the contents make sense is what the checks report.
 pub fn inspect(bytes: &[u8]) -> SnapshotReport {
     let have = bytes.len() as u64;
@@ -145,23 +156,26 @@ pub fn inspect(bytes: &[u8]) -> SnapshotReport {
             0,
             OFF_HEADER_CHECKSUM as u64,
             read_u64(bytes, OFF_HEADER_CHECKSUM),
+            fnv1a_64,
         ));
-        let table_stored = read_u64(bytes, OFF_TABLE_CHECKSUM);
         checks.push(check_region(
             bytes,
             SectionId::SectionTable,
             HEADER_LEN as u64,
             (TABLE_END - HEADER_LEN) as u64,
-            table_stored,
+            read_u64(bytes, OFF_TABLE_CHECKSUM),
+            fnv1a_64,
         ));
     }
-    if bytes.len() >= TABLE_END {
+    if let Some(version) = version.filter(|_| bytes.len() >= TABLE_END) {
         for (i, &section) in SECTION_ORDER.iter().enumerate() {
             let entry = HEADER_LEN + i * TABLE_ENTRY_LEN;
             let off = read_u64(bytes, entry + 8);
             let len = read_u64(bytes, entry + 16);
             let stored = read_u64(bytes, entry + 24);
-            checks.push(check_region(bytes, section, off, len, stored));
+            checks.push(check_region(bytes, section, off, len, stored, |region| {
+                section_checksum(version, region)
+            }));
         }
     }
 

@@ -16,25 +16,26 @@ use std::sync::Arc;
 use disc_graph::{GraphError, StratifiedDiskGraph, StreamingCatalog};
 use disc_metric::{Dataset, IdPermutation, Metric, ObjId};
 
-use crate::cast::{as_f64s, as_u64s, AlignedBytes};
-use crate::checksum::{fnv1a_64, fnv1a_64_from};
+use crate::cast::{as_f64s, as_u32s, as_u64s, AlignedBytes};
+use crate::checksum::{fnv1a_64, word_checksum, WordFold};
 use crate::error::{SectionId, StoreError};
 
 /// First eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"DISCSNAP";
-/// The baseline format version this build writes for dense snapshots.
-/// Version 2 added the ext-ids section (the internal→external id
-/// permutation of renumbered snapshots); version-1 files are rejected
-/// with [`StoreError::UnsupportedVersion`] — re-encode with a current
-/// build.
-pub const VERSION: u32 = 2;
-/// The format version for snapshots carrying streaming state (appended
-/// external ids + tombstones). The ext-ids payload becomes
-/// `[next_external u64][tombstone_count u64][sorted tombstones…][n
-/// external ids]`. [`encode_stream`] emits it **only** when streaming
-/// state is present, so every dense snapshot stays byte-identical to
-/// version 2; [`load`] accepts both.
+/// The format version this build writes, the only one: payload
+/// sections checksummed with [`word_checksum`], neighbor ids stored as
+/// u32, and one ext-ids layout, `[next_external u64][tombstone_count
+/// u64][sorted tombstones…][n external ids]` — a dense catalog has
+/// `next_external = n` and no tombstones.
+pub const VERSION: u32 = 4;
+/// Legacy format version 3, which introduced the ext-ids layout above
+/// for streaming catalogs (appended external ids + tombstones). Still
+/// loads.
 pub const STREAM_VERSION: u32 = 3;
+/// Legacy format version 2: the ext-ids section is the bare array of
+/// `n` external ids, a permutation of `0..n`. Still loads; version-1
+/// files are rejected with [`StoreError::UnsupportedVersion`].
+pub const DENSE_VERSION: u32 = 2;
 /// Endianness sentinel: written native, read native — a snapshot from a
 /// machine with different byte order reads back as a different value.
 pub const ENDIAN_MARKER: u32 = 0x0A0B_0C0D;
@@ -70,6 +71,29 @@ fn align8(len: usize) -> usize {
     len.div_ceil(8) * 8
 }
 
+/// Versions 2 and 3 checksum their payload sections with FNV-1a and
+/// store neighbor ids as u64. Every other version — this build's, and
+/// any unknown one a resealed skew stamps — reads with the word
+/// checksum and u32 ids, so a skewed file still reads as a version
+/// problem, not as damage.
+fn is_legacy(version: u32) -> bool {
+    version == DENSE_VERSION || version == STREAM_VERSION
+}
+
+/// Whether [`load`] reads `version`: the current one or a legacy one.
+pub(crate) fn is_supported(version: u32) -> bool {
+    version == VERSION || is_legacy(version)
+}
+
+/// The payload-section checksum of `version` (see [`is_legacy`]).
+pub(crate) fn section_checksum(version: u32, bytes: &[u8]) -> u64 {
+    if is_legacy(version) {
+        fnv1a_64(bytes)
+    } else {
+        word_checksum(bytes)
+    }
+}
+
 /// Below this payload size the serial checksum pass beats seven thread
 /// spawns — and the exhaustive bit-flip fault suite (thousands of tiny
 /// loads) stays on the serial path.
@@ -81,6 +105,7 @@ const PARALLEL_MIN_BYTES: usize = 1 << 20;
 /// the payload is small, or the machine is single-core.
 #[cfg(feature = "parallel")]
 fn parallel_section_checksums(
+    version: u32,
     bytes: &[u8],
     extents: &[(usize, usize); SECTION_COUNT],
 ) -> Option<[u64; SECTION_COUNT]> {
@@ -93,7 +118,8 @@ fn parallel_section_checksums(
     }
     let mut out = [0u64; SECTION_COUNT];
     std::thread::scope(|s| {
-        let handles = extents.map(|(off, len)| s.spawn(move || fnv1a_64(&bytes[off..off + len])));
+        let handles = extents
+            .map(|(off, len)| s.spawn(move || section_checksum(version, &bytes[off..off + len])));
         for (slot, handle) in out.iter_mut().zip(handles) {
             *slot = match handle.join() {
                 Ok(sum) => sum,
@@ -106,6 +132,7 @@ fn parallel_section_checksums(
 
 #[cfg(not(feature = "parallel"))]
 fn parallel_section_checksums(
+    _version: u32,
     _bytes: &[u8],
     _extents: &[(usize, usize); SECTION_COUNT],
 ) -> Option<[u64; SECTION_COUNT]> {
@@ -173,23 +200,25 @@ pub struct SnapshotParts<'a> {
     pub neighbors: &'a [ObjId],
     /// CSR edge distances, `offsets[n]` values.
     pub dists: &'a [f64],
-    /// External id of each internal object — a permutation of `0..n`.
-    /// `None` writes the identity (an un-renumbered snapshot).
+    /// External id of each internal object: a permutation of `0..n`
+    /// for [`encode_parts`], distinct live ids for
+    /// [`encode_stream_parts`]. `None` writes the identity (an
+    /// un-renumbered snapshot).
     pub ext_ids: Option<&'a [ObjId]>,
 }
 
-/// Serialises raw snapshot parts as a version-2 (dense) snapshot.
-/// Rejects structurally inconsistent parts (mismatched array lengths,
-/// invalid radius) with a typed error; deep semantic validation (row
-/// order, neighbor ranges, finiteness) is the load path's job and is
-/// re-run on every load.
+/// Serialises raw snapshot parts as a dense snapshot: `next_external`
+/// is `n` and there are no tombstones. Rejects structurally
+/// inconsistent parts (mismatched array lengths, invalid radius, ext
+/// ids that are not a permutation, a neighbor id past `u32::MAX`) with
+/// a typed error; deep semantic validation (row order, neighbor ranges,
+/// finiteness) is the load path's job and is re-run on every load.
 pub fn encode_parts(parts: &SnapshotParts<'_>) -> Result<Vec<u8>, StoreError> {
-    encode_with_stream(parts, None)
+    Plan::new(parts, None)?.to_vec()
 }
 
 /// Serialises raw snapshot parts plus streaming state (`next_external`
-/// and the sorted tombstone list) as a version-3 snapshot. Unlike
-/// [`encode_parts`], `parts.ext_ids` is **required** and holds sparse
+/// and the sorted tombstone list). `parts.ext_ids` holds sparse
 /// external ids: distinct, below `next_external`, disjoint from the
 /// tombstones, with `n + tombstones.len() == next_external` (every id
 /// ever assigned is live or tombstoned).
@@ -198,14 +227,7 @@ pub fn encode_stream_parts(
     next_external: ObjId,
     tombstones: &[ObjId],
 ) -> Result<Vec<u8>, StoreError> {
-    encode_with_stream(parts, Some((next_external, tombstones)))
-}
-
-fn encode_with_stream(
-    parts: &SnapshotParts<'_>,
-    stream: Option<(ObjId, &[ObjId])>,
-) -> Result<Vec<u8>, StoreError> {
-    Plan::new(parts, stream)?.to_vec()
+    Plan::new(parts, Some((next_external, tombstones)))?.to_vec()
 }
 
 /// A snapshot that passed every encode-side check, with its section
@@ -214,15 +236,14 @@ fn encode_with_stream(
 /// [`write_snapshot`]'s file are the same by construction.
 struct Plan<'a> {
     parts: SnapshotParts<'a>,
-    stream: Option<(ObjId, &'a [ObjId])>,
-    version: u32,
-    /// Padded payload length of each section, in file order.
-    lens: [usize; SECTION_COUNT],
+    next_external: ObjId,
+    tombstones: &'a [ObjId],
     file_len: usize,
 }
 
 impl<'a> Plan<'a> {
-    /// Rejects structurally inconsistent parts and streaming state.
+    /// Rejects structurally inconsistent parts and streaming state;
+    /// `None` is a dense catalog's state, `(n, [])`.
     fn new(
         parts: &SnapshotParts<'a>,
         stream: Option<(ObjId, &'a [ObjId])>,
@@ -259,80 +280,63 @@ impl<'a> Plan<'a> {
                 });
             }
         }
-        match stream {
-            None => {
-                if let Some(ext) = parts.ext_ids {
-                    let mut seen = vec![false; n];
-                    for &e in ext {
-                        if e >= n || std::mem::replace(&mut seen[e], true) {
-                            return Err(StoreError::BadLayout {
-                                detail: "external ids are not a permutation of 0..n",
-                            });
-                        }
-                    }
+        let (next_external, tombstones) = stream.unwrap_or((n, &[]));
+        if n + tombstones.len() != next_external {
+            return Err(StoreError::BadLayout {
+                detail: "live + tombstoned ids do not account for every assigned id",
+            });
+        }
+        // One mark per ever-assigned id catches duplicates and
+        // live/tombstone overlap in a single pass.
+        let mut seen = vec![false; next_external];
+        for (k, &t) in tombstones.iter().enumerate() {
+            if k > 0 && tombstones[k - 1] >= t {
+                return Err(StoreError::BadLayout {
+                    detail: "tombstones are not strictly ascending",
+                });
+            }
+            if t >= next_external {
+                return Err(StoreError::BadLayout {
+                    detail: "tombstone at or past the next external id",
+                });
+            }
+            seen[t] = true;
+        }
+        if let Some(ext) = parts.ext_ids {
+            for &e in ext {
+                if e >= next_external || std::mem::replace(&mut seen[e], true) {
+                    return Err(StoreError::BadLayout {
+                        detail: "external ids are not distinct live ids below next_external",
+                    });
                 }
             }
-            Some((next_external, tombstones)) => {
-                let Some(ext) = parts.ext_ids else {
-                    return Err(StoreError::BadLayout {
-                        detail: "streaming snapshot requires explicit external ids",
-                    });
-                };
-                if n + tombstones.len() != next_external {
-                    return Err(StoreError::BadLayout {
-                        detail: "live + tombstoned ids do not account for every assigned id",
-                    });
-                }
-                // One mark per ever-assigned id catches duplicates and
-                // live/tombstone overlap in a single pass.
-                let mut seen = vec![false; next_external];
-                for (k, &t) in tombstones.iter().enumerate() {
-                    if k > 0 && tombstones[k - 1] >= t {
-                        return Err(StoreError::BadLayout {
-                            detail: "tombstones are not strictly ascending",
-                        });
-                    }
-                    if t >= next_external {
-                        return Err(StoreError::BadLayout {
-                            detail: "tombstone at or past the next external id",
-                        });
-                    }
-                    seen[t] = true;
-                }
-                for &e in ext {
-                    if e >= next_external || std::mem::replace(&mut seen[e], true) {
-                        return Err(StoreError::BadLayout {
-                            detail: "external ids are not distinct live ids below next_external",
-                        });
-                    }
-                }
+        } else if tombstones.iter().any(|&t| t < n) {
+            // The identity's ids 0..n are distinct and below
+            // next_external; they can only collide with a tombstone.
+            return Err(StoreError::BadLayout {
+                detail: "external ids are not distinct live ids below next_external",
+            });
+        }
+        if let Some(&widest) = parts.neighbors.iter().max() {
+            if u32::try_from(widest).is_err() {
+                return Err(StoreError::NeighborIdTooWide { id: widest });
             }
         }
 
-        let ext_ids_len = match stream {
-            None => n * 8,
-            Some((_, tombstones)) => (2 + tombstones.len() + n) * 8,
-        };
-        let lens = [
+        let payload_lens = [
             META_LEN,
             parts.coords.len() * 8,
             parts.offsets.len() * 8,
-            parts.neighbors.len() * 8,
+            parts.neighbors.len() * 4,
             parts.dists.len() * 8,
-            ext_ids_len,
+            (2 + tombstones.len() + n) * 8,
             parts.name.len(),
-        ]
-        .map(align8);
+        ];
         Ok(Self {
             parts: *parts,
-            stream,
-            version: if stream.is_some() {
-                STREAM_VERSION
-            } else {
-                VERSION
-            },
-            lens,
-            file_len: TABLE_END + lens.iter().sum::<usize>(),
+            next_external,
+            tombstones,
+            file_len: TABLE_END + payload_lens.map(align8).iter().sum::<usize>(),
         })
     }
 
@@ -370,13 +374,12 @@ impl<'a> Plan<'a> {
                 ])?,
                 SectionId::Coords => sink.put(p.coords, |v| v.to_bits().to_ne_bytes())?,
                 SectionId::Offsets => sink.put_ids(p.offsets)?,
-                SectionId::Neighbors => sink.put_ids(p.neighbors)?,
+                // Plan::new proved every id fits in 32 bits.
+                SectionId::Neighbors => sink.put(p.neighbors, |v| (v as u32).to_ne_bytes())?,
                 SectionId::Dists => sink.put(p.dists, |v| v.to_bits().to_ne_bytes())?,
                 SectionId::ExtIds => {
-                    if let Some((next_external, tombstones)) = self.stream {
-                        sink.put_words(&[next_external as u64, tombstones.len() as u64])?;
-                        sink.put_ids(tombstones)?;
-                    }
+                    sink.put_words(&[self.next_external as u64, self.tombstones.len() as u64])?;
+                    sink.put_ids(self.tombstones)?;
                     match p.ext_ids {
                         Some(ext) => sink.put_ids(ext)?,
                         None => sink.put_identity(n)?,
@@ -388,7 +391,6 @@ impl<'a> Plan<'a> {
                 }
             }
             let (len, checksum) = sink.end_section()?;
-            debug_assert_eq!(len, self.lens[i]);
             let entry = HEADER_LEN + i * TABLE_ENTRY_LEN;
             write_u64(&mut head, entry, (i + 1) as u64);
             write_u64(&mut head, entry + 8, off as u64);
@@ -399,7 +401,7 @@ impl<'a> Plan<'a> {
         debug_assert_eq!(off, self.file_len);
 
         head[..8].copy_from_slice(&MAGIC);
-        write_u32(&mut head, OFF_VERSION, self.version);
+        write_u32(&mut head, OFF_VERSION, VERSION);
         write_u32(&mut head, OFF_ENDIAN, ENDIAN_MARKER);
         write_u64(&mut head, OFF_SECTION_COUNT, SECTION_COUNT as u64);
         write_u64(&mut head, OFF_FILE_LEN, self.file_len as u64);
@@ -425,7 +427,7 @@ struct SectionSink<'w, W> {
     fill: usize,
     /// Bytes of the current section already written.
     written: usize,
-    checksum: u64,
+    checksum: WordFold,
 }
 
 impl<'w, W: Write> SectionSink<'w, W> {
@@ -435,7 +437,7 @@ impl<'w, W: Write> SectionSink<'w, W> {
             buf: vec![0; CHUNK],
             fill: 0,
             written: 0,
-            checksum: fnv1a_64(&[]),
+            checksum: WordFold::new(),
         }
     }
 
@@ -484,7 +486,7 @@ impl<'w, W: Write> SectionSink<'w, W> {
     /// Checksums and writes the buffered bytes.
     fn drain(&mut self) -> io::Result<()> {
         let bytes = &self.buf[..self.fill];
-        self.checksum = fnv1a_64_from(self.checksum, bytes);
+        self.checksum.update(bytes);
         self.out.write_all(bytes)?;
         self.written += self.fill;
         self.fill = 0;
@@ -497,9 +499,9 @@ impl<'w, W: Write> SectionSink<'w, W> {
         let pad = align8(self.fill) - self.fill;
         self.put(&[0u8; 8][..pad], |b| [b])?;
         self.drain()?;
-        let done = (self.written, self.checksum);
+        let done = (self.written, self.checksum.finish());
         self.written = 0;
-        self.checksum = fnv1a_64(&[]);
+        self.checksum = WordFold::new();
         Ok(done)
     }
 }
@@ -543,17 +545,13 @@ fn pair_parts<'a>(
     })
 }
 
-/// Serialises a streaming catalog. A catalog with no streaming state
-/// (no tombstones, no appended ids) produces a version-2 snapshot
-/// **byte-identical** to [`encode`] on its dataset/graph pair — the
-/// existing corpus and its sha256 pins cannot drift; otherwise a
-/// version-3 snapshot carrying `next_external` and the tombstones.
+/// Serialises a streaming catalog with its `next_external` and
+/// tombstones. A catalog with no streaming state (no tombstones, no
+/// appended ids) gives bytes identical to [`encode`] on its
+/// dataset/graph pair: there is one ext-ids layout.
 pub fn encode_stream(catalog: &StreamingCatalog) -> Result<Vec<u8>, StoreError> {
     let data = catalog.data();
     let graph = catalog.graph();
-    if catalog.tombstones().is_empty() && catalog.next_external() == data.len() {
-        return encode(data, graph);
-    }
     let ext: Vec<ObjId> = (0..data.len()).map(|v| graph.external_id(v)).collect();
     encode_stream_parts(
         &SnapshotParts {
@@ -590,9 +588,16 @@ pub struct SnapshotView<'a> {
     tombstones: &'a [u64],
     coords: &'a [f64],
     offsets: &'a [u64],
-    neighbors: &'a [u64],
+    neighbors: NeighborIds<'a>,
     dists: &'a [f64],
     ext_ids: &'a [u64],
+}
+
+/// Stored neighbor ids: u64 in versions 2 and 3, u32 since version 4.
+#[derive(Clone, Copy, Debug)]
+enum NeighborIds<'a> {
+    Wide(&'a [u64]),
+    Narrow(&'a [u32]),
 }
 
 fn to_usize(v: u64, what: &'static str) -> Result<usize, StoreError> {
@@ -654,10 +659,10 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
         });
     }
     let version = read_u32(bytes, OFF_VERSION);
-    if version != VERSION && version != STREAM_VERSION {
+    if !is_supported(version) {
         return Err(StoreError::UnsupportedVersion {
             found: version,
-            supported: STREAM_VERSION,
+            supported: VERSION,
         });
     }
     if read_u64(bytes, OFF_SECTION_COUNT) != SECTION_COUNT as u64 {
@@ -738,17 +743,17 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
 
     // Per-section checksums: the serial path folds each section lazily
     // inside `verify`; with the `parallel` feature and a large enough
-    // payload all seven are computed eagerly on scoped threads (FNV-1a
-    // is a sequential fold, so one thread per section is the only split).
-    // `verify` compares stored vs computed in the same order either
-    // way, so error attribution and precedence are byte-identical.
-    let precomputed = parallel_section_checksums(bytes, &extents);
+    // payload all seven are computed eagerly on scoped threads, one
+    // per section. `verify` compares stored vs computed in the same
+    // order either way, so error attribution and precedence are
+    // byte-identical.
+    let precomputed = parallel_section_checksums(version, bytes, &extents);
     let verify = |i: usize| -> Result<&[u8], StoreError> {
         let (off, len) = extents[i];
         let region = &bytes[off..off + len];
         let computed = match precomputed {
             Some(c) => c[i],
-            None => fnv1a_64(region),
+            None => section_checksum(version, region),
         };
         if checksums[i] != computed {
             return Err(StoreError::ChecksumMismatch {
@@ -799,6 +804,12 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
     let edges_bytes = edge_total_u.checked_mul(8).ok_or(StoreError::BadLayout {
         detail: "edge array size overflows",
     })?;
+    // Since version 4, neighbor ids are u32, zero-padded to 8 bytes.
+    let neighbors_bytes = if is_legacy(version) {
+        edges_bytes
+    } else {
+        (edges_bytes / 2).div_ceil(8) * 8
+    };
     let offsets_bytes =
         n_u.checked_add(1)
             .and_then(|v| v.checked_mul(8))
@@ -808,29 +819,30 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
     let ext_ids_bytes = n_u.checked_mul(8).ok_or(StoreError::BadLayout {
         detail: "ext ids size overflows",
     })?;
-    // A streaming (v3) ext-ids section is `[next_external][count]
+    // Since version 3 the ext-ids section is `[next_external][count]
     // [tombstones…][ids…]`: its exact size depends on the tombstone
     // count stored *inside* the payload, so only the lower bound is
     // checked here and the exact check runs after the section is read.
-    let ext_ids_min = if version == STREAM_VERSION {
+    let bare_ext_ids = version == DENSE_VERSION;
+    let ext_ids_min = if bare_ext_ids {
+        ext_ids_bytes
+    } else {
         ext_ids_bytes.checked_add(16).ok_or(StoreError::BadLayout {
             detail: "ext ids size overflows",
         })?
-    } else {
-        ext_ids_bytes
     };
     let expected_sizes: [u64; SECTION_COUNT] = [
         META_LEN as u64,
         coords_bytes,
         offsets_bytes,
-        edges_bytes,
+        neighbors_bytes,
         edges_bytes,
         ext_ids_min,
         align8(name_len) as u64,
     ];
     for (i, &expected) in expected_sizes.iter().enumerate() {
         let found = extents[i].1 as u64;
-        let ok = if version == STREAM_VERSION && SECTION_ORDER[i] == SectionId::ExtIds {
+        let ok = if !bare_ext_ids && SECTION_ORDER[i] == SectionId::ExtIds {
             found >= expected
         } else {
             found == expected
@@ -846,14 +858,28 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
 
     let coords = as_f64s(verify(1)?);
     let offsets = as_u64s(verify(2)?);
-    let neighbors = as_u64s(verify(3)?);
+    let neighbors_region = verify(3)?;
     let dists = as_f64s(verify(4)?);
     let ext_region = as_u64s(verify(5)?);
     let name_region = verify(6)?;
 
+    let neighbors = if is_legacy(version) {
+        NeighborIds::Wide(as_u64s(neighbors_region))
+    } else {
+        let (ids, padding) = as_u32s(neighbors_region).split_at(edge_total);
+        if padding.iter().any(|&p| p != 0) {
+            return Err(StoreError::BadLayout {
+                detail: "neighbor padding is not zero",
+            });
+        }
+        NeighborIds::Narrow(ids)
+    };
+
     // Split the ext-ids payload per version: v2 is the bare id array,
-    // v3 prefixes the streaming state.
-    let (next_external_u, tombstones, ext_ids) = if version == STREAM_VERSION {
+    // later versions prefix the streaming state.
+    let (next_external_u, tombstones, ext_ids) = if bare_ext_ids {
+        (n_u, &ext_region[..0], ext_region)
+    } else {
         let next = ext_region[0];
         let t = to_usize(ext_region[1], "tombstone count exceeds usize")?;
         let expected = (2u64)
@@ -876,8 +902,6 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
             });
         }
         (next, &ext_region[2..2 + t], &ext_region[2 + t..])
-    } else {
-        (n_u, &ext_region[..0], ext_region)
     };
 
     let name =
@@ -912,48 +936,36 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
         });
     }
 
-    // Ext-ids semantics. Version 2: a permutation of 0..n (whether it
-    // is the identity only matters at materialisation time, where the
-    // identity normalises away). Version 3: distinct ids below
-    // next_external, disjoint from the strictly ascending tombstones —
-    // together they account for every assigned id (already checked
-    // against the meta count above, so the mark array is bounded).
-    if version == STREAM_VERSION {
-        let next = to_usize(next_external_u, "next external id exceeds usize")?;
-        let mut seen = vec![false; next];
-        let mut prev: Option<u64> = None;
-        for &t in tombstones {
-            if prev.is_some_and(|p| p >= t) {
-                return Err(StoreError::BadLayout {
-                    detail: "tombstones are not strictly ascending",
-                });
-            }
-            prev = Some(t);
-            let idx = to_usize(t, "tombstone exceeds usize")?;
-            if idx >= next {
-                return Err(StoreError::BadLayout {
-                    detail: "tombstone at or past the next external id",
-                });
-            }
-            seen[idx] = true;
+    // Ext-ids semantics, one rule for every version (a version-2
+    // file's state is `next_external = n`, no tombstones): distinct
+    // ids below next_external, disjoint from the strictly ascending
+    // tombstones — together they account for every assigned id
+    // (already checked against the meta count above, so the mark array
+    // is bounded).
+    let next = to_usize(next_external_u, "next external id exceeds usize")?;
+    let mut seen = vec![false; next];
+    let mut prev: Option<u64> = None;
+    for &t in tombstones {
+        if prev.is_some_and(|p| p >= t) {
+            return Err(StoreError::BadLayout {
+                detail: "tombstones are not strictly ascending",
+            });
         }
-        for &e in ext_ids {
-            let idx = to_usize(e, "external id exceeds usize")?;
-            if idx >= next || std::mem::replace(&mut seen[idx], true) {
-                return Err(StoreError::BadLayout {
-                    detail: "external ids are not distinct live ids below next_external",
-                });
-            }
+        prev = Some(t);
+        let idx = to_usize(t, "tombstone exceeds usize")?;
+        if idx >= next {
+            return Err(StoreError::BadLayout {
+                detail: "tombstone at or past the next external id",
+            });
         }
-    } else {
-        let mut seen = vec![false; n];
-        for &e in ext_ids {
-            let idx = to_usize(e, "external id exceeds usize")?;
-            if idx >= n || std::mem::replace(&mut seen[idx], true) {
-                return Err(StoreError::BadLayout {
-                    detail: "external ids are not a permutation of 0..n",
-                });
-            }
+        seen[idx] = true;
+    }
+    for &e in ext_ids {
+        let idx = to_usize(e, "external id exceeds usize")?;
+        if idx >= next || std::mem::replace(&mut seen[idx], true) {
+            return Err(StoreError::BadLayout {
+                detail: "external ids are not distinct live ids below next_external",
+            });
         }
     }
 
@@ -1024,43 +1036,38 @@ impl<'a> SnapshotView<'a> {
         self.offsets
     }
 
-    /// CSR neighbor ids as stored (u64), borrowed from the snapshot
-    /// bytes.
-    pub fn neighbors_raw(&self) -> &'a [u64] {
-        self.neighbors
-    }
-
     /// CSR edge distances, borrowed from the snapshot bytes.
     pub fn dists(&self) -> &'a [f64] {
         self.dists
     }
 
     /// External id of each internal object as stored (u64), borrowed
-    /// from the snapshot bytes. For version-2 snapshots a permutation
-    /// of `0..len` (the identity when un-renumbered); for version-3
-    /// snapshots distinct ids below [`SnapshotView::next_external`].
+    /// from the snapshot bytes: distinct ids below
+    /// [`SnapshotView::next_external`] — for a dense snapshot a
+    /// permutation of `0..len`, the identity when un-renumbered.
     pub fn ext_ids_raw(&self) -> &'a [u64] {
         self.ext_ids
     }
 
-    /// Format version of the loaded snapshot (2 or 3).
+    /// Format version of the loaded snapshot (2, 3 or 4).
     pub fn version(&self) -> u32 {
         self.version
     }
 
-    /// Whether the snapshot carries streaming state (version 3).
+    /// Whether the snapshot carries streaming state: tombstones, or
+    /// external ids appended past `len`.
     pub fn is_streaming(&self) -> bool {
-        self.version == STREAM_VERSION
+        !self.tombstones.is_empty() || self.next_external != self.n as u64
     }
 
     /// The next external id a streaming insert would assign. Equals
-    /// [`SnapshotView::len`] for version-2 snapshots.
+    /// [`SnapshotView::len`] for a dense snapshot.
     pub fn next_external(&self) -> u64 {
         self.next_external
     }
 
-    /// Tombstoned external ids, strictly ascending (empty for
-    /// version-2 snapshots), borrowed from the snapshot bytes.
+    /// Tombstoned external ids, strictly ascending (empty for a dense
+    /// snapshot), borrowed from the snapshot bytes.
     pub fn tombstones_raw(&self) -> &'a [u64] {
         self.tombstones
     }
@@ -1068,15 +1075,9 @@ impl<'a> SnapshotView<'a> {
     /// Materialises the stored internal↔external id bijection; `None`
     /// when the stored ids are the identity.
     pub fn permutation(&self) -> Result<Option<Arc<IdPermutation>>, StoreError> {
-        let ext = widen(self.ext_ids, "external id exceeds usize")?;
-        let perm = if self.version == STREAM_VERSION {
-            // Sparse: ids may exceed n (appended) and leave holes
-            // (tombstones); load() proved distinctness.
-            IdPermutation::try_new_sparse(ext)
-        } else {
-            IdPermutation::try_new(ext)
-        };
-        match perm {
+        // Sparse: ids may exceed n (appended) and leave holes
+        // (tombstones); load() proved distinctness.
+        match IdPermutation::try_new_sparse(widen(self.ext_ids, "external id exceeds usize")?) {
             Ok(p) if p.is_identity() => Ok(None),
             Ok(p) => Ok(Some(Arc::new(p))),
             // load() already proved the permutation property; an empty
@@ -1089,7 +1090,8 @@ impl<'a> SnapshotView<'a> {
     /// sharing one permutation, re-wrapped with the stored
     /// `next_external` and tombstones and re-validated by
     /// [`StreamingCatalog::from_parts`]. Works on version-2 snapshots
-    /// too (no tombstones, dense ids), so one open path serves both.
+    /// too (no tombstones, dense ids), so one open path serves every
+    /// version.
     pub fn catalog(&self) -> Result<StreamingCatalog, StoreError> {
         let perm = self.permutation()?;
         let dataset = self.dataset()?.with_permutation(perm.clone());
@@ -1114,10 +1116,15 @@ impl<'a> SnapshotView<'a> {
     /// distance range) and fails closed on violation; the stored id
     /// permutation is attached to the result.
     pub fn graph(&self) -> Result<StratifiedDiskGraph, StoreError> {
+        let offsets = widen(self.offsets, "offset exceeds usize")?;
+        let neighbors = match self.neighbors {
+            NeighborIds::Wide(ids) => widen(ids, "neighbor id exceeds usize")?,
+            NeighborIds::Narrow(ids) => ids.iter().map(|&v| v as usize).collect(),
+        };
         let g = StratifiedDiskGraph::from_csr_parts(
             self.radius,
-            widen(self.offsets, "offset exceeds usize")?,
-            widen(self.neighbors, "neighbor id exceeds usize")?,
+            offsets,
+            neighbors,
             self.dists.to_vec(),
         )?;
         Ok(g.with_permutation(self.permutation()?))
@@ -1136,7 +1143,7 @@ pub fn decode(bytes: &[u8]) -> Result<(Dataset, StratifiedDiskGraph), StoreError
 
 /// Validates `bytes` and materialises the streaming catalog in one
 /// step — the open path of a serving process that accepts inserts and
-/// deletes. Accepts version-2 and version-3 snapshots alike.
+/// deletes. Accepts every version [`load`] does.
 pub fn decode_stream(bytes: &[u8]) -> Result<StreamingCatalog, StoreError> {
     load(bytes)?.catalog()
 }

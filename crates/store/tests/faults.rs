@@ -1,14 +1,18 @@
 //! Fault-injection suite: every documented damage class, applied to a
 //! real snapshot, must surface as exactly the mapped [`StoreError`]
 //! variant — never a panic, never a silently wrong load. The bit-flip
-//! test is exhaustive: *every* bit of a small snapshot is flipped once.
+//! test is exhaustive: *every* bit of a small snapshot is flipped once,
+//! in the current format and in one legacy fixture of each older
+//! version (`tests/fixtures/`).
 
 use disc_graph::{GraphError, StratifiedDiskGraph};
 use disc_metric::{Dataset, Metric, Point};
 use disc_mtree::{MTree, MTreeConfig};
 use disc_store::fault::{corrupt, stored_checksum};
 use disc_store::{
-    decode, encode, fnv1a_64, load, AlignedBytes, Fault, SectionId, StoreError, STREAM_VERSION,
+    decode, decode_stream, encode, encode_parts, fnv1a_64, load, word_checksum, write_snapshot,
+    AlignedBytes, Fault, SectionId, SnapshotParts, StoreError, DENSE_VERSION, STREAM_VERSION,
+    VERSION,
 };
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -48,19 +52,36 @@ fn load_copy(bytes: &[u8]) -> Result<(), StoreError> {
     load(holder.as_bytes()).map(|_| ())
 }
 
-/// Section extents recomputed from the documented layout, so the test
-/// does not trust the (possibly corrupted) table it is checking.
-fn section_extents(data: &Dataset, graph: &StratifiedDiskGraph) -> Vec<(SectionId, usize, usize)> {
+/// A legacy snapshot written by an older build (see CHANGES.md).
+fn fixture(name: &str) -> Vec<u8> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Section extents recomputed from the documented layout of `version`,
+/// so the test does not trust the (possibly corrupted) table it is
+/// checking.
+fn section_extents(
+    version: u32,
+    data: &Dataset,
+    graph: &StratifiedDiskGraph,
+    tombstones: usize,
+) -> Vec<(SectionId, usize, usize)> {
     let n = data.len();
     let e = graph.offsets()[n];
     let align8 = |x: usize| x.div_ceil(8) * 8;
+    let (neighbor_bytes, ext_words) = match version {
+        DENSE_VERSION => (8, n),
+        STREAM_VERSION => (8, 2 + tombstones + n),
+        _ => (4, 2 + tombstones + n),
+    };
     let lens = [
         (SectionId::Meta, 48),
         (SectionId::Coords, n * data.dim() * 8),
         (SectionId::Offsets, (n + 1) * 8),
-        (SectionId::Neighbors, e * 8),
+        (SectionId::Neighbors, align8(e * neighbor_bytes)),
         (SectionId::Dists, e * 8),
-        (SectionId::ExtIds, n * 8),
+        (SectionId::ExtIds, ext_words * 8),
         (SectionId::Name, align8(data.name().len())),
     ];
     let mut off = 280;
@@ -125,45 +146,61 @@ fn intact_round_trip_is_byte_identical_with_graph_parity() {
 #[test]
 fn every_single_bit_flip_is_detected_and_mapped() {
     let (data, graph, bytes) = small_snapshot();
-    let extents = section_extents(&data, &graph);
-    assert_eq!(
-        extents.last().map(|&(_, off, len)| off + len),
-        Some(bytes.len()),
-        "extent reconstruction must tile the file"
-    );
-    let owner = |offset: usize| -> SectionId {
-        match offset {
-            0..=55 => SectionId::Header,
-            56..=279 => SectionId::SectionTable,
-            _ => {
-                extents
-                    .iter()
-                    .find(|&&(_, off, len)| offset >= off && offset < off + len)
-                    .expect("every payload byte belongs to a section")
-                    .0
-            }
-        }
-    };
+    let mut inputs = vec![(
+        "current".to_string(),
+        section_extents(VERSION, &data, &graph, 0),
+        bytes,
+    )];
+    for (name, version) in [
+        ("v2_hamming.snap", DENSE_VERSION),
+        ("v3_hamming.snap", STREAM_VERSION),
+    ] {
+        let bytes = fixture(name);
+        let cat = decode_stream(AlignedBytes::copy_from(&bytes).as_bytes()).expect("fixture");
+        let extents = section_extents(version, cat.data(), cat.graph(), cat.tombstones().len());
+        inputs.push((name.to_string(), extents, bytes));
+    }
 
-    for offset in 0..bytes.len() {
-        for bit in 0..8u8 {
-            let damaged = corrupt(&bytes, Fault::BitFlip { offset, bit });
-            let err = load_copy(&damaged).expect_err("flipped bit must be detected");
+    for (input, extents, bytes) in &inputs {
+        assert_eq!(
+            extents.last().map(|&(_, off, len)| off + len),
+            Some(bytes.len()),
+            "{input}: extent reconstruction must tile the file"
+        );
+        let owner = |offset: usize| -> SectionId {
             match offset {
-                0..=7 => assert!(
-                    matches!(err, StoreError::BadMagic { .. }),
-                    "byte {offset} bit {bit}: {err:?}"
-                ),
-                12..=15 => assert!(
-                    matches!(err, StoreError::EndianMismatch { .. }),
-                    "byte {offset} bit {bit}: {err:?}"
-                ),
+                0..=55 => SectionId::Header,
+                56..=279 => SectionId::SectionTable,
                 _ => {
-                    let section = owner(offset);
-                    assert!(
-                        matches!(err, StoreError::ChecksumMismatch { section: s, .. } if s == section),
-                        "byte {offset} bit {bit}: expected {section} checksum mismatch, got {err:?}"
-                    );
+                    extents
+                        .iter()
+                        .find(|&&(_, off, len)| offset >= off && offset < off + len)
+                        .expect("every payload byte belongs to a section")
+                        .0
+                }
+            }
+        };
+
+        for offset in 0..bytes.len() {
+            for bit in 0..8u8 {
+                let damaged = corrupt(bytes, Fault::BitFlip { offset, bit });
+                let err = load_copy(&damaged).expect_err("flipped bit must be detected");
+                match offset {
+                    0..=7 => assert!(
+                        matches!(err, StoreError::BadMagic { .. }),
+                        "{input} byte {offset} bit {bit}: {err:?}"
+                    ),
+                    12..=15 => assert!(
+                        matches!(err, StoreError::EndianMismatch { .. }),
+                        "{input} byte {offset} bit {bit}: {err:?}"
+                    ),
+                    _ => {
+                        let section = owner(offset);
+                        assert!(
+                            matches!(err, StoreError::ChecksumMismatch { section: s, .. } if s == section),
+                            "{input} byte {offset} bit {bit}: expected {section} checksum mismatch, got {err:?}"
+                        );
+                    }
                 }
             }
         }
@@ -188,13 +225,13 @@ fn truncation_at_every_length_is_detected() {
 #[test]
 fn version_skew_is_rejected_as_unsupported() {
     let (_, _, bytes) = small_snapshot();
-    for skew in [0, 1, STREAM_VERSION + 1, u32::MAX] {
+    for skew in [0, 1, VERSION + 1, u32::MAX] {
         let damaged = corrupt(&bytes, Fault::VersionSkew(skew));
         assert_eq!(
             load_copy(&damaged).expect_err("skewed version must be rejected"),
             StoreError::UnsupportedVersion {
                 found: skew,
-                supported: STREAM_VERSION,
+                supported: VERSION,
             }
         );
     }
@@ -206,7 +243,8 @@ fn dense_payload_stamped_as_streaming_is_rejected() {
     // ext-ids array as `[next_external][count][…]` — the size equation
     // `2 + tombstones + n` can no longer hold, so the load fails closed
     // instead of inventing streaming state.
-    let (_, _, bytes) = small_snapshot();
+    let bytes = fixture("v2_euclidean.snap");
+    load_copy(&bytes).expect("the v2 fixture loads");
     let damaged = corrupt(&bytes, Fault::VersionSkew(STREAM_VERSION));
     let err = load_copy(&damaged).expect_err("v2 payload under a v3 header must be rejected");
     assert!(
@@ -289,7 +327,7 @@ fn tamper_sealed(bytes: &[u8], offset: usize, value: u64) -> Vec<u8> {
         len8.copy_from_slice(&out[e + 16..e + 24]);
         let len = u64::from_ne_bytes(len8) as usize;
         if offset >= start && offset < start + len {
-            let sum = fnv1a_64(&out[start..start + len]);
+            let sum = word_checksum(&out[start..start + len]);
             out[e + 24..e + 32].copy_from_slice(&sum.to_ne_bytes());
         }
         start += len;
@@ -304,7 +342,7 @@ fn tamper_sealed(bytes: &[u8], offset: usize, value: u64) -> Vec<u8> {
 #[test]
 fn crafted_semantic_damage_is_rejected_with_typed_errors() {
     let (data, graph, bytes) = small_snapshot();
-    let extents = section_extents(&data, &graph);
+    let extents = section_extents(VERSION, &data, &graph, 0);
     let extent = |want: SectionId| -> (usize, usize) {
         extents
             .iter()
@@ -352,14 +390,15 @@ fn crafted_semantic_damage_is_rejected_with_typed_errors() {
     ));
 
     // Duplicate external id: rejected at load, before materialisation.
-    let (ext_off, _) = extent(SectionId::ExtIds);
-    let mut first8 = [0u8; 8];
-    first8.copy_from_slice(&bytes[ext_off + 8..ext_off + 16]);
-    let damaged = tamper_sealed(&bytes, ext_off, u64::from_ne_bytes(first8));
+    // The ids follow `[next_external][tombstone count]`.
+    let ids_off = extent(SectionId::ExtIds).0 + 16;
+    let mut second = [0u8; 8];
+    second.copy_from_slice(&bytes[ids_off + 8..ids_off + 16]);
+    let damaged = tamper_sealed(&bytes, ids_off, u64::from_ne_bytes(second));
     assert_eq!(
         load_copy(&damaged).expect_err("duplicate external id"),
         StoreError::BadLayout {
-            detail: "external ids are not a permutation of 0..n"
+            detail: "external ids are not distinct live ids below next_external"
         }
     );
 
@@ -372,6 +411,39 @@ fn crafted_semantic_damage_is_rejected_with_typed_errors() {
         view.graph().expect_err("distance beyond radius"),
         StoreError::InvalidGraph(GraphError::DistanceOutOfRange { .. })
     ));
+
+    // Nonzero neighbor padding. It needs an odd entry count: two
+    // objects and one directed edge, from raw parts (load does not
+    // require a symmetric CSR). The neighbors section is then one u32
+    // id and four bytes of padding, after meta (48), coords (2 × 2 × 8)
+    // and offsets (3 × 8).
+    let odd = encode_parts(&SnapshotParts {
+        name: "odd",
+        metric: Metric::Euclidean,
+        dim: 2,
+        coords: &[0.0, 0.0, 0.1, 0.0],
+        radius: 0.5,
+        offsets: &[0, 1, 1],
+        neighbors: &[1],
+        dists: &[0.1],
+        ext_ids: None,
+    })
+    .expect("odd entry count encodes");
+    load_copy(&odd).expect("intact odd snapshot loads");
+    let neighbors_off = 280 + 48 + 32 + 24;
+    assert_eq!(
+        stored_checksum(&odd, SectionId::Neighbors),
+        word_checksum(&odd[neighbors_off..neighbors_off + 8])
+    );
+    let mut padded = [0u8; 8];
+    padded.copy_from_slice(&[1u32.to_ne_bytes(), 7u32.to_ne_bytes()].concat());
+    let damaged = tamper_sealed(&odd, neighbors_off, u64::from_ne_bytes(padded));
+    assert_eq!(
+        load_copy(&damaged).expect_err("nonzero padding"),
+        StoreError::BadLayout {
+            detail: "neighbor padding is not zero"
+        }
+    );
 }
 
 #[test]
@@ -387,4 +459,23 @@ fn encode_rejects_inconsistent_inputs() {
             graph: 5,
         }
     );
+
+    // The file writer runs the same checks before creating the file,
+    // so a rejected pair leaves an existing file byte-identical.
+    let dir = std::env::temp_dir().join("disc-store-faults");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("untouched-{}.snap", std::process::id()));
+    let (_, _, before) = small_snapshot();
+    std::fs::write(&path, &before).expect("seed file");
+    let err = write_snapshot(&path, &data, &graph).expect_err("vertex count mismatch");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(
+        err.get_ref().and_then(|e| e.downcast_ref::<StoreError>()),
+        Some(&StoreError::VertexCountMismatch {
+            dataset: 8,
+            graph: 5,
+        })
+    );
+    assert_eq!(std::fs::read(&path).expect("file still there"), before);
+    std::fs::remove_file(&path).ok();
 }

@@ -63,11 +63,12 @@ fn large_snapshot_bit_flips_name_the_owning_section() {
     let bytes = big_snapshot();
     // Offsets computed from the documented layout: payloads start at
     // 280, meta is 48 bytes, coords n*dim*8, offsets (n+1)*8; neighbors
-    // and dists are empty, ext ids n*8.
+    // and dists are empty, ext ids (2 + n)*8 (next_external, an empty
+    // tombstone list, the ids).
     let coords_off = 280 + 48;
     let offsets_off = coords_off + 20_000 * 8 * 8;
     let ext_off = offsets_off + 20_001 * 8;
-    let name_off = ext_off + 20_000 * 8;
+    let name_off = ext_off + (2 + 20_000) * 8;
     for (section, offset) in [
         (SectionId::Meta, 280 + 7),
         (SectionId::Coords, coords_off + 500_000),

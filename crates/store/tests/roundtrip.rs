@@ -247,6 +247,29 @@ fn encode_parts_rejects_inconsistent_parts() {
         encode_parts(&parts).expect_err("short edge arrays"),
         StoreError::InvalidGraph(disc_graph::GraphError::ArrayLengthMismatch { .. })
     ));
+
+    // Neighbor ids are stored in 32 bits: a wider one fails closed
+    // instead of wrapping to a small id. (Encode does not range-check
+    // neighbors against n; load does.)
+    #[cfg(target_pointer_width = "64")]
+    {
+        let wide = 1usize << 32;
+        let parts = SnapshotParts {
+            name: "bad",
+            metric: Metric::Euclidean,
+            dim: 2,
+            coords: &[0.0, 0.0],
+            radius: 0.5,
+            offsets: &[0, 1],
+            neighbors: &[wide],
+            dists: &[0.1],
+            ext_ids: None,
+        };
+        assert_eq!(
+            encode_parts(&parts).expect_err("neighbor id past u32::MAX"),
+            StoreError::NeighborIdTooWide { id: wide }
+        );
+    }
 }
 
 #[test]
@@ -267,8 +290,36 @@ fn file_round_trip_through_aligned_read() {
     let written = disc_store::write_snapshot(&path, &data, &graph).expect("write");
     let holder = disc_store::read_snapshot(&path).expect("read");
     assert_eq!(holder.len() as u64, written);
+    // One write path: the file holds exactly the in-memory encoding.
+    assert_eq!(
+        holder.as_bytes(),
+        &encode(&data, &graph).expect("encode")[..]
+    );
     let (data2, graph2) = decode(holder.as_bytes()).expect("decode from file");
     assert_eq!(graph2, graph);
     assert_eq!(data2.flat_coords(), data.flat_coords());
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn read_snapshot_matches_fs_read_at_edge_lengths() {
+    // Every length around the 8-byte word size, and one that crosses
+    // the 1 MiB read chunk: the aligned read returns the file's bytes,
+    // no more and no fewer.
+    let dir = std::env::temp_dir().join("disc-store-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("lengths-{}.bin", std::process::id()));
+    for len in (0..=17).chain([(1 << 20) + 3]) {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8 + 1).collect();
+        std::fs::write(&path, &bytes).expect("write");
+        let holder = disc_store::read_snapshot(&path).expect("read");
+        assert_eq!(
+            holder.as_bytes(),
+            &std::fs::read(&path).expect("fs::read")[..],
+            "len {len}"
+        );
+        assert_eq!(holder.len(), len);
+        assert_eq!(holder.as_bytes().as_ptr().align_offset(8), 0, "len {len}");
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -1,14 +1,16 @@
-//! Version-3 (streaming) snapshot coverage: catalogs with tombstones
-//! and appended external ids round-trip bitwise, dense catalogs keep
-//! emitting byte-identical version-2 files (the existing corpus and
-//! its sha256 pins cannot drift), version-2 files open as catalogs,
-//! and inconsistent streaming state is rejected with typed errors.
+//! Streaming snapshot coverage: catalogs with tombstones and appended
+//! external ids round-trip bitwise through the current format, dense
+//! catalogs encode the same through both entry points (one ext-ids
+//! layout), legacy version-2 and version-3 files written by an older
+//! build (`tests/fixtures/`) open as the catalogs their helpers below
+//! build, and inconsistent streaming state is rejected with typed
+//! errors.
 
 use disc_graph::{StratifiedDiskGraph, StreamingCatalog};
 use disc_metric::{Dataset, Metric, Point};
 use disc_store::{
-    decode_stream, encode, encode_stream, encode_stream_parts, load, SnapshotParts, StoreError,
-    STREAM_VERSION, VERSION,
+    decode_stream, encode, encode_stream, encode_stream_parts, load, read_snapshot, AlignedBytes,
+    SnapshotParts, StoreError, DENSE_VERSION, STREAM_VERSION, VERSION,
 };
 
 const METRICS: [Metric; 4] = [
@@ -22,6 +24,39 @@ fn stored_version(bytes: &[u8]) -> u32 {
     let mut a = [0u8; 4];
     a.copy_from_slice(&bytes[8..12]);
     u32::from_ne_bytes(a)
+}
+
+/// The legacy fixture `v{version}_{metric}.snap`, read from disk.
+fn fixture(version: u32, metric: Metric) -> AlignedBytes {
+    let name = format!("v{version}_{metric:?}.snap").to_lowercase();
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    read_snapshot(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Field-by-field catalog equality: CSR arrays (distances bitwise),
+/// coordinates and the whole external id space.
+fn assert_same_catalog(got: &StreamingCatalog, want: &StreamingCatalog, ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    assert_eq!(got.next_external(), want.next_external(), "{ctx}");
+    assert_eq!(got.tombstones(), want.tombstones(), "{ctx}");
+    assert_eq!(got.live_externals(), want.live_externals(), "{ctx}");
+    assert_eq!(got.graph().offsets(), want.graph().offsets(), "{ctx}");
+    assert_eq!(
+        got.graph().neighbors_flat(),
+        want.graph().neighbors_flat(),
+        "{ctx}"
+    );
+    let bits = |ds: &[f64]| ds.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(got.graph().dists_flat()),
+        bits(want.graph().dists_flat()),
+        "{ctx}"
+    );
+    assert_eq!(
+        bits(got.data().flat_coords()),
+        bits(want.data().flat_coords()),
+        "{ctx}"
+    );
 }
 
 fn seed_catalog(metric: Metric, n: usize, r_max: f64) -> StreamingCatalog {
@@ -62,62 +97,78 @@ fn mutated_catalog(metric: Metric) -> StreamingCatalog {
 fn mutated_catalogs_round_trip_through_version_3() {
     for metric in METRICS {
         let cat = mutated_catalog(metric);
-        let bytes = encode_stream(&cat).expect("encode");
-        assert_eq!(stored_version(&bytes), STREAM_VERSION, "{metric:?}");
+        let tombs: Vec<u64> = cat.tombstones().iter().map(|&t| t as u64).collect();
 
+        // Legacy side: the version-3 file an older build wrote for this
+        // very catalog.
+        let legacy = fixture(STREAM_VERSION, metric);
+        assert_eq!(stored_version(legacy.as_bytes()), STREAM_VERSION);
+        let view = load(legacy.as_bytes()).expect("load v3");
+        assert!(view.is_streaming(), "{metric:?}");
+        assert_eq!(view.next_external(), cat.next_external() as u64);
+        assert_eq!(view.tombstones_raw(), &tombs[..], "{metric:?}");
+        let from_legacy = decode_stream(legacy.as_bytes()).expect("decode v3");
+        assert_same_catalog(&from_legacy, &cat, &format!("v3 {metric:?}"));
+
+        // Current side: the same catalog through version 4.
+        let bytes = encode_stream(&cat).expect("encode");
+        assert_eq!(stored_version(&bytes), VERSION, "{metric:?}");
         let view = load(&bytes).expect("load");
         assert!(view.is_streaming(), "{metric:?}");
         assert_eq!(view.next_external(), cat.next_external() as u64);
-        let tombs: Vec<u64> = cat.tombstones().iter().map(|&t| t as u64).collect();
         assert_eq!(view.tombstones_raw(), &tombs[..], "{metric:?}");
-
         let back = decode_stream(&bytes).expect("decode");
-        assert_eq!(back.len(), cat.len());
-        assert_eq!(back.next_external(), cat.next_external());
-        assert_eq!(back.tombstones(), cat.tombstones());
-        assert_eq!(back.live_externals(), cat.live_externals());
-        assert_eq!(back.graph().offsets(), cat.graph().offsets());
-        assert_eq!(back.graph().neighbors_flat(), cat.graph().neighbors_flat());
-        let bits = |ds: &[f64]| ds.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(back.graph().dists_flat()),
-            bits(cat.graph().dists_flat())
-        );
-        assert_eq!(back.data().flat_coords(), cat.data().flat_coords());
+        assert_same_catalog(&back, &cat, &format!("v4 {metric:?}"));
 
-        // Re-encode of the decoded catalog reproduces the file.
-        assert_eq!(
-            encode_stream(&back).expect("re-encode"),
-            bytes,
-            "{metric:?}"
-        );
+        // Re-encode of either decoded catalog reproduces the file.
+        for decoded in [&back, &from_legacy] {
+            assert_eq!(
+                encode_stream(decoded).expect("re-encode"),
+                bytes,
+                "{metric:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn dense_catalogs_keep_emitting_byte_identical_version_2() {
+    // There is one ext-ids layout: `encode` and `encode_stream` of a
+    // dense catalog give the same bytes (the current version's, since
+    // version 4; version-2 files still load, see below).
     for metric in METRICS {
         let cat = seed_catalog(metric, 25, 1.0);
         let stream_bytes = encode_stream(&cat).expect("encode_stream");
         let dense_bytes = encode(cat.data(), cat.graph()).expect("encode");
         assert_eq!(stream_bytes, dense_bytes, "{metric:?}");
         assert_eq!(stored_version(&stream_bytes), VERSION, "{metric:?}");
+        let view = load(&stream_bytes).expect("load");
+        assert!(!view.is_streaming(), "{metric:?}");
+        assert_eq!(view.next_external(), 25);
     }
 }
 
 #[test]
 fn version_2_snapshots_open_as_catalogs() {
-    let cat = seed_catalog(Metric::Euclidean, 20, 1.0);
-    let bytes = encode(cat.data(), cat.graph()).expect("encode");
-    let view = load(&bytes).expect("load");
-    assert!(!view.is_streaming());
-    assert_eq!(view.version(), VERSION);
-    assert_eq!(view.next_external(), 20);
-    assert!(view.tombstones_raw().is_empty());
-    let back = decode_stream(&bytes).expect("decode");
-    assert_eq!(back.next_external(), 20);
-    assert!(back.tombstones().is_empty());
-    assert_eq!(back.live_externals(), (0..20).collect::<Vec<_>>());
+    for metric in METRICS {
+        let cat = seed_catalog(metric, 20, 1.0);
+        let legacy = fixture(DENSE_VERSION, metric);
+        let view = load(legacy.as_bytes()).expect("load");
+        assert!(!view.is_streaming());
+        assert_eq!(view.version(), DENSE_VERSION);
+        assert_eq!(view.next_external(), 20);
+        assert!(view.tombstones_raw().is_empty());
+        let back = decode_stream(legacy.as_bytes()).expect("decode");
+        assert_eq!(back.next_external(), 20);
+        assert!(back.tombstones().is_empty());
+        assert_eq!(back.live_externals(), (0..20).collect::<Vec<_>>());
+        assert_same_catalog(&back, &cat, &format!("v2 {metric:?}"));
+        assert_eq!(
+            encode_stream(&back).expect("re-encode"),
+            encode_stream(&cat).expect("encode"),
+            "{metric:?}"
+        );
+    }
 }
 
 #[test]
@@ -183,7 +234,7 @@ fn inconsistent_streaming_parts_are_rejected() {
         Err(StoreError::BadLayout { .. })
     ));
 
-    // Missing explicit ids.
+    // No explicit ids: the identity 0..n collides with a tombstone.
     let mut no_ids = parts;
     no_ids.ext_ids = None;
     assert!(matches!(
