@@ -3,7 +3,7 @@
 //!
 //! Runs the full [`disc_core::build_sharded_with`] pipeline (spatial
 //! partitioning, per-shard M-trees, intra-shard self-joins, boundary
-//! cross-joins, multi-slice CSR assembly) over a clustered and a
+//! cross-joins, shard-ordered CSR fill) over a clustered and a
 //! uniform 2-D workload and records, per workload: the per-phase
 //! wall-clocks, the exact distance/node accounting (deterministic at
 //! every worker count), the boundary-join share of the join work, and
@@ -26,7 +26,8 @@
 //!   `20_000`).
 //! * `SCALE_SHARDS` — shard count (default `8`).
 //! * `SCALE_MILLION=1` — additionally run the 10^6 tier (off by
-//!   default: ~1 GiB peak on the clustered workload).
+//!   default: its clustered build peaks near 10 GiB, the CSR plus the
+//!   edge lists of the shards still being filled).
 //! * `SELF_JOIN_THREADS` — worker threads (default: one per core).
 //!
 //! The radius per tier targets a mean degree of ~60 on the uniform

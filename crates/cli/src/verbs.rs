@@ -30,7 +30,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// `disc build`: generate points, materialise the stratified graph at
 /// `--radius` through the sharded production pipeline
 /// ([`disc_core::build_sharded_with`]: spatial partition, per-shard
-/// M-tree self-joins, boundary cross-joins, multi-source CSR merge —
+/// M-tree self-joins, boundary cross-joins, shard-ordered CSR fill —
 /// not the O(n²) reference build), write the snapshot.
 ///
 /// The pipeline renumbers objects into the shard plan's canonical

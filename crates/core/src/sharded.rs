@@ -1,6 +1,6 @@
 //! The sharded r-disk graph build: spatial partitions, per-shard
 //! M-trees, intra-shard self-joins plus boundary-pair cross-joins, and
-//! one multi-source CSR merge — byte-identical to the unsharded build
+//! one shard-ordered CSR fill — byte-identical to the unsharded build
 //! at every shard count.
 //!
 //! ## Pipeline
@@ -23,17 +23,22 @@
 //!    the triangle-inequality filter run a cross-tree dual traversal
 //!    ([`disc_mtree::cross_tree_join_dist_checked`]); edges are already
 //!    in global ids.
-//! 5. **Merge + assembly** — all edge lists feed the multi-source CSR
-//!    assembly ([`StratifiedDiskGraph::from_dist_edge_slices_checked`])
-//!    without concatenation; offsets are degree counts and rows sort by
-//!    the total `(distance, id)` order, so the bytes equal the
-//!    unsharded assembly's.
+//! 5. **Fill + assembly** — the edge lists go by value to the part
+//!    assembly ([`StratifiedDiskGraph::from_dist_edge_parts_checked`]),
+//!    with shard `i`'s rows `ranges[i]` as part `i`: its intra-join is
+//!    its own list, and each boundary join is shared by its two shards.
+//!    Shards count their rows' degrees, then fill their own rows of the
+//!    once-allocated CSR, dropping each list as soon as every shard it
+//!    touches is filled; the rows then sort by the total
+//!    `(distance, id)` order, so the bytes equal the unsharded
+//!    assembly's.
 //!
-//! With the `parallel` feature and `threads > 1`, stages 3 and 4 run
-//! their *tasks* concurrently (an atomic work cursor over serial
-//! tasks); a single-shard build instead gives its one intra-join the
-//! configured thread count. Either way every task's traversal is
-//! deterministic, so the edge sets, the assembled bytes and the
+//! With the `parallel` feature and `threads > 1`, stages 3 and 4 and
+//! the count and fill of stage 5 run their *tasks* concurrently (an
+//! atomic work cursor over serial tasks, [`run_tasks`]); a single-shard
+//! build instead gives its one intra-join the configured thread count,
+//! and fills its one part serially. Either way every task's traversal
+//! is deterministic, so the edge sets, the assembled bytes and the
 //! [`ShardedBuildStats`] counters are identical at every worker count.
 //!
 //! ## Why bytes match at every shard count
@@ -52,7 +57,8 @@
 
 use std::time::Instant;
 
-use disc_graph::{GraphError, StratifiedDiskGraph};
+use disc_graph::tasks::run_tasks;
+use disc_graph::{GraphError, PartEdges, StratifiedDiskGraph};
 use disc_metric::{CancelToken, Dataset};
 use disc_mtree::shard::DEFAULT_STOP;
 use disc_mtree::{
@@ -62,9 +68,10 @@ use disc_mtree::{
 /// Tuning knobs for [`build_sharded_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedBuildConfig {
-    /// Worker threads for the task phases and the assembly row sort
-    /// (`0` = one per available core). With one shard this instead
-    /// becomes the intra-join's [`SelfJoinConfig`] thread count.
+    /// Worker threads for the task phases, the CSR fill and the
+    /// assembly row sort (`0` = one per available core). With one shard
+    /// this instead becomes the intra-join's [`SelfJoinConfig`] thread
+    /// count.
     pub threads: usize,
     /// Partition recursion stop size ([`DEFAULT_STOP`]); tests shrink it
     /// to force deep recursion on small datasets.
@@ -111,7 +118,8 @@ pub struct ShardedBuildStats {
     pub intra_join_ms: f64,
     /// Boundary cross-joins (sum over joined pairs).
     pub boundary_join_ms: f64,
-    /// Multi-source merge: degree count + fill over the edge slices.
+    /// CSR fill: the per-shard degree counts, the prefix sum and each
+    /// shard's fill of its own rows, in parallel across shards.
     pub merge_ms: f64,
     /// CSR row-sort phase of the assembly.
     pub assembly_ms: f64,
@@ -231,8 +239,7 @@ pub fn build_sharded_with(
     let join_threads = if tasks.len() <= 1 { workers } else { 1 };
     let shard_results: Vec<Result<ShardOut<'_>, GraphError>> = {
         let data = &data;
-        run_tasks(tasks.len(), workers, move |t| {
-            let (shard, range) = (tasks[t].0, tasks[t].1.clone());
+        run_tasks(tasks, workers, move |(shard, range)| {
             let t0 = Instant::now();
             let tree = MTree::build_range(data, config.tree, range);
             let tree_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -255,7 +262,8 @@ pub fn build_sharded_with(
         })
     };
     let mut trees: Vec<Option<MTree<'_>>> = (0..plan.shards()).map(|_| None).collect();
-    let mut intra_edges: Vec<Vec<DistEdge>> = Vec::with_capacity(shard_results.len());
+    let mut lists: Vec<PartEdges<Vec<DistEdge>>> =
+        Vec::with_capacity(shard_results.len() + pairs.len());
     for result in shard_results {
         let out = result?;
         stats.tree_ms += out.tree_ms;
@@ -263,16 +271,14 @@ pub fn build_sharded_with(
         stats.tree_dc += out.tree_dc;
         stats.intra_join_dc += out.join_dc;
         trees[out.shard] = Some(out.tree);
-        intra_edges.push(out.edges);
+        lists.push((out.shard, out.shard, out.edges));
     }
 
     // Phase B: one cross-join task per surviving boundary pair; the
     // lower shard is the left tree, so its counters absorb the charge.
     let boundary_results: Vec<Result<(Vec<DistEdge>, f64), GraphError>> = {
         let trees = &trees;
-        let pairs = &pairs;
-        run_tasks(pairs.len(), workers, move |t| {
-            let (i, j) = pairs[t];
+        run_tasks(pairs.clone(), workers, move |(i, j)| {
             let (Some(left), Some(right)) = (&trees[i], &trees[j]) else {
                 unreachable!("boundary pairs never reference empty shards")
             };
@@ -281,11 +287,10 @@ pub fn build_sharded_with(
             Ok((edges, t0.elapsed().as_secs_f64() * 1e3))
         })
     };
-    let mut boundary_edges: Vec<Vec<DistEdge>> = Vec::with_capacity(boundary_results.len());
-    for result in boundary_results {
+    for (result, &(i, j)) in boundary_results.into_iter().zip(&pairs) {
         let (edges, ms) = result?;
         stats.boundary_join_ms += ms;
-        boundary_edges.push(edges);
+        lists.push((i, j, edges));
     }
     // The cross-joins charged the shard trees in bulk; whatever the
     // trees now hold beyond build + intra-join is the boundary charge.
@@ -298,15 +303,11 @@ pub fn build_sharded_with(
     stats.node_accesses = trees.iter().flatten().map(|t| t.node_accesses()).sum();
     drop(trees);
 
-    let slices: Vec<&[DistEdge]> = intra_edges
-        .iter()
-        .map(Vec::as_slice)
-        .chain(boundary_edges.iter().map(Vec::as_slice))
-        .collect();
-    let (graph, breakdown) = StratifiedDiskGraph::from_dist_edge_slices_checked(
+    let (graph, breakdown) = StratifiedDiskGraph::from_dist_edge_parts_checked(
         data.len(),
         r_max,
-        &slices,
+        plan.ranges(),
+        lists,
         workers,
         cancel,
     )?;
@@ -318,61 +319,9 @@ pub fn build_sharded_with(
     Ok(ShardedBuild { data, graph, stats })
 }
 
-/// Runs `count` independent tasks and returns their results in task
-/// order. Serial without the `parallel` feature or when one worker (or
-/// one task) makes threading pointless; otherwise an atomic cursor
-/// hands task indices to `workers` scoped threads — each task runs
-/// serially inside, so results and any counters the tasks charge are
-/// identical to the serial schedule.
-fn run_tasks<T, F>(count: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if workers > 1 && count > 1 {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(count) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let out = f(i);
-                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-                });
-            }
-        });
-        return slots
-            .into_iter()
-            .map(|slot| {
-                match slot.into_inner().unwrap_or_else(|p| p.into_inner()) {
-                    Some(out) => out,
-                    // A panicking task would have propagated through the
-                    // scope already.
-                    None => unreachable!("every task index below count was claimed"),
-                }
-            })
-            .collect();
-    }
-    let _ = workers;
-    (0..count).map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_tasks_returns_results_in_task_order() {
-        let got = run_tasks(7, 3, |i| i * i);
-        assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36]);
-        assert_eq!(run_tasks(0, 4, |i| i), Vec::<usize>::new());
-    }
 
     #[test]
     fn sharded_build_rejects_invalid_radius() {

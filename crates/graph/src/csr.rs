@@ -4,14 +4,26 @@
 //! constructor of either graph, the sharded production build included,
 //! ends in [`assemble_rows`].
 //!
-//! The input is one or more slices of undirected edges: the sharded
-//! build hands over its intra-shard and boundary joins without
-//! concatenating them, every other caller passes one slice. Assembly
-//! runs in two phases:
+//! The rows are cut into contiguous **parts**, and the input is a list
+//! of undirected edge lists, each tagged with the part or pair of parts
+//! holding its endpoints. The sharded build passes its shard ranges,
+//! each shard's self-join as that shard's own list and each boundary
+//! cross-join as a list shared by its two shards, without concatenating
+//! them; every other caller is the one-part case (`0..n`, every list
+//! its own). Assembly runs in two phases:
 //!
-//! 1. **merge** — a serial degree count and prefix sum over the slices,
-//!    then a fill that writes each directed entry straight into the two
-//!    *final* aligned arrays (`payloads`, `neighbors`);
+//! 1. **fill** (timed as `merge_ms`) — parts count their own rows'
+//!    degrees in parallel, each from its own lists and its side of each
+//!    shared list, and the count fails closed with
+//!    [`GraphError::MisroutedEdge`] on an edge that would not land in
+//!    exactly two rows. One prefix sum sizes the CSR, which is allocated
+//!    once; parts then write their rows' directed entries straight into
+//!    their own disjoint ranges of the two *final* aligned arrays
+//!    (`payloads`, `neighbors`), in parallel through
+//!    [`crate::tasks::run_tasks`]. The lists are taken by value: a part
+//!    drops its own lists once filled, and a shared list is dropped
+//!    when its second part is done, so the assembly never holds every
+//!    edge and the whole CSR at once;
 //! 2. **row sort** — rows are cut into contiguous ranges balanced by
 //!    entry count (not by vertex count), so sort work distributes
 //!    evenly even when degrees are skewed, and `workers` scoped threads
@@ -27,8 +39,9 @@
 //! suffices). Offsets are pure degree counts and every row is sorted by
 //! that total order, so the assembled arrays are a pure function of the
 //! edge *set*: byte-identical for every worker count and every split of
-//! the edges into slices (pinned by the graph tests, the workspace
-//! concurrency tier and the sharded build's snapshot identity).
+//! the edges into lists and rows into parts (pinned by the graph tests,
+//! the workspace concurrency tier and the sharded build's snapshot
+//! identity).
 //!
 //! ## Radix-sorted distance rows
 //!
@@ -48,11 +61,16 @@
 //! tests pin order-identity against the comparison sort on duplicate
 //! distances, ±0.0, subnormals and all-equal rows.
 
+use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
 use disc_mtree::DistEdge;
+
+use crate::error::GraphError;
+use crate::tasks::run_tasks;
 
 /// Work items between cancellation checkpoints in the assembly loops:
 /// one relaxed atomic load per this many edges/rows keeps the poll cost
@@ -112,84 +130,253 @@ impl Edge for DistEdge {
     }
 }
 
-/// Wall-clock split of one CSR assembly: the merge walk (degree count +
-/// fill over the edge slices) vs the parallel row-sort phase. The
+/// Wall-clock split of one CSR assembly: the part fill (degree count +
+/// fill over the edge lists) vs the parallel row-sort phase. The
 /// sharded build reports both as build phases.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AssemblyBreakdown {
-    /// Degree count and fill over the input slices, in milliseconds.
+    /// Degree count and fill over the input lists, in milliseconds.
     pub merge_ms: f64,
     /// Entry-balanced parallel row sort, in milliseconds.
     pub sort_ms: f64,
 }
 
-/// Assembles the CSR of the undirected edges in `slices` over `n`
-/// vertices: a serial merge into the final arrays, then the
-/// entry-balanced parallel row sort (see the module docs). Edges may
-/// come in any order and orientation; each unordered pair must appear
-/// at most once overall, and self-loops are rejected (debug).
+/// One input list of the CSR assembly
+/// ([`crate::StratifiedDiskGraph::from_dist_edge_parts_checked`]):
+/// `(a, b, edges)` holds edges
+/// with one endpoint in row part `a` and the other in part `b`, or both
+/// in part `a` when `a == b`.
+pub type PartEdges<S> = (usize, usize, S);
+
+/// Assembles the CSR of the undirected edges in `lists` over `n`
+/// vertices whose rows are cut into the contiguous `parts` (see the
+/// module docs): a parallel count and fill over the parts, then the
+/// entry-balanced parallel row sort. Edges may come in any order and
+/// orientation; each unordered pair must appear at most once overall,
+/// and self-loops are rejected (debug). An edge that does not land in
+/// exactly the rows its list promises fails the count with
+/// [`GraphError::MisroutedEdge`]. The one-part case, `parts = [0..n]`
+/// with every list `(0, 0, _)`, is every constructor but the sharded
+/// build's.
 ///
-/// `workers` sizes the sort phase: `0` is one worker per available core,
-/// or one below 4096 entries; any count is clamped to the row count.
-/// Output bytes do not depend on it. The token is polled every
-/// [`CANCEL_CHUNK`] edges of the merge and rows of each sort worker; on
-/// `Err(Cancelled)` the partial arrays are dropped, so no partial CSR
-/// escapes.
-pub(crate) fn assemble_rows<E: Edge>(
+/// The lists are consumed: a part drops each of its own lists once it
+/// has filled it, and a list between two parts is dropped once both
+/// have.
+///
+/// `workers` sizes both phases: `0` is one worker per available core
+/// (for the sort, one below 4096 entries); the fill runs at most one
+/// worker per part, the sort at most one per row. Output bytes do not
+/// depend on it. The token is polled once up front, every
+/// [`CANCEL_CHUNK`] edges of each list a part fills and rows of each
+/// sort worker; on `Err(Cancelled)` the partial arrays are dropped, so
+/// no partial CSR escapes.
+///
+/// # Panics
+///
+/// Panics unless `parts` tiles `0..n` in order, and on a list naming a
+/// part index outside `parts`.
+pub(crate) fn assemble_rows<E, S>(
     n: usize,
-    slices: &[&[E]],
+    parts: &[Range<usize>],
+    lists: Vec<PartEdges<S>>,
     workers: usize,
     cancel: Option<&CancelToken>,
-) -> Result<(Csr<E::Payload>, AssemblyBreakdown), Cancelled> {
-    let poll = || cancel.map_or(Ok(()), CancelToken::checkpoint);
-    poll()?;
+) -> Result<(Csr<E::Payload>, AssemblyBreakdown), GraphError>
+where
+    E: Edge + Sync,
+    S: AsRef<[E]> + Send + Sync,
+{
+    if let Some(c) = cancel {
+        c.checkpoint()?;
+    }
     let merge_start = Instant::now();
-    let mut offsets = vec![0usize; n + 1];
-    for slice in slices {
-        for e in *slice {
-            let (i, j, _) = e.parts();
-            debug_assert!(i != j, "self-loop ({i}, {j})");
-            offsets[i + 1] += 1;
-            offsets[j + 1] += 1;
+    let tiled = parts.iter().try_fold(0, |at, r| {
+        (r.start == at && r.start <= r.end).then_some(r.end)
+    });
+    assert_eq!(tiled, Some(n), "row parts must tile 0..{n} in order");
+    let mut owned: Vec<Part<S>> = parts
+        .iter()
+        .map(|rows| Part {
+            rows: rows.clone(),
+            intra: Vec::new(),
+            boundary: Vec::new(),
+        })
+        .collect();
+    for (a, b, edges) in lists {
+        if a == b {
+            owned[a].intra.push(edges);
+        } else {
+            let edges = Arc::new(edges);
+            owned[b].boundary.push(Arc::clone(&edges));
+            owned[a].boundary.push(edges);
         }
     }
+    let cores = || std::thread::available_parallelism().map_or(1, |p| p.get());
+    let fill_workers = if workers == 0 { cores() } else { workers };
+
+    // Count: each part adds its own rows' degrees into its own slice of
+    // `offsets`, then one serial prefix sum sizes the CSR.
+    let mut offsets = vec![0usize; n + 1];
+    let mut rest = &mut offsets[1..];
+    let mut tasks = Vec::with_capacity(owned.len());
+    for (p, part) in owned.iter().enumerate() {
+        let (mine, tail) = std::mem::take(&mut rest).split_at_mut(part.rows.len());
+        rest = tail;
+        tasks.push((p, part, mine));
+    }
+    run_tasks(tasks, fill_workers, |(p, part, degrees)| {
+        part.count(degrees)
+            .map_err(|edge| GraphError::MisroutedEdge { part: p, edge })
+    })
+    .into_iter()
+    .collect::<Result<(), GraphError>>()?;
     for v in 0..n {
         offsets[v + 1] += offsets[v];
     }
+
+    // Fill: each part writes its own rows' entries into its own slices
+    // of the two final arrays.
     let total = offsets[n];
     let mut payloads = vec![E::Payload::default(); total];
     let mut neighbors = vec![0 as ObjId; total];
-    let mut cursor = offsets.clone();
-    for slice in slices {
-        for (t, e) in slice.iter().enumerate() {
-            if t % CANCEL_CHUNK == 0 {
-                poll()?;
-            }
-            let (i, j, p) = e.parts();
-            let ci = cursor[i];
-            payloads[ci] = p;
-            neighbors[ci] = j;
-            cursor[i] = ci + 1;
-            let cj = cursor[j];
-            payloads[cj] = p;
-            neighbors[cj] = i;
-            cursor[j] = cj + 1;
-        }
+    let (mut rest_p, mut rest_n) = (&mut payloads[..], &mut neighbors[..]);
+    let mut tasks = Vec::with_capacity(owned.len());
+    for part in owned {
+        let len = offsets[part.rows.end] - offsets[part.rows.start];
+        let (mine_p, tail_p) = std::mem::take(&mut rest_p).split_at_mut(len);
+        let (mine_n, tail_n) = std::mem::take(&mut rest_n).split_at_mut(len);
+        (rest_p, rest_n) = (tail_p, tail_n);
+        tasks.push((part, mine_p, mine_n));
     }
-    let workers = match workers {
+    // Largest part first: balances the workers, and leaves the smallest
+    // lists resident while the last rows of the CSR are written.
+    tasks.sort_by_key(|(_, ps, _)| std::cmp::Reverse(ps.len()));
+    let offsets_ref = &offsets;
+    run_tasks(tasks, fill_workers, |(part, ps, ids)| {
+        part.fill(offsets_ref, ps, ids, cancel)
+    })
+    .into_iter()
+    .collect::<Result<(), Cancelled>>()?;
+    let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
+
+    let sort_workers = match workers {
         0 if total < 4_096 => 1,
-        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        0 => cores(),
         w => w,
     }
     .clamp(1, n.max(1));
-    let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
     let sort_start = Instant::now();
-    sort_rows::<E>(&offsets, &mut payloads, &mut neighbors, workers, cancel)?;
+    sort_rows::<E>(
+        &offsets,
+        &mut payloads,
+        &mut neighbors,
+        sort_workers,
+        cancel,
+    )?;
     let breakdown = AssemblyBreakdown {
         merge_ms,
         sort_ms: sort_start.elapsed().as_secs_f64() * 1e3,
     };
     Ok(((offsets, payloads, neighbors), breakdown))
+}
+
+/// The edge lists of one row part of [`assemble_rows`]: its own lists,
+/// and the lists it shares with another part (whichever of the two
+/// fills last drops the shared list).
+struct Part<S> {
+    rows: Range<usize>,
+    intra: Vec<S>,
+    boundary: Vec<Arc<S>>,
+}
+
+impl<S> Part<S> {
+    /// Adds the degree of each of this part's rows into `degrees`
+    /// (indexed from `rows.start`). An own edge must have both endpoints
+    /// here, a shared edge exactly one: together with the other part's
+    /// count, every edge then lands in exactly two rows. Returns the
+    /// first edge that breaks this.
+    fn count<E: Edge>(&self, degrees: &mut [usize]) -> Result<(), (ObjId, ObjId)>
+    where
+        S: AsRef<[E]>,
+    {
+        let (lo, len) = (self.rows.start, self.rows.len());
+        for edges in &self.intra {
+            for e in edges.as_ref() {
+                let (i, j, _) = e.parts();
+                debug_assert!(i != j, "self-loop ({i}, {j})");
+                let (li, lj) = (i.wrapping_sub(lo), j.wrapping_sub(lo));
+                if li >= len || lj >= len {
+                    return Err((i, j));
+                }
+                degrees[li] += 1;
+                degrees[lj] += 1;
+            }
+        }
+        for edges in &self.boundary {
+            for e in (**edges).as_ref() {
+                let (i, j, _) = e.parts();
+                let (li, lj) = (i.wrapping_sub(lo), j.wrapping_sub(lo));
+                let v = match (li < len, lj < len) {
+                    (true, false) => li,
+                    (false, true) => lj,
+                    _ => return Err((i, j)),
+                };
+                degrees[v] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes every entry of this part's rows into `ps`/`ids` (the
+    /// part's slices of the final arrays, starting at row
+    /// `rows.start`), dropping each list once it is written.
+    fn fill<E: Edge>(
+        self,
+        offsets: &[usize],
+        ps: &mut [E::Payload],
+        ids: &mut [ObjId],
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), Cancelled>
+    where
+        S: AsRef<[E]>,
+    {
+        let poll = || cancel.map_or(Ok(()), CancelToken::checkpoint);
+        let (lo, base) = (self.rows.start, offsets[self.rows.start]);
+        let mut cursor: Vec<usize> = offsets[self.rows.clone()]
+            .iter()
+            .map(|&o| o - base)
+            .collect();
+        let mut put = |v: ObjId, u: ObjId, p: E::Payload| {
+            let c = cursor[v - lo];
+            ps[c] = p;
+            ids[c] = u;
+            cursor[v - lo] = c + 1;
+        };
+        for edges in self.intra {
+            for (t, e) in edges.as_ref().iter().enumerate() {
+                if t % CANCEL_CHUNK == 0 {
+                    poll()?;
+                }
+                let (i, j, p) = e.parts();
+                put(i, j, p);
+                put(j, i, p);
+            }
+        }
+        for edges in self.boundary {
+            for (t, e) in (*edges).as_ref().iter().enumerate() {
+                if t % CANCEL_CHUNK == 0 {
+                    poll()?;
+                }
+                let (i, j, p) = e.parts();
+                if self.rows.contains(&i) {
+                    put(i, j, p);
+                } else {
+                    put(j, i, p);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The row-sort phase of [`assemble_rows`]: rows are partitioned into
@@ -621,6 +808,144 @@ mod tests {
                 );
                 assert_eq!(serial.2, multi.2, "neighbors, cut={cut}");
             }
+        }
+
+        // Row parts: random contiguous cuts of 0..n (empty parts and a
+        // part holding every row included), edges routed by endpoint
+        // into owned lists, filled at several worker counts.
+        let mut cut_sets: Vec<Vec<usize>> = vec![vec![0, 0, n, n], vec![0, n]];
+        for _ in 0..12 {
+            let mut cuts: Vec<usize> = (0..1 + next() % 6)
+                .map(|_| (next() % (n as u64 + 1)) as usize)
+                .collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            cut_sets.push(cuts);
+        }
+        for cuts in &cut_sets {
+            let parts: Vec<std::ops::Range<usize>> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+            let part_of = |v: usize| parts.iter().position(|r| r.contains(&v)).expect("tiled");
+            for workers in [1, 2, 3, 8] {
+                // Up to two lists per part pair (by edge parity), in
+                // either orientation, plus one empty list.
+                let mut routed = std::collections::BTreeMap::new();
+                for (t, &(i, j, d)) in edges.iter().enumerate() {
+                    let (a, b) = (part_of(i), part_of(j));
+                    let key = if t % 2 == 0 { (a, b, 0) } else { (b, a, 1) };
+                    routed.entry(key).or_insert_with(Vec::new).push((i, j, d));
+                }
+                let mut lists: Vec<PartEdges<Vec<DistEdge>>> = vec![(0, 0, Vec::new())];
+                lists.extend(routed.into_iter().map(|((a, b, _), list)| (a, b, list)));
+                let (g, _) = crate::StratifiedDiskGraph::from_dist_edge_parts_checked(
+                    n, 1.0, &parts, lists, workers, None,
+                )
+                .expect("edges routed by endpoint");
+                let what = format!("cuts={cuts:?} workers={workers}");
+                assert_eq!(serial.0, g.offsets(), "offsets, {what}");
+                assert_eq!(
+                    serial.1.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                    g.dists_flat()
+                        .iter()
+                        .map(|d| d.to_bits())
+                        .collect::<Vec<_>>(),
+                    "dists, {what}"
+                );
+                assert_eq!(serial.2, g.neighbors_flat(), "neighbors, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn misrouted_edges_fail_the_count() {
+        let parts = [0..4, 4..8, 8..12];
+        let assemble = |lists: Vec<PartEdges<Vec<DistEdge>>>| {
+            assemble_rows::<DistEdge, _>(12, &parts, lists, 2, None).map(|_| ())
+        };
+        // A boundary edge of parts 0 and 1 whose other endpoint lies in
+        // part 2: part 1 finds no endpoint of it among its rows.
+        assert_eq!(
+            assemble(vec![(0, 1, vec![(1, 5, 0.5)]), (0, 1, vec![(1, 9, 0.5)])]),
+            Err(GraphError::MisroutedEdge {
+                part: 1,
+                edge: (1, 9)
+            })
+        );
+        // Both endpoints in one part of a boundary pair: the first part
+        // in order that finds it misplaced is named.
+        assert_eq!(
+            assemble(vec![(2, 0, vec![(8, 9, 0.5)])]),
+            Err(GraphError::MisroutedEdge {
+                part: 0,
+                edge: (8, 9)
+            })
+        );
+        // An own edge leaving its part, and one past the last row.
+        assert_eq!(
+            assemble(vec![(1, 1, vec![(4, 8, 0.5)])]),
+            Err(GraphError::MisroutedEdge {
+                part: 1,
+                edge: (4, 8)
+            })
+        );
+        assert_eq!(
+            assemble_rows::<DistEdge, _>(
+                12,
+                std::slice::from_ref(&(0..12)),
+                vec![(0, 0, &[(3, 12, 0.5)][..])],
+                1,
+                None
+            )
+            .map(|_| ()),
+            Err(GraphError::MisroutedEdge {
+                part: 0,
+                edge: (3, 12)
+            })
+        );
+        assert!(assemble(vec![(0, 1, vec![(1, 5, 0.5)]), (2, 2, vec![(8, 9, 0.5)])]).is_ok());
+    }
+
+    #[test]
+    fn part_fill_cancels_inside_the_parallel_fill() {
+        // Four parts over a ring of chords: every part fills one own
+        // list and two shared ones, each of several CANCEL_CHUNKs.
+        let n = 4_000;
+        let parts: Vec<std::ops::Range<usize>> =
+            (0..4).map(|p| p * 1_000..(p + 1) * 1_000).collect();
+        let mut lists: Vec<PartEdges<Vec<DistEdge>>> = (0..4)
+            .flat_map(|p| [(p, p, Vec::new()), (p, (p + 1) % 4, Vec::new())])
+            .collect();
+        for i in 0..n {
+            for step in [1, 2, 3, 5, 7, 11] {
+                let j = (i + step) % n;
+                let (a, b) = (i / 1_000, j / 1_000);
+                let list = if a == b { 2 * a } else { 2 * a + 1 };
+                lists[list].2.push((i, j, step as f64 * 1e-3));
+            }
+        }
+        let fill_checks: u64 = 1
+            + (0..4)
+                .map(|p| {
+                    let own = lists[2 * p].2.len();
+                    let shared = lists[2 * p + 1].2.len() + lists[(2 * p + 7) % 8].2.len();
+                    (own.div_ceil(CANCEL_CHUNK) + shared.div_ceil(CANCEL_CHUNK)) as u64
+                })
+                .sum::<u64>();
+        for workers in [2, 3, 8] {
+            for budget in [2, fill_checks / 2, fill_checks] {
+                let token = CancelToken::with_check_budget(budget);
+                let got =
+                    assemble_rows::<DistEdge, _>(n, &parts, lists.clone(), workers, Some(&token));
+                assert_eq!(
+                    got.map(|_| ()),
+                    Err(GraphError::Cancelled),
+                    "workers={workers} budget={budget}"
+                );
+            }
+            let token = CancelToken::with_check_budget(fill_checks + 100);
+            assert!(
+                assemble_rows::<DistEdge, _>(n, &parts, lists.clone(), workers, Some(&token))
+                    .is_ok()
+            );
         }
     }
 }

@@ -84,6 +84,17 @@ pub enum GraphError {
         /// The offending distance.
         value: f64,
     },
+    /// An edge handed to the CSR assembly does not land in the rows its
+    /// routing promises: an edge of one row part must have both
+    /// endpoints in that part, an edge between two parts one endpoint in
+    /// each. Assembling it anyway would leave the CSR asymmetric (or
+    /// index outside `0..n`).
+    MisroutedEdge {
+        /// The row part whose rows the edge fails to land in.
+        part: usize,
+        /// The edge's endpoints as given.
+        edge: (usize, usize),
+    },
     /// A streaming mutation addressed a vertex outside `0..n`.
     VertexOutOfRange {
         /// The offending vertex id.
@@ -154,6 +165,10 @@ impl fmt::Display for GraphError {
             Self::DistanceOutOfRange { row, index, value } => write!(
                 f,
                 "row {row} entry {index}: distance {value} outside [0, r_max]"
+            ),
+            Self::MisroutedEdge { part, edge } => write!(
+                f,
+                "edge {edge:?} routed to row part {part} does not have the endpoints there that its routing promises"
             ),
             Self::VertexOutOfRange { id, len } => {
                 write!(f, "vertex id {id} is outside 0..{len}")

@@ -125,10 +125,14 @@ impl UnitDiskGraph {
         shards: usize,
     ) -> Self {
         assert!(radius >= 0.0, "radius must be non-negative");
-        let Ok(((offsets, _, neighbors), _)) = crate::csr::assemble_rows(n, &[edges], shards, None)
-        else {
-            unreachable!("cancellation is impossible without a token")
-        };
+        let ((offsets, _, neighbors), _) = crate::csr::assemble_rows(
+            n,
+            std::slice::from_ref(&(0..n)),
+            vec![(0, 0, edges)],
+            shards,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("edges over {n} vertices: {e}"));
         Self::from_csr(radius, offsets, neighbors)
     }
 

@@ -41,9 +41,10 @@ pub mod reference;
 pub mod sets;
 pub mod stratified;
 pub mod stream;
+pub mod tasks;
 
 pub use adjacency::Adjacency;
-pub use csr::AssemblyBreakdown;
+pub use csr::{AssemblyBreakdown, PartEdges};
 pub use error::GraphError;
 pub use exact::minimum_independent_dominating_set;
 pub use graph::UnitDiskGraph;

@@ -64,16 +64,20 @@
 //!   [`Adjacency`], so the id-set selection runners solve on it directly;
 //! * a **persisted, served** catalog → `disc_core::build_sharded` (the
 //!   `disc build` pipeline): per-shard self-joins and boundary
-//!   cross-joins handed as separate slices to
-//!   [`StratifiedDiskGraph::from_dist_edge_slices_checked`].
+//!   cross-joins handed by value, routed to their shards' row ranges,
+//!   to [`StratifiedDiskGraph::from_dist_edge_parts_checked`].
 //!
 //! Every constructor, for this graph and for [`UnitDiskGraph`], ends in
-//! the same assembly: a serial degree count and fill over the edge
-//! slices, then the entry-balanced parallel row sort. Only the worker
-//! count differs: one for [`StratifiedDiskGraph::from_dist_edges`] and
+//! the same assembly: a degree count and fill over contiguous row
+//! parts, in parallel across parts, then the entry-balanced parallel
+//! row sort. The sharded build fills one part per shard; every other
+//! constructor is the one-part case, whose fill is serial. Only the
+//! sort's worker count differs: one for
+//! [`StratifiedDiskGraph::from_dist_edges`] and
 //! [`StratifiedDiskGraph::build`], one per core for
 //! [`StratifiedDiskGraph::from_mtree`], the caller's for the rest.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use disc_metric::cancel::CancelToken;
@@ -82,7 +86,7 @@ use disc_mtree::{DistEdge, MTree, SelfJoinConfig};
 
 use crate::error::GraphError;
 use crate::graph::UnitDiskGraph;
-use crate::{Adjacency, AssemblyBreakdown};
+use crate::{Adjacency, AssemblyBreakdown, PartEdges};
 
 /// Distance-annotated CSR adjacency over the objects of a dataset at a
 /// maximum radius `r_max`, rows sorted by `(distance, id)` so every
@@ -152,18 +156,18 @@ impl StratifiedDiskGraph {
     }
 
     /// Checked, cancellable CSR assembly from one or more
-    /// distance-annotated edge slices — the assembly every constructor
-    /// ends in. The sharded build passes its intra-shard self-joins and
-    /// boundary cross-joins as separate slices, never concatenating
-    /// them into one allocation. Offsets are pure degree counts and rows
-    /// sort by the total `(distance, id)` order, so the result is
-    /// byte-identical over any split of the same edge set into slices —
-    /// the property the sharded build's snapshot-identity gate rests
-    /// on. `workers` drives the parallel row-sort phase (`0` = one per
-    /// core, or one for small inputs; clamped to the vertex count). The
-    /// returned [`AssemblyBreakdown`] separates the merge (degree count
-    /// and fill over the slices) from the row-sort phase for the build's
-    /// per-phase report.
+    /// distance-annotated edge slices: the one-part case of
+    /// [`StratifiedDiskGraph::from_dist_edge_parts_checked`], and the
+    /// assembly every constructor but the sharded build's ends in.
+    /// Offsets are pure
+    /// degree counts and rows sort by the total `(distance, id)` order,
+    /// so the result is byte-identical over any split of the same edge
+    /// set into slices or row parts. The fill of one part is serial;
+    /// `workers` drives the parallel row-sort phase (`0` = one per core,
+    /// or one for small inputs; clamped to the vertex count). The
+    /// returned [`AssemblyBreakdown`] separates the fill (degree count
+    /// and fill over the slices) from the row-sort phase. An edge with an
+    /// endpoint outside `0..n` fails with [`GraphError::MisroutedEdge`].
     pub fn from_dist_edge_slices_checked(
         n: usize,
         r_max: f64,
@@ -171,14 +175,50 @@ impl StratifiedDiskGraph {
         workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<(Self, AssemblyBreakdown), GraphError> {
+        let lists = slices.iter().map(|&s| (0, 0, s)).collect();
+        let rows = 0..n;
+        let one_part = std::slice::from_ref(&rows);
+        Self::from_dist_edge_parts_checked(n, r_max, one_part, lists, workers, cancel)
+    }
+
+    /// Checked, cancellable CSR assembly over rows cut into the
+    /// contiguous `parts` — the assembly every constructor ends in. The
+    /// sharded build passes its shard ranges, each
+    /// shard's self-join as `(i, i, edges)` and each boundary
+    /// cross-join between shards `i` and `j` as `(i, j, edges)`. Parts
+    /// count their rows' degrees and fill their rows in parallel
+    /// (`workers` of them, `0` = one per core), then the rows sort as in
+    /// [`StratifiedDiskGraph::from_dist_edge_slices_checked`]. The lists
+    /// are taken by value: a part drops its own lists once it has filled
+    /// them, and a shared list is dropped once both of its parts have, so
+    /// every edge and the whole CSR are never resident at once. An edge
+    /// that does not have both endpoints in its own part, or one in each
+    /// of its two parts, fails with [`GraphError::MisroutedEdge`]. The
+    /// bytes equal the one-part assembly's of the same edge set.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parts` tiles `0..n` in order, and on a list naming
+    /// a part index outside `parts`.
+    pub fn from_dist_edge_parts_checked<S>(
+        n: usize,
+        r_max: f64,
+        parts: &[Range<usize>],
+        lists: Vec<PartEdges<S>>,
+        workers: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(Self, AssemblyBreakdown), GraphError>
+    where
+        S: AsRef<[DistEdge]> + Send + Sync,
+    {
         if r_max.is_nan() || r_max < 0.0 {
             return Err(GraphError::InvalidRadius(r_max));
         }
-        for slice in slices {
-            debug_validate_distances(r_max, slice);
+        for (_, _, edges) in &lists {
+            debug_validate_distances(r_max, edges.as_ref());
         }
         let ((offsets, dists, neighbors), breakdown) =
-            crate::csr::assemble_rows(n, slices, workers, cancel)?;
+            crate::csr::assemble_rows(n, parts, lists, workers, cancel)?;
         let graph = Self {
             radius: r_max,
             offsets,
@@ -314,11 +354,9 @@ impl StratifiedDiskGraph {
         shards: usize,
     ) -> Self {
         assert!(r_max >= 0.0, "radius must be non-negative");
-        let Ok((graph, _)) = Self::from_dist_edge_slices_checked(n, r_max, &[edges], shards, None)
-        else {
-            unreachable!("a valid radius without a token cannot fail")
-        };
-        graph
+        Self::from_dist_edge_slices_checked(n, r_max, &[edges], shards, None)
+            .unwrap_or_else(|e| panic!("edges over {n} vertices: {e}"))
+            .0
     }
 
     /// Attaches (or clears) the internal↔external id bijection — the

@@ -1094,8 +1094,8 @@ impl<'a> SnapshotView<'a> {
     /// version.
     pub fn catalog(&self) -> Result<StreamingCatalog, StoreError> {
         let perm = self.permutation()?;
-        let dataset = self.dataset()?.with_permutation(perm.clone());
-        let graph = self.graph()?.with_permutation(perm);
+        let dataset = self.dataset_with(perm.clone())?;
+        let graph = self.graph_with(perm)?;
         let next = to_usize(self.next_external, "next external id exceeds usize")?;
         let tombstones = widen(self.tombstones, "tombstone exceeds usize")?;
         StreamingCatalog::from_parts(dataset, graph, next, tombstones).map_err(StoreError::from)
@@ -1106,8 +1106,14 @@ impl<'a> SnapshotView<'a> {
     /// non-finite coordinates with a typed error), with the stored id
     /// permutation attached.
     pub fn dataset(&self) -> Result<Dataset, StoreError> {
+        self.dataset_with(self.permutation()?)
+    }
+
+    /// [`SnapshotView::dataset`] with the permutation already
+    /// materialised, so one decode builds it once.
+    fn dataset_with(&self, perm: Option<Arc<IdPermutation>>) -> Result<Dataset, StoreError> {
         let data = Dataset::try_from_flat(self.name, self.metric, self.dim, self.coords.to_vec())?;
-        Ok(data.with_permutation(self.permutation()?))
+        Ok(data.with_permutation(perm))
     }
 
     /// Materialises the stored graph through
@@ -1116,6 +1122,15 @@ impl<'a> SnapshotView<'a> {
     /// distance range) and fails closed on violation; the stored id
     /// permutation is attached to the result.
     pub fn graph(&self) -> Result<StratifiedDiskGraph, StoreError> {
+        self.graph_with(self.permutation()?)
+    }
+
+    /// [`SnapshotView::graph`] with the permutation already
+    /// materialised, so one decode builds it once.
+    fn graph_with(
+        &self,
+        perm: Option<Arc<IdPermutation>>,
+    ) -> Result<StratifiedDiskGraph, StoreError> {
         let offsets = widen(self.offsets, "offset exceeds usize")?;
         let neighbors = match self.neighbors {
             NeighborIds::Wide(ids) => widen(ids, "neighbor id exceeds usize")?,
@@ -1127,7 +1142,7 @@ impl<'a> SnapshotView<'a> {
             neighbors,
             self.dists.to_vec(),
         )?;
-        Ok(g.with_permutation(self.permutation()?))
+        Ok(g.with_permutation(perm))
     }
 }
 
@@ -1136,9 +1151,7 @@ impl<'a> SnapshotView<'a> {
 pub fn decode(bytes: &[u8]) -> Result<(Dataset, StratifiedDiskGraph), StoreError> {
     let view = load(bytes)?;
     let perm = view.permutation()?;
-    let dataset = view.dataset()?.with_permutation(perm.clone());
-    let graph = view.graph()?.with_permutation(perm);
-    Ok((dataset, graph))
+    Ok((view.dataset_with(perm.clone())?, view.graph_with(perm)?))
 }
 
 /// Validates `bytes` and materialises the streaming catalog in one

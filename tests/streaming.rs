@@ -9,9 +9,10 @@
 //!   the equality holds for every worker/shard count.
 //! * **All-duplicates tie-breaking** — with every object at pairwise
 //!   distance zero, every count in the greedy heap ties; the
-//!   `LazyMaxHeap` external-rank tie-break (and its 2×-live-cap stale
-//!   rebuild) must keep repairs byte-identical to from-scratch greedy
-//!   runs through a long mutation sequence, on all four metrics.
+//!   `LazyMaxHeap` external-rank tie-break (and its push-once,
+//!   revalidate-at-pop re-queueing) must keep repairs byte-identical to
+//!   from-scratch greedy runs through a long mutation sequence, on all
+//!   four metrics.
 
 use std::sync::Arc;
 
@@ -163,8 +164,8 @@ proptest! {
 /// external-rank tie-break. Repairs must stay byte-identical to
 /// from-scratch greedy runs through inserts and deletes — including
 /// deleting the selected object, which forces the repair's white pass
-/// (and the heap's stale-entry rebuild at the 2×-live-cap) to re-pick
-/// among an all-ties candidate set.
+/// (and the heap's re-queueing of entries whose stored key is above the
+/// current count) to re-pick among an all-ties candidate set.
 #[test]
 fn all_duplicates_repairs_are_byte_identical_to_from_scratch() {
     for metric in ALL_METRICS {
