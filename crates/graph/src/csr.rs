@@ -907,7 +907,7 @@ mod tests {
     #[test]
     fn part_fill_cancels_inside_the_parallel_fill() {
         // Four parts over a ring of chords: every part fills one own
-        // list and two shared ones, each of several CANCEL_CHUNKs.
+        // list of two CANCEL_CHUNKs and two shared ones.
         let n = 4_000;
         let parts: Vec<std::ops::Range<usize>> =
             (0..4).map(|p| p * 1_000..(p + 1) * 1_000).collect();
@@ -922,14 +922,15 @@ mod tests {
                 lists[list].2.push((i, j, step as f64 * 1e-3));
             }
         }
-        let fill_checks: u64 = 1
-            + (0..4)
-                .map(|p| {
-                    let own = lists[2 * p].2.len();
-                    let shared = lists[2 * p + 1].2.len() + lists[(2 * p + 7) % 8].2.len();
-                    (own.div_ceil(CANCEL_CHUNK) + shared.div_ceil(CANCEL_CHUNK)) as u64
-                })
-                .sum::<u64>();
+        // One poll up front, then one per CANCEL_CHUNK of each list in
+        // each part that fills it (both parts of a shared list).
+        let fill_checks: u64 = 1 + lists
+            .iter()
+            .map(|(a, b, l)| {
+                (1 + usize::from(a != b)) as u64 * l.len().div_ceil(CANCEL_CHUNK) as u64
+            })
+            .sum::<u64>();
+        assert_eq!(fill_checks, 17);
         for workers in [2, 3, 8] {
             for budget in [2, fill_checks / 2, fill_checks] {
                 let token = CancelToken::with_check_budget(budget);
