@@ -882,7 +882,9 @@ pub fn measure_serve(
 /// `BENCH_zoom_graph.json`): per-insert catalog-maintenance latency
 /// against a full from-scratch rebuild of the stratified graph over
 /// the final object set, plus solution parity of the mutated catalog
-/// against that rebuild.
+/// against that rebuild, and three delete paths over one sequence —
+/// the catalog's overlay deletes plus one compaction, the in-place
+/// unlink, the filtering rebuild.
 pub struct StreamingBench {
     /// Live objects before the mutations.
     pub n: usize,
@@ -916,6 +918,16 @@ pub struct StreamingBench {
     /// Whether both delete paths left byte-identical CSR arrays
     /// (offsets, neighbors, distance bits).
     pub delete_paths_identical: bool,
+    /// Total wall-clock of the same delete sequence through a
+    /// catalog's `remove_external` (the served delete: a tombstone in
+    /// the mutation overlay, plus the dataset compaction), ms.
+    pub overlay_total_ms: f64,
+    /// Wall-clock of the one `compact()` that folds those tombstones
+    /// into the CSR, ms.
+    pub compact_ms: f64,
+    /// Whether that compaction left the graph `remove_object` left:
+    /// same arrays, same permutation.
+    pub overlay_identical: bool,
 }
 
 impl StreamingBench {
@@ -935,15 +947,25 @@ impl StreamingBench {
         self.rescan_total_ms / self.unlink_total_ms
     }
 
+    /// How many times cheaper the catalog's overlay deletes plus one
+    /// compaction are than the same deletes through `remove_object`.
+    pub fn overlay_speedup(&self) -> f64 {
+        self.unlink_total_ms / (self.overlay_total_ms + self.compact_ms)
+    }
+
     /// The CI streaming gate: the mutated catalog answers like a
-    /// rebuild, one insert beats one rebuild by at least 10×, and the
+    /// rebuild, one insert beats one rebuild by at least 10×, the
     /// reverse-index delete beats the rescan baseline by at least 2×
-    /// while staying byte-identical to it.
+    /// while staying byte-identical to it, and the overlay deletes plus
+    /// one compaction beat the reverse-index deletes by at least 2×,
+    /// byte-identical too.
     pub fn gate(&self) -> bool {
         self.solutions_match
             && self.speedup() >= 10.0
             && self.delete_paths_identical
             && self.delete_speedup() >= 2.0
+            && self.overlay_identical
+            && self.overlay_speedup() >= 2.0
     }
 
     /// The `streaming` JSON object of `BENCH_zoom_graph.json` (no
@@ -960,6 +982,11 @@ impl StreamingBench {
         } else {
             "null".to_string()
         };
+        let overlay_speedup = if self.overlay_speedup().is_finite() {
+            format!("{:.2}", self.overlay_speedup())
+        } else {
+            "null".to_string()
+        };
         format!(
             "{{\"n\": {}, \"inserts\": {}, \"deletes\": {}, \
              \"insert_total_ms\": {:.3}, \"per_insert_ms\": {:.5}, \
@@ -968,7 +995,9 @@ impl StreamingBench {
              \"solutions_match\": {}, \"delete_compare_ops\": {}, \
              \"per_delete_unlink_ms\": {:.5}, \"per_delete_rescan_ms\": {:.5}, \
              \"delete_speedup\": {delete_speedup}, \
-             \"delete_paths_identical\": {}, \"gate\": {}}}",
+             \"delete_paths_identical\": {}, \"per_delete_overlay_ms\": {:.5}, \
+             \"compact_ms\": {:.3}, \"overlay_speedup\": {overlay_speedup}, \
+             \"overlay_identical\": {}, \"gate\": {}}}",
             self.n,
             self.inserts,
             self.deletes,
@@ -982,6 +1011,9 @@ impl StreamingBench {
             self.unlink_total_ms / self.delete_compare_ops.max(1) as f64,
             self.rescan_total_ms / self.delete_compare_ops.max(1) as f64,
             self.delete_paths_identical,
+            self.overlay_total_ms / self.delete_compare_ops.max(1) as f64,
+            self.compact_ms,
+            self.overlay_identical,
             self.gate()
         )
     }
@@ -1049,8 +1081,10 @@ pub fn measure_streaming(
 
     // Delete-path comparison: the same deterministic delete sequence
     // replayed on two clones of the *original* graph — once through the
-    // production in-place reverse-index unlink, once through the old
-    // filtering rebuild — timed separately and pinned byte-identical.
+    // in-place reverse-index unlink, once through the old filtering
+    // rebuild — timed separately and pinned byte-identical; then once
+    // more through a catalog's overlay deletes and one compaction (the
+    // served path), pinned to the unlink's graph.
     let delete_compare_ops = deletes.max(1);
     let seq: Vec<usize> = (0..delete_compare_ops)
         .map(|i| (i * 131) % (n - i))
@@ -1070,6 +1104,19 @@ pub fn measure_streaming(
     let delete_paths_identical = unlink_graph.offsets() == rescan_graph.offsets()
         && unlink_graph.neighbors_flat() == rescan_graph.neighbors_flat()
         && unlink_graph.dists_flat() == rescan_graph.dists_flat();
+    drop(rescan_graph);
+    let mut overlay = StreamingCatalog::try_new(data.clone(), graph.clone())
+        .expect("bench dataset/graph pair is consistent");
+    let t = Instant::now();
+    for &v in &seq {
+        let ext = overlay.external_of(v);
+        overlay.remove_external(ext).expect("live id");
+    }
+    let overlay_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let t = Instant::now();
+    overlay.compact();
+    let compact_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let overlay_identical = *overlay.graph() == unlink_graph;
 
     StreamingBench {
         n,
@@ -1084,6 +1131,9 @@ pub fn measure_streaming(
         unlink_total_ms,
         rescan_total_ms,
         delete_paths_identical,
+        overlay_total_ms,
+        compact_ms,
+        overlay_identical,
     }
 }
 

@@ -99,6 +99,16 @@ pub struct CounterSnapshot {
     /// [`disc_core::RepairableSolution`] repairs. Not a request count —
     /// excluded from the bookkeeping identities.
     pub drift: u64,
+    /// Directed entries in the catalog's mutation overlay (two per edge
+    /// inserted since the last compaction). Catalog state, not an event
+    /// count: filled in by [`Server::counters`] and
+    /// [`Server::shutdown`], excluded from the identities.
+    pub appended: u64,
+    /// Objects deleted since the last compaction whose slots are
+    /// tombstoned in the overlay (catalog state, like `appended`).
+    pub tombstoned: u64,
+    /// Compactions the catalog has run so far.
+    pub compactions: u64,
 }
 
 impl Counters {
@@ -119,6 +129,9 @@ impl Counters {
             panicked: self.panicked.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             drift: self.drift.load(Ordering::Relaxed),
+            appended: 0,
+            tombstoned: 0,
+            compactions: 0,
         }
     }
 
@@ -223,7 +236,7 @@ pub fn render_reply(reply: &Reply) -> String {
 /// Renders a counter snapshot as a single JSON line.
 pub fn render_stats(snap: &CounterSnapshot) -> String {
     format!(
-        "{{\"op\":\"stats\",\"submitted\":{},\"admitted\":{},\"shed\":{},\"degraded\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\"panicked\":{},\"cache_hits\":{},\"drift\":{}}}",
+        "{{\"op\":\"stats\",\"submitted\":{},\"admitted\":{},\"shed\":{},\"degraded\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\"panicked\":{},\"cache_hits\":{},\"drift\":{},\"appended\":{},\"tombstoned\":{},\"compactions\":{}}}",
         snap.submitted,
         snap.admitted,
         snap.shed,
@@ -234,6 +247,9 @@ pub fn render_stats(snap: &CounterSnapshot) -> String {
         snap.panicked,
         snap.cache_hits,
         snap.drift,
+        snap.appended,
+        snap.tombstoned,
+        snap.compactions,
     )
 }
 
@@ -330,9 +346,9 @@ impl Server {
         &self.state
     }
 
-    /// Current counter values.
+    /// Current counter values, with the catalog's overlay figures.
     pub fn counters(&self) -> CounterSnapshot {
-        self.counters.snapshot()
+        with_overlay(self.counters.snapshot(), &self.state)
     }
 
     /// Submits one request; never blocks. Admission, degraded service,
@@ -420,8 +436,18 @@ impl Server {
                 std::panic::resume_unwind(panic);
             }
         }
-        self.counters.snapshot()
+        with_overlay(self.counters.snapshot(), &self.state)
     }
+}
+
+/// Fills in the overlay figures of `snap` from the live catalog
+/// (read without compacting).
+fn with_overlay(mut snap: CounterSnapshot, state: &ServeState) -> CounterSnapshot {
+    let catalog = state.live_catalog();
+    snap.appended = catalog.appended_entries() as u64;
+    snap.tombstoned = catalog.tombstoned_slots() as u64;
+    snap.compactions = catalog.compactions();
+    snap
 }
 
 /// One parsed protocol line.

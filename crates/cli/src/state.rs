@@ -11,10 +11,22 @@
 //! the write side. The identity fields worth echoing back (`name`,
 //! `metric`, `r_max`) never change under mutation and stay lock-free.
 //!
+//! A mutation writes the catalog's small overlay (O(n + degree)), not
+//! its CSR, so the write lock is short. Reads come in two kinds:
+//!
+//! * [`ServeState::live_catalog`] — a read guard as is. The workers
+//!   solve on its [`disc_graph::StreamingCatalog::view`], which reads
+//!   through the overlay, and [`ServeState::n`] counts through it.
+//!   Nothing on the serve path compacts.
+//! * [`ServeState::catalog`] — first folds any pending overlay into the
+//!   graph under the write lock, then hands out a read guard, so
+//!   `graph()` on it is the compacted base, not a cached copy. Checks
+//!   and tests that read the whole graph use it.
+//!
 //! Lock poisoning is recovered (`into_inner`), matching the pool's
 //! availability-first stance: request panics are already contained by
 //! the worker's `catch_unwind`, and catalog mutations validate their
-//! inputs before splicing, so a poisoned guard means a contained panic,
+//! inputs before writing, so a poisoned guard means a contained panic,
 //! not a torn catalog.
 
 use std::path::Path;
@@ -35,7 +47,7 @@ pub struct ServeState {
     /// Distance metric the graph was built under.
     pub metric: Metric,
     /// Radius the graph was materialised at; every serveable radius is
-    /// `0 < r ≤ r_max`, and inserts splice edges up to `r_max`.
+    /// `0 < r ≤ r_max`, and inserts add edges up to `r_max`.
     pub r_max: f64,
     /// The mutable dataset + stratified-graph pair.
     catalog: RwLock<StreamingCatalog>,
@@ -64,15 +76,31 @@ impl ServeState {
         Arc::new(Self {
             name: catalog.data().name().to_string(),
             metric: catalog.data().metric(),
-            r_max: catalog.graph().radius(),
+            r_max: catalog.r_max(),
             catalog: RwLock::new(catalog),
             tracker: Mutex::new(None),
         })
     }
 
-    /// Shared (read) access to the catalog — what zoom and sweep
-    /// solvers hold while they run.
+    /// Shared (read) access to the catalog with every pending mutation
+    /// compacted into its graph: when the overlay holds anything, it is
+    /// folded in under the write lock before the read guard is handed
+    /// out. A mutation landing between the two is still reflected by
+    /// `graph()` (as a cached compacted copy).
     pub fn catalog(&self) -> RwLockReadGuard<'_, StreamingCatalog> {
+        let guard = self.live_catalog();
+        if guard.is_compact() {
+            return guard;
+        }
+        drop(guard);
+        self.catalog_mut().compact();
+        self.live_catalog()
+    }
+
+    /// Shared (read) access to the catalog as it is, overlay and all —
+    /// what zoom and sweep solvers hold while they run on its live
+    /// view. Never compacts.
+    pub fn live_catalog(&self) -> RwLockReadGuard<'_, StreamingCatalog> {
         self.catalog.read().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -84,7 +112,7 @@ impl ServeState {
 
     /// Live object count right now (changes under mutation).
     pub fn n(&self) -> usize {
-        self.catalog().len()
+        self.live_catalog().len()
     }
 
     /// The maintained `r_max` cover (`None` before the first

@@ -11,12 +11,17 @@
 //! the same functions, and the `*_checked` runners are pinned
 //! byte-identical to their plain twins when the token never fires.
 //!
-//! Both solve on the stratified graph in place, under the catalog read
-//! lock. A zoom, a sweep's first step and the repair-tracker bootstrap
-//! hand the prefix view ([`disc_graph::StratifiedDiskGraph::try_view`],
-//! one binary search per row) straight to Greedy-DisC: no request
-//! copies the view into an id-sorted CSR, because the runner reads rows
-//! as neighbour sets and its answer does not depend on row order.
+//! Both solve on the catalog's live view
+//! ([`disc_graph::StreamingCatalog::view`]: per slot the base prefix
+//! plus the appended prefix, one binary search per row, deleted objects
+//! absent) under the catalog read lock. A zoom, a sweep's first step
+//! and the repair-tracker bootstrap hand it straight to Greedy-DisC,
+//! and each further sweep step runs
+//! [`disc_core::greedy_zoom_in_live_checked`] on the view at its
+//! radius. No request copies a view into an id-sorted CSR, and none
+//! waits for a compaction: the runners read rows as neighbour sets, so
+//! the answer on the live view equals the answer on the compacted
+//! graph, byte for byte. Nothing here calls `graph()`.
 //!
 //! Two diagnostic ops ride along: `sleep` (occupies a worker, polling
 //! its token — the saturation and deadline tests are built from it) and
@@ -24,7 +29,9 @@
 //! the wire protocol so operators can probe a live pool.
 //!
 //! The streaming verbs `insert` and `delete` mutate the catalog under
-//! the write lock and invalidate **only the affected radii** in the
+//! the write lock — an overlay write, O(n + degree), plus a compaction
+//! once the overlay passes 1/8 of the base — and invalidate **only the
+//! affected radii** in the
 //! [`SolutionCache`]: an entry survives an insert when one of its
 //! selected objects covers the new point at the entry's radius (the
 //! point joins the covered set, the cached cover stays valid), and
@@ -40,7 +47,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use disc_core::{
-    greedy_disc_graph, greedy_disc_graph_checked, greedy_zoom_in_graph_checked, DiscResult,
+    greedy_disc_graph, greedy_disc_graph_checked, greedy_zoom_in_live_checked, DiscResult,
     RepairableSolution,
 };
 use disc_graph::{InsertReceipt, RemoveReceipt, StreamingCatalog};
@@ -217,16 +224,16 @@ fn cacheable(result: DiscResult) -> Arc<CachedSolution> {
 }
 
 /// One DisC solution at `radius ∈ (0, r_max]`, via the graph-resident
-/// greedy runner on the prefix view. Holds the catalog read lock for
-/// the duration of the solve.
+/// greedy runner on the catalog's live view. Holds the catalog read
+/// lock for the duration of the solve.
 pub fn solve_zoom(
     state: &ServeState,
     radius: f64,
     cancel: Option<&CancelToken>,
 ) -> Result<Arc<CachedSolution>, CliError> {
     validate_radii(&[radius], state.r_max)?;
-    let catalog = state.catalog();
-    let view = catalog.graph().try_view(radius)?;
+    let catalog = state.live_catalog();
+    let view = catalog.view(radius)?;
     let result = greedy_disc_graph_checked(&view, cancel)?;
     Ok(cacheable(result))
 }
@@ -266,13 +273,13 @@ pub fn solve_sweep(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Arc<CachedSolution>>, CliError> {
     validate_radii(radii, state.r_max)?;
-    let catalog = state.catalog();
+    let catalog = state.live_catalog();
     let mut steps = Vec::with_capacity(radii.len());
-    let view = catalog.graph().try_view(radii[0])?;
+    let view = catalog.view(radii[0])?;
     let mut prev = greedy_disc_graph_checked(&view, cancel)?;
     steps.push(cacheable(prev.clone()));
     for &r in &radii[1..] {
-        prev = greedy_zoom_in_graph_checked(catalog.graph(), &prev, r, cancel)?.result;
+        prev = greedy_zoom_in_live_checked(&catalog.view(r)?, &prev, cancel)?.result;
         steps.push(cacheable(prev.clone()));
     }
     Ok(steps)
@@ -298,7 +305,7 @@ fn run_sleep(ms: u64, cancel: Option<&CancelToken>) -> Result<(), CliError> {
 /// triggered the bootstrap contributes no drift — there was no prior
 /// selection to drift from).
 fn bootstrap_tracker(catalog: &StreamingCatalog, r_max: f64) -> Option<RepairableSolution> {
-    let view = catalog.graph().try_view(r_max).ok()?;
+    let view = catalog.view(r_max).ok()?;
     let result = greedy_disc_graph(&view);
     RepairableSolution::from_result(catalog, &result).ok()
 }

@@ -809,3 +809,232 @@ fn mutation_drift_accumulates_into_the_stats_counter() {
         "the stats line carries the cumulative drift"
     );
 }
+
+// ------------------------------------------------------------------
+// Answers served after mutations come from the catalog's overlay and
+// equal the compacted graph's and a from-scratch build's.
+// ------------------------------------------------------------------
+
+/// Hashes of Greedy-DisC at each of `zooms` and of the sweep chain
+/// `sweep` on `g`, in external ids.
+fn reference_hashes(g: &StratifiedDiskGraph, zooms: &[f64], sweep: &[f64]) -> Vec<u64> {
+    let mut out: Vec<u64> = zooms
+        .iter()
+        .map(|&r| solution_hash(&greedy_disc_graph(&g.view(r).to_unit_disk_graph()).solution))
+        .collect();
+    let mut prev = greedy_disc_graph(&g.view(sweep[0]).to_unit_disk_graph());
+    out.push(solution_hash(&prev.solution));
+    for &r in &sweep[1..] {
+        prev = greedy_zoom_in_graph(g, &prev, r).result;
+        out.push(solution_hash(&prev.solution));
+    }
+    out
+}
+
+#[test]
+fn answers_after_mutations_match_the_compacted_graph_and_a_rebuild() {
+    use disc_cli::cache::SolutionCache;
+    use disc_cli::worker::execute;
+
+    let state = open("post-mutation");
+    let cache = SolutionCache::new(8);
+    let request = |id: u64, op: Op| Request {
+        id,
+        op,
+        deadline: None,
+    };
+    // A selected and an unselected object of the r_max cover, and the
+    // coordinates of the selected one.
+    let top = disc_cli::worker::solve_zoom(&state, R_MAX, None)
+        .expect("solve")
+        .solution
+        .clone();
+    let (black, grey, black_coords) = {
+        let cat = state.live_catalog();
+        let grey = cat
+            .live_externals()
+            .into_iter()
+            .find(|e| !top.contains(e))
+            .expect("an unselected object");
+        let v = cat.internal_of(top[0]).expect("live");
+        (top[0], grey, cat.data().row(v).to_vec())
+    };
+    let n = state.n();
+    let mutations = [
+        Op::Insert {
+            coords: black_coords,
+        },
+        Op::Insert {
+            coords: vec![5.0, 5.0],
+        },
+        Op::Insert {
+            coords: vec![0.5, 0.5],
+        },
+        Op::Delete { external: grey },
+        Op::Delete { external: black },
+        Op::Delete { external: n + 1 },
+        Op::Delete { external: 7 },
+        Op::Insert {
+            coords: vec![0.45, 0.55],
+        },
+    ];
+    for (id, op) in mutations.into_iter().enumerate() {
+        let reply = execute(&state, &cache, &request(id as u64, op));
+        assert!(
+            matches!(
+                reply.outcome,
+                Outcome::Inserted { .. } | Outcome::Deleted { .. }
+            ),
+            "mutation {id}: {:?}",
+            reply.outcome
+        );
+    }
+    assert!(
+        !state.live_catalog().is_compact(),
+        "the mutations are pending in the overlay"
+    );
+
+    // Radii no request asked before, so nothing comes from the cache.
+    let zooms = [0.07, 0.21];
+    let sweep = [0.29, 0.15, 0.05];
+    let mut served = Vec::new();
+    for (k, &r) in zooms.iter().enumerate() {
+        match execute(&state, &cache, &zoom(100 + k as u64, r)).outcome {
+            Outcome::Zoomed { value, cached, .. } => {
+                assert!(!cached, "r={r} was never asked");
+                served.push(value.hash);
+            }
+            other => panic!("zoom r={r}: {other:?}"),
+        }
+    }
+    let reply = execute(
+        &state,
+        &cache,
+        &request(
+            200,
+            Op::Sweep {
+                radii: sweep.to_vec(),
+            },
+        ),
+    );
+    match reply.outcome {
+        Outcome::Swept { steps } => served.extend(steps.iter().map(|s| s.hash)),
+        other => panic!("sweep: {other:?}"),
+    }
+    assert!(
+        !state.live_catalog().is_compact(),
+        "serving compacted nothing"
+    );
+
+    // The compacted graph: `catalog()` folds the overlay in first.
+    let cat = state.catalog();
+    assert!(cat.is_compact());
+    assert_eq!(served, reference_hashes(cat.graph(), &zooms, &sweep));
+
+    // A from-scratch build of the live points, numbered by external id.
+    let perm = disc_metric::IdPermutation::try_new_sparse(cat.live_externals())
+        .expect("live ids are unique");
+    let data = disc_metric::Dataset::from_flat(
+        "rebuild",
+        cat.data().metric(),
+        cat.data().dim(),
+        cat.data().flat_coords().to_vec(),
+    )
+    .with_permutation(Some(Arc::new(perm)));
+    let fresh = StratifiedDiskGraph::build(&data, R_MAX);
+    assert_eq!(fresh, *cat.graph(), "compaction equals a rebuild");
+    assert_eq!(served, reference_hashes(&fresh, &zooms, &sweep));
+}
+
+#[test]
+fn stats_report_the_overlay_and_its_compaction() {
+    use disc_metric::{Dataset, Metric, Point};
+
+    // 100 objects on a line one apart at r_max = 1.5: 198 directed
+    // entries, so 25 appended entries pass 1/8 of the base.
+    let data = Dataset::new(
+        "overlay-stats",
+        Metric::Euclidean,
+        (0..100).map(|i| Point::new2(i as f64, 0.0)).collect(),
+    );
+    let graph = StratifiedDiskGraph::build(&data, 1.5);
+    let catalog = disc_graph::StreamingCatalog::try_new(data, graph).expect("fresh pair");
+    let state = ServeState::from_catalog(catalog);
+    let sink = Arc::new(Collect::default());
+    let server = Server::start(
+        Arc::clone(&state),
+        ServeConfig {
+            workers: 1,
+            queue: 16,
+            cache: 4,
+        },
+        Arc::<Collect>::clone(&sink) as Arc<dyn Sink>,
+    );
+    let insert = |id: u64, x: f64| Request {
+        id,
+        op: Op::Insert {
+            coords: vec![x, 0.0],
+        },
+        deadline: None,
+    };
+    let settle = |server: &Server| {
+        assert!(server.drain(Duration::from_secs(30)), "pool drains");
+        server.counters()
+    };
+
+    let snap = settle(&server);
+    assert_eq!(
+        (snap.appended, snap.tombstoned, snap.compactions),
+        (0, 0, 0)
+    );
+    // x = 10.5 lies within 1.5 of 9, 10, 11 and 12: 8 entries.
+    server.submit(insert(1, 10.5));
+    let snap = settle(&server);
+    assert_eq!(
+        (snap.appended, snap.tombstoned, snap.compactions),
+        (8, 0, 0)
+    );
+    server.submit(Request {
+        id: 2,
+        op: Op::Delete { external: 50 },
+        deadline: None,
+    });
+    let snap = settle(&server);
+    assert_eq!(
+        (snap.appended, snap.tombstoned, snap.compactions),
+        (8, 1, 0)
+    );
+    let line = disc_cli::serve::render_stats(&snap);
+    assert!(
+        line.contains("\"appended\":8,\"tombstoned\":1,\"compactions\":0"),
+        "{line}"
+    );
+
+    // Two more such inserts leave 24 entries pending (24 · 8 ≤ 198); a
+    // fourth makes 32, passes 1/8 of the base and compacts.
+    for (id, x) in [(3, 20.5), (4, 30.5)] {
+        server.submit(insert(id, x));
+    }
+    let snap = settle(&server);
+    assert_eq!(
+        (snap.appended, snap.tombstoned, snap.compactions),
+        (24, 1, 0)
+    );
+    server.submit(insert(5, 40.5));
+    let snap = settle(&server);
+    assert_eq!(
+        (snap.appended, snap.tombstoned, snap.compactions),
+        (0, 0, 1)
+    );
+    assert!(snap.is_consistent(), "{snap:?}");
+    assert_eq!(snap.completed, 5);
+
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, 5);
+    assert!(
+        disc_cli::serve::render_stats(&snap).contains("\"completed\":5,"),
+        "the request counters keep their meaning"
+    );
+    assert!(disc_cli::serve::render_stats(&snap).contains("\"compactions\":1}"));
+    assert_eq!(state.n(), 103);
+}

@@ -96,8 +96,9 @@ pub use multi_radius::{
 pub use resident::{
     fast_c_graph, fast_c_graph_checked, greedy_c_graph, greedy_c_graph_checked, greedy_disc_graph,
     greedy_disc_graph_checked, greedy_zoom_in_graph, greedy_zoom_in_graph_checked,
-    multi_radius_graph, multi_radius_graph_checked, zoom_in_graph, zoom_in_graph_checked,
-    zoom_out_graph, zoom_out_graph_checked,
+    greedy_zoom_in_live, greedy_zoom_in_live_checked, multi_radius_graph,
+    multi_radius_graph_checked, zoom_in_graph, zoom_in_graph_checked, zoom_out_graph,
+    zoom_out_graph_checked,
 };
 pub use result::{DiscResult, ZoomResult};
 pub use runner::Heuristic;

@@ -111,7 +111,7 @@
 //! [`StratifiedView`]: disc_graph::StratifiedView
 //! [`StratifiedView::to_unit_disk_graph`]: disc_graph::StratifiedView::to_unit_disk_graph
 
-use disc_graph::{Adjacency, StratifiedDiskGraph};
+use disc_graph::{Adjacency, LiveView, StratifiedDiskGraph};
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
 use disc_mtree::{Color, MTree};
@@ -143,12 +143,14 @@ pub fn greedy_disc_graph_checked(
 ) -> Result<DiscResult, Cancelled> {
     let n = g.len();
     let mut color = vec![Color::White; n];
-    let mut white = n;
     // counts[v] = |N_r(v) ∩ white|, exact throughout.
     let mut counts: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
-    let mut heap = LazyMaxHeap::with_capacity(n);
+    let mut white = n - take_out_absent(g, &mut color, &mut counts, Color::Grey);
+    let mut heap = LazyMaxHeap::with_capacity(white);
     for (id, &c) in counts.iter().enumerate() {
-        heap.push_ranked(id, g.external_id(id), c);
+        if color[id] == Color::White {
+            heap.push_ranked(id, g.external_id(id), c);
+        }
     }
     let mut newly_grey: Vec<ObjId> = Vec::new();
     let mut solution = Vec::new();
@@ -161,24 +163,23 @@ pub fn greedy_disc_graph_checked(
         color[picked] = Color::Black;
         white -= 1;
         newly_grey.clear();
-        newly_grey.extend(
-            g.neighbors(picked)
-                .iter()
-                .copied()
-                .filter(|&u| color[u] == Color::White),
-        );
+        for part in row(g, picked) {
+            newly_grey.extend(part.iter().copied().filter(|&u| color[u] == Color::White));
+        }
         for &u in &newly_grey {
             color[u] = Color::Grey;
             white -= 1;
         }
         // No heap push: `pop_valid` catches up with the fallen counts.
         for &u in &newly_grey {
-            for &w in g.neighbors(u) {
-                debug_assert!(
-                    color[w] != Color::White || counts[w] > 0,
-                    "exact counts cannot underflow"
-                );
-                counts[w] -= u32::from(color[w] == Color::White);
+            for part in row(g, u) {
+                for &w in part {
+                    debug_assert!(
+                        color[w] != Color::White || counts[w] > 0,
+                        "exact counts cannot underflow"
+                    );
+                    counts[w] -= u32::from(color[w] == Color::White);
+                }
             }
         }
         solution.push(g.external_id(picked));
@@ -189,6 +190,38 @@ pub fn greedy_disc_graph_checked(
         solution,
         node_accesses: 0,
     })
+}
+
+/// `v`'s row in an [`Adjacency`]: the laid-out part and the appended
+/// part, each read as a plain slice so the hot loops stay two tight
+/// loops.
+#[inline]
+fn row<G: Adjacency>(g: &G, v: ObjId) -> [&[ObjId]; 2] {
+    [g.neighbors(v), g.appended(v)]
+}
+
+/// Takes [`Adjacency::absent`] vertices out before seeding: each is
+/// coloured `fill` — a colour the runner never picks and never counts
+/// as white — and the white-neighbour count of each of its neighbours
+/// that is still white drops by one. Returns how many were taken out.
+fn take_out_absent<G: Adjacency>(
+    g: &G,
+    color: &mut [Color],
+    counts: &mut [u32],
+    fill: Color,
+) -> usize {
+    let absent = g.absent();
+    for &a in absent {
+        color[a] = fill;
+    }
+    for &a in absent {
+        for part in row(g, a) {
+            for &w in part {
+                counts[w] -= u32::from(color[w] == Color::White);
+            }
+        }
+    }
+    absent.len()
 }
 
 /// Selection key of the coverage heuristics: white neighbours plus one
@@ -246,11 +279,15 @@ fn run_cover_graph(
 ) -> Result<DiscResult, Cancelled> {
     let n = g.len();
     let mut color = vec![Color::White; n];
-    let mut white = n;
     let mut counts: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
-    let mut heap = LazyMaxHeap::with_capacity(n);
+    // Absent vertices go black: grey ones are candidates here. They
+    // never reach the solution, which lists picks, not the black class.
+    let mut white = n - take_out_absent(g, &mut color, &mut counts, Color::Black);
+    let mut heap = LazyMaxHeap::with_capacity(white);
     for (id, &c) in counts.iter().enumerate() {
-        heap.push_ranked(id, g.external_id(id), c + 1); // all white: self-term applies
+        if color[id] == Color::White {
+            heap.push_ranked(id, g.external_id(id), c + 1); // all white: self-term applies
+        }
     }
     let mut newly_grey: Vec<ObjId> = Vec::new();
     let mut solution = Vec::new();
@@ -263,10 +300,10 @@ fn run_cover_graph(
         let picked = if lazy {
             heap.pop_valid(|id| {
                 (color[id] != Color::Black).then(|| {
-                    g.neighbors(id)
+                    row(g, id)
                         .iter()
-                        .filter(|&&u| color[u] == Color::White)
-                        .count() as u32
+                        .map(|part| part.iter().filter(|&&u| color[u] == Color::White).count())
+                        .sum::<usize>() as u32
                         + u32::from(color[id] == Color::White)
                 })
             })
@@ -284,34 +321,35 @@ fn run_cover_graph(
             if !lazy {
                 // `picked` left the white set: every non-black
                 // neighbour's count drops.
-                for &u in g.neighbors(picked) {
-                    debug_assert!(
-                        color[u] == Color::Black || counts[u] > 0,
-                        "exact counts cannot underflow"
-                    );
-                    counts[u] -= u32::from(color[u] != Color::Black);
+                for part in row(g, picked) {
+                    for &u in part {
+                        debug_assert!(
+                            color[u] == Color::Black || counts[u] > 0,
+                            "exact counts cannot underflow"
+                        );
+                        counts[u] -= u32::from(color[u] != Color::Black);
+                    }
                 }
             }
         }
         newly_grey.clear();
-        newly_grey.extend(
-            g.neighbors(picked)
-                .iter()
-                .copied()
-                .filter(|&u| color[u] == Color::White),
-        );
+        for part in row(g, picked) {
+            newly_grey.extend(part.iter().copied().filter(|&u| color[u] == Color::White));
+        }
         for &u in &newly_grey {
             color[u] = Color::Grey;
             white -= 1;
         }
         if !lazy {
             for &u in &newly_grey {
-                for &w in g.neighbors(u) {
-                    debug_assert!(
-                        color[w] == Color::Black || counts[w] > 0,
-                        "exact counts cannot underflow"
-                    );
-                    counts[w] -= u32::from(color[w] != Color::Black);
+                for part in row(g, u) {
+                    for &w in part {
+                        debug_assert!(
+                            color[w] == Color::Black || counts[w] > 0,
+                            "exact counts cannot underflow"
+                        );
+                        counts[w] -= u32::from(color[w] != Color::Black);
+                    }
                 }
             }
         }
@@ -403,9 +441,9 @@ fn select_and_cover_strat(
 /// over the neighbour source, mirroring
 /// [`crate::counts::greedy_white_pass`] (same counts, same
 /// [`LazyMaxHeap`] tie-breaking) with adjacency reads instead of range
-/// queries. One instantiation per neighbour shape: the fixed-radius
-/// prefix (zooming) and the `min(r(p), r(q))`-filtered prefix
-/// (multi-radius). `external` maps an internal id to its external one —
+/// queries. One instantiation per neighbour shape: the rows of an
+/// [`Adjacency`] at a fixed radius (zooming, repairs) and the
+/// `min(r(p), r(q))`-filtered prefix (multi-radius). `external` maps an internal id to its external one —
 /// it ranks the heap's tie-breaks and translates each selection before
 /// it is appended to `solution`.
 fn greedy_white_pass_over<N, F, E>(
@@ -448,32 +486,34 @@ where
             white -= 1;
         }
         for &u in &newly_grey {
-            for w in neighbors_of(u) {
+            // `for_each` folds a chained row as two plain loops.
+            neighbors_of(u).for_each(|w| {
                 debug_assert!(
                     color[w] != Color::White || counts[w] > 0,
                     "exact counts cannot underflow"
                 );
                 counts[w] -= u32::from(color[w] == Color::White);
-            }
+            });
         }
         solution.push(external(picked));
     }
     Ok(())
 }
 
-/// [`greedy_white_pass_over`] at a fixed radius over the stratified
-/// adjacency prefix — the second pass of the zoom runners and the
-/// re-cover pass of [`crate::stream::RepairableSolution`].
-pub(crate) fn greedy_white_pass_strat(
-    g: &StratifiedDiskGraph,
-    r: f64,
+/// [`greedy_white_pass_over`] on any [`Adjacency`] — both parts of
+/// every row. The caller colours [`Adjacency::absent`] vertices
+/// non-white first. The second pass of [`greedy_zoom_in_graph`] and
+/// [`greedy_zoom_in_live`], and the re-cover pass of
+/// [`crate::stream::RepairableSolution`].
+pub(crate) fn greedy_white_pass_adj<G: Adjacency>(
+    g: &G,
     color: &mut [Color],
     solution: &mut Vec<ObjId>,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
     greedy_white_pass_over(
         g.len(),
-        |v| g.row_within(v, r).0.iter().copied(),
+        |v| g.neighbors(v).iter().chain(g.appended(v)).copied(),
         |v| g.external_id(v),
         color,
         solution,
@@ -577,14 +617,72 @@ pub fn greedy_zoom_in_graph_checked(
         g.radius(),
         prev.radius
     );
-    let blacks: Vec<ObjId> = prev.solution.iter().map(|&e| g.internal_id(e)).collect();
-    let closest_black = closest_black_strat(g, &blacks, prev.radius, cancel)?;
-    let mut color = recolor_strat(g, &blacks, &closest_black, r_new);
+    greedy_zoom_in_on(&g.view(r_new), prev, |e| g.internal_id(e), cancel)
+}
+
+/// Greedy-Zoom-In on a streaming catalog's [`LiveView`] at the new
+/// radius `r' = view.radius()`: the same solutions as
+/// [`greedy_zoom_in_graph`] on the compacted graph, read through the
+/// mutation overlay. `prev` must come from the same catalog state.
+pub fn greedy_zoom_in_live(view: &LiveView<'_>, prev: &DiscResult) -> ZoomResult {
+    never_cancelled(greedy_zoom_in_live_checked(view, prev, None))
+}
+
+/// [`greedy_zoom_in_live`] polling a [`CancelToken`] once per black
+/// object in the preparation pass and once per selection round.
+pub fn greedy_zoom_in_live_checked(
+    view: &LiveView<'_>,
+    prev: &DiscResult,
+    cancel: Option<&CancelToken>,
+) -> Result<ZoomResult, Cancelled> {
+    let r_new = view.radius();
+    assert!(
+        r_new < prev.radius,
+        "zooming in requires r' < r ({r_new} >= {})",
+        prev.radius
+    );
+    let vertex = |e| match view.vertex_of(e) {
+        Some(v) => v,
+        None => panic!("selected object {e} is not live in the view"),
+    };
+    greedy_zoom_in_on(view, prev, vertex, cancel)
+}
+
+/// Greedy-Zoom-In on `g`, the graph at the new radius `r'`. The
+/// previous blacks stay black; an object is grey iff it lies within
+/// `r'` of one — the union of the blacks' rows in `g`, which is what
+/// the closest-black pass of [`zoom_in_graph`] decides at `r'` — and
+/// absent vertices are grey from the start. The greedy white pass then
+/// covers the rest. `vertex` maps a selected external id to its vertex.
+fn greedy_zoom_in_on<G: Adjacency>(
+    g: &G,
+    prev: &DiscResult,
+    vertex: impl Fn(ObjId) -> ObjId,
+    cancel: Option<&CancelToken>,
+) -> Result<ZoomResult, Cancelled> {
+    let mut color = vec![Color::White; g.len()];
+    for &a in g.absent() {
+        color[a] = Color::Grey;
+    }
+    let blacks: Vec<ObjId> = prev.solution.iter().map(|&e| vertex(e)).collect();
+    for &b in &blacks {
+        color[b] = Color::Black;
+    }
+    for &b in &blacks {
+        checkpoint(cancel)?;
+        for part in row(g, b) {
+            for &q in part {
+                if color[q] != Color::Black {
+                    color[q] = Color::Grey;
+                }
+            }
+        }
+    }
     let mut solution = prev.solution.clone();
-    greedy_white_pass_strat(g, r_new, &mut color, &mut solution, cancel)?;
+    greedy_white_pass_adj(g, &mut color, &mut solution, cancel)?;
     Ok(ZoomResult {
         result: DiscResult {
-            radius: r_new,
+            radius: g.radius(),
             heuristic: "Greedy-Zoom-In (Graph)".into(),
             solution,
             node_accesses: 0,
@@ -719,7 +817,7 @@ pub fn zoom_out_graph_checked(
                     }
                 }
             }
-            _ => greedy_white_pass_strat(g, r_new, &mut color, &mut solution, cancel)?,
+            _ => greedy_white_pass_adj(&g.view(r_new), &mut color, &mut solution, cancel)?,
         }
     }
     debug_assert!(color.iter().all(|&c| c != Color::White));

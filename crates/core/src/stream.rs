@@ -16,10 +16,17 @@
 //!   covered object changes nothing else; deleting a **black** orphans
 //!   the neighbours it exclusively covered, which are re-covered by the
 //!   same greedy white pass the zoom operators use
-//!   ([`crate::resident`]'s `greedy_white_pass_strat`: fresh
+//!   ([`crate::resident`]'s `greedy_white_pass_adj`: fresh
 //!   [`crate::heap::LazyMaxHeap`], external-id tie-breaking), so the
 //!   repair's pick order is byte-identical to what a from-scratch
 //!   greedy run would do over those whites.
+//!
+//! Colours live in a dense array indexed by external id (`None` for ids
+//! that are not tracked), and every graph read goes through the
+//! catalog's [`StreamingCatalog::view`], so no repair waits for a
+//! compaction. The bootstrap marks the blacks, then greys the union of
+//! their rows: O(n + E_r(blacks)) instead of one map probe per
+//! adjacency entry.
 //!
 //! ## Drift guarantee
 //!
@@ -41,15 +48,14 @@
 //! on degenerate (all-duplicate) datasets where both orders provably
 //! coincide.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use disc_graph::{InsertReceipt, RemoveReceipt, StreamingCatalog};
+use disc_graph::{Adjacency, GraphError, InsertReceipt, LiveView, RemoveReceipt, StreamingCatalog};
 use disc_metric::ObjId;
 use disc_mtree::Color;
 
 use crate::never_cancelled;
-use crate::resident::greedy_white_pass_strat;
+use crate::resident::greedy_white_pass_adj;
 use crate::result::DiscResult;
 
 /// Why a repair (or the colouring bootstrap) rejected its input. Every
@@ -182,13 +188,30 @@ pub struct RepairableSolution {
     /// The radius the cover is maintained for (≤ the catalog's
     /// build radius).
     radius: f64,
-    /// Colour of every live object, keyed by external id. Invariant
-    /// between repairs: only [`Color::Black`] and [`Color::Grey`]
-    /// occur — every object is selected or covered.
-    color: BTreeMap<ObjId, Color>,
+    /// Colour of every live object, indexed by external id; `None` for
+    /// ids that are not tracked. Invariant between repairs: only
+    /// [`Color::Black`] and [`Color::Grey`] occur — every object is
+    /// selected or covered.
+    color: Vec<Option<Color>>,
+    /// Objects tracked (the `Some` entries of `color`).
+    tracked: usize,
     /// Selected objects in selection order, external ids — repairs
     /// append; a delete removes at most the deleted id.
     solution: Vec<ObjId>,
+}
+
+/// The catalog's live graph at the solution radius, with the graph
+/// layer's radius errors mapped onto the repair ones.
+fn live_view(catalog: &StreamingCatalog, r: f64) -> Result<LiveView<'_>, RepairError> {
+    catalog.view(r).map_err(|e| match e {
+        GraphError::RadiusExceedsBuild { r, r_max } => RepairError::RadiusExceedsBuild { r, r_max },
+        _ => RepairError::InvalidRadius(r),
+    })
+}
+
+/// Both parts of `v`'s row in the view.
+fn row<'v>(view: &'v LiveView<'_>, v: ObjId) -> [&'v [ObjId]; 2] {
+    [view.neighbors(v), view.appended(v)]
 }
 
 impl RepairableSolution {
@@ -196,48 +219,47 @@ impl RepairableSolution {
     /// `catalog`'s current object set. Validates that the result is a
     /// valid independent dominating set at its radius (so a corrupted
     /// or mismatched result cannot seed an invalid repair chain) and
-    /// derives the grey class from the graph.
+    /// derives the grey class from the graph: the union of the blacks'
+    /// rows, O(n + E_r(blacks)).
     pub fn from_result(
         catalog: &StreamingCatalog,
         result: &DiscResult,
     ) -> Result<Self, RepairError> {
-        let g = catalog.graph();
         let r = result.radius;
-        if r.is_nan() || r < 0.0 {
-            return Err(RepairError::InvalidRadius(r));
-        }
-        if r > g.radius() {
-            return Err(RepairError::RadiusExceedsBuild {
-                r,
-                r_max: g.radius(),
-            });
-        }
-        let mut color: BTreeMap<ObjId, Color> = BTreeMap::new();
+        let view = live_view(catalog, r)?;
+        let mut color: Vec<Option<Color>> = vec![None; catalog.next_external()];
+        let mut blacks = Vec::with_capacity(result.solution.len());
         for &ext in &result.solution {
-            if catalog.internal_of(ext).is_none() {
-                return Err(RepairError::UnknownExternalId { id: ext });
-            }
-            if color.insert(ext, Color::Black).is_some() {
+            let v = view
+                .vertex_of(ext)
+                .ok_or(RepairError::UnknownExternalId { id: ext })?;
+            if color[ext].replace(Color::Black).is_some() {
                 return Err(RepairError::DuplicateExternalId { id: ext });
             }
+            blacks.push(v);
         }
-        for v in 0..g.len() {
-            let ext = g.external_id(v);
-            let black_neighbor = g
-                .row_within(v, r)
-                .0
-                .iter()
-                .copied()
-                .find(|&w| color.get(&g.external_id(w)) == Some(&Color::Black));
-            if color.get(&ext) == Some(&Color::Black) {
-                if let Some(w) = black_neighbor {
-                    return Err(RepairError::NotIndependent {
-                        a: ext,
-                        b: g.external_id(w),
-                    });
+        let mut covered = vec![false; view.len()];
+        for &b in &blacks {
+            for part in row(&view, b) {
+                for &w in part {
+                    covered[w] = true;
                 }
-            } else if black_neighbor.is_some() {
-                color.insert(ext, Color::Grey);
+            }
+        }
+        for &v in view.live_vertices() {
+            let ext = view.external_id(v);
+            if color[ext] == Some(Color::Black) {
+                if covered[v] {
+                    let b = view
+                        .row_in_order(v)
+                        .map(|(w, _)| view.external_id(w))
+                        .find(|&w| color[w] == Some(Color::Black));
+                    if let Some(b) = b {
+                        return Err(RepairError::NotIndependent { a: ext, b });
+                    }
+                }
+            } else if covered[v] {
+                color[ext] = Some(Color::Grey);
             } else {
                 return Err(RepairError::NotDominated { id: ext });
             }
@@ -245,6 +267,7 @@ impl RepairableSolution {
         Ok(Self {
             radius: r,
             color,
+            tracked: view.live_vertices().len(),
             solution: result.solution.clone(),
         })
     }
@@ -261,17 +284,17 @@ impl RepairableSolution {
 
     /// Number of tracked (live) objects.
     pub fn len(&self) -> usize {
-        self.color.len()
+        self.tracked
     }
 
     /// Whether no object is tracked.
     pub fn is_empty(&self) -> bool {
-        self.color.is_empty()
+        self.tracked == 0
     }
 
     /// Colour of an external id, `None` when untracked.
     pub fn color_of(&self, external: ObjId) -> Option<Color> {
-        self.color.get(&external).copied()
+        self.color.get(external).copied().flatten()
     }
 
     /// The maintained solution as a [`DiscResult`] (zero node accesses
@@ -290,24 +313,28 @@ impl RepairableSolution {
     /// becomes a new black otherwise. O(|receipt.neighbors|); never
     /// recolours a pre-existing object.
     pub fn repair_insert(&mut self, receipt: &InsertReceipt) -> Result<RepairReport, RepairError> {
-        if self.color.contains_key(&receipt.external) {
+        if self.color_of(receipt.external).is_some() {
             return Err(RepairError::DuplicateExternalId {
                 id: receipt.external,
             });
         }
         let mut covered = false;
         for &(ext, d) in &receipt.neighbors {
-            match self.color.get(&ext) {
+            match self.color_of(ext) {
                 Some(Color::Black) if d <= self.radius => covered = true,
                 Some(_) => {}
                 None => return Err(RepairError::UnknownExternalId { id: ext }),
             }
         }
+        if self.color.len() <= receipt.external {
+            self.color.resize(receipt.external + 1, None);
+        }
+        self.tracked += 1;
         if covered {
-            self.color.insert(receipt.external, Color::Grey);
+            self.color[receipt.external] = Some(Color::Grey);
             Ok(RepairReport::default())
         } else {
-            self.color.insert(receipt.external, Color::Black);
+            self.color[receipt.external] = Some(Color::Black);
             self.solution.push(receipt.external);
             Ok(RepairReport {
                 newly_selected: 1,
@@ -327,16 +354,17 @@ impl RepairableSolution {
         catalog: &StreamingCatalog,
         receipt: &RemoveReceipt,
     ) -> Result<RepairReport, RepairError> {
-        let Some(old) = self.color.remove(&receipt.external) else {
+        let Some(old) = self.color.get_mut(receipt.external).and_then(Option::take) else {
             return Err(RepairError::UnknownExternalId {
                 id: receipt.external,
             });
         };
+        self.tracked -= 1;
         if old != Color::Black {
             return Ok(RepairReport::default());
         }
         self.solution.retain(|&s| s != receipt.external);
-        let g = catalog.graph();
+        let view = live_view(catalog, self.radius)?;
         // Independence means none of the removed black's neighbours
         // was black, so every orphan candidate is a grey that may have
         // lost its only cover. radius ≤ r_max, so the receipt's r_max
@@ -346,14 +374,13 @@ impl RepairableSolution {
             if d > self.radius {
                 continue;
             }
-            let v = catalog
-                .internal_of(ext)
+            let v = view
+                .vertex_of(ext)
                 .ok_or(RepairError::UnknownExternalId { id: ext })?;
-            let still_covered = g
-                .row_within(v, self.radius)
-                .0
-                .iter()
-                .any(|&w| self.color.get(&g.external_id(w)) == Some(&Color::Black));
+            let still_covered = row(&view, v).iter().any(|part| {
+                part.iter()
+                    .any(|&w| self.color_of(view.external_id(w)) == Some(Color::Black))
+            });
             if !still_covered {
                 whites.push(v);
             }
@@ -364,29 +391,26 @@ impl RepairableSolution {
                 ..RepairReport::default()
             });
         }
-        let mut color = Vec::with_capacity(g.len());
-        for v in 0..g.len() {
-            let ext = g.external_id(v);
-            color.push(
-                self.color
-                    .get(&ext)
-                    .copied()
-                    .ok_or(RepairError::UnknownExternalId { id: ext })?,
-            );
+        // Absent slots stay grey: never white, never picked.
+        let mut color = vec![Color::Grey; view.len()];
+        for &v in view.live_vertices() {
+            let ext = view.external_id(v);
+            color[v] = self
+                .color_of(ext)
+                .ok_or(RepairError::UnknownExternalId { id: ext })?;
         }
         for &v in &whites {
             color[v] = Color::White;
         }
         let before = self.solution.len();
-        never_cancelled(greedy_white_pass_strat(
-            g,
-            self.radius,
+        never_cancelled(greedy_white_pass_adj(
+            &view,
             &mut color,
             &mut self.solution,
             None,
         ));
         for &v in &whites {
-            self.color.insert(g.external_id(v), color[v]);
+            self.color[view.external_id(v)] = Some(color[v]);
         }
         Ok(RepairReport {
             newly_selected: self.solution.len() - before,
@@ -401,27 +425,23 @@ impl RepairableSolution {
     /// grey has a black within the radius (domination). O(n + edges);
     /// tests run it after every repair.
     pub fn verify(&self, catalog: &StreamingCatalog) -> Result<(), RepairError> {
-        let g = catalog.graph();
-        if self.color.len() != g.len() {
+        let view = live_view(catalog, self.radius)?;
+        if self.tracked != catalog.len() {
             return Err(RepairError::TrackedSetMismatch {
-                tracked: self.color.len(),
-                live: g.len(),
+                tracked: self.tracked,
+                live: catalog.len(),
             });
         }
         let mut black = 0usize;
-        for v in 0..g.len() {
-            let ext = g.external_id(v);
+        for &v in view.live_vertices() {
+            let ext = view.external_id(v);
             let c = self
-                .color
-                .get(&ext)
-                .copied()
+                .color_of(ext)
                 .ok_or(RepairError::UnknownExternalId { id: ext })?;
-            let black_neighbor = g
-                .row_within(v, self.radius)
-                .0
-                .iter()
-                .copied()
-                .find(|&w| self.color.get(&g.external_id(w)) == Some(&Color::Black));
+            let black_neighbor = view
+                .row_in_order(v)
+                .map(|(w, _)| view.external_id(w))
+                .find(|&w| self.color_of(w) == Some(Color::Black));
             match c {
                 Color::Black => {
                     black += 1;
@@ -431,11 +451,8 @@ impl RepairableSolution {
                             black: black.max(self.solution.len() + 1),
                         });
                     }
-                    if let Some(w) = black_neighbor {
-                        return Err(RepairError::NotIndependent {
-                            a: ext,
-                            b: g.external_id(w),
-                        });
+                    if let Some(b) = black_neighbor {
+                        return Err(RepairError::NotIndependent { a: ext, b });
                     }
                 }
                 Color::Grey if black_neighbor.is_some() => {}

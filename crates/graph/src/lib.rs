@@ -17,9 +17,13 @@
 //!   subgraph at any smaller radius is a zero-cost prefix view
 //!   ([`StratifiedDiskGraph::view`]) — the substrate of the
 //!   graph-resident zooming and multi-radius runners in `disc-core`,
-//! * [`Adjacency`] — the neighbour-set interface both implement (the
-//!   view through its prefixes), which `disc-core`'s id-set runners
-//!   read, so serving solves on a view without copying it,
+//! * [`StreamingCatalog`] — a dataset and its stratified graph under
+//!   streaming inserts and deletes: a frozen base plus a small
+//!   mutation overlay, compacted in batches, read through a
+//!   [`LiveView`] in between,
+//! * [`Adjacency`] — the neighbour-set interface all three implement
+//!   (the views through their prefixes), which `disc-core`'s id-set
+//!   runners read, so serving solves on a view without copying it,
 //! * [`sets`] — the coverage/dominance and dissimilarity/independence
 //!   predicates of Definition 1,
 //! * [`exact`] — an exact branch-and-bound solver for the minimum
@@ -37,6 +41,7 @@ pub mod error;
 pub mod exact;
 pub mod graph;
 pub mod jaccard;
+mod overlay;
 pub mod reference;
 pub mod sets;
 pub mod stratified;
@@ -49,6 +54,7 @@ pub use error::GraphError;
 pub use exact::minimum_independent_dominating_set;
 pub use graph::UnitDiskGraph;
 pub use jaccard::jaccard_distance;
+pub use overlay::LiveView;
 pub use sets::{is_dominating, is_independent, is_independent_dominating};
 pub use stratified::{StratifiedDiskGraph, StratifiedView};
 pub use stream::{InsertReceipt, RemoveReceipt, StreamError, StreamingCatalog};

@@ -100,16 +100,16 @@ use crate::{Adjacency, AssemblyBreakdown, PartEdges};
 pub struct StratifiedDiskGraph {
     /// The build radius `r_max`; prefix views exist for every `r'` up to
     /// and including it.
-    radius: f64,
+    pub(crate) radius: f64,
     /// Row boundaries: `n + 1` entries, `offsets[0] == 0`.
-    offsets: Vec<usize>,
+    pub(crate) offsets: Vec<usize>,
     /// Concatenated adjacency rows, each sorted by `(dist, id)`.
-    neighbors: Vec<ObjId>,
+    pub(crate) neighbors: Vec<ObjId>,
     /// Exact edge distances, aligned with `neighbors`.
-    dists: Vec<f64>,
+    pub(crate) dists: Vec<f64>,
     /// Internal↔external id bijection of the dataset the graph was
     /// built over; `None` = identity.
-    perm: Option<Arc<IdPermutation>>,
+    pub(crate) perm: Option<Arc<IdPermutation>>,
 }
 
 impl StratifiedDiskGraph {

@@ -3,18 +3,38 @@
 //!
 //! The build pipeline is batch — index the dataset, self-join once at
 //! `r_max`, persist — and before this module any catalog churn meant a
-//! full rebuild. [`StreamingCatalog`] keeps the pair live:
+//! full rebuild. [`StreamingCatalog`] keeps the pair live. The graph is
+//! a frozen base plus a small mutation overlay (see the `overlay`
+//! module): no mutation moves a base array, and a batch of them is
+//! folded back in by one compaction.
 //!
 //! * **insert** — one counted range scan over the current points finds
 //!   the new point's `r_max`-neighborhood (every distance charged to
 //!   [`StreamingCatalog::distance_computations`], exactly `n` per
-//!   insert), then [`StratifiedDiskGraph::insert_object`] splices the
-//!   neighborhood into the `(distance, id)`-sorted CSR rows and
-//!   [`disc_metric::Dataset::push_point_external`] appends the
-//!   coordinates. The new object takes the next never-used external id.
-//! * **delete** — addressed by *external* id; the internal id space
-//!   compacts (later ids shift down by one) and the external id joins
-//!   the tombstone set, never to be reused.
+//!   insert). The new object takes the next slot, its `(distance,
+//!   slot)` entries go to the small sorted *appended rows* at both
+//!   endpoints, and [`disc_metric::Dataset::push_point_external`]
+//!   appends the coordinates. The new object takes the next never-used
+//!   external id. Cost: the `n`-distance scan plus O(degree).
+//! * **delete** — addressed by *external* id. The mirror check that
+//!   [`StratifiedDiskGraph::remove_object`] runs comes first, then the
+//!   slot is tombstoned; the dataset's internal id space compacts
+//!   (later ids shift down by one, O(n)) and the external id joins the
+//!   tombstone set, never to be reused.
+//! * **compaction** — one O(E) pass renumbers the live slots by rank and
+//!   merges every base row with its appended row, tombstones dropped:
+//!   the bytes [`StratifiedDiskGraph::insert_object`] and
+//!   [`StratifiedDiskGraph::remove_object`] would have produced
+//!   mutation by mutation. It runs when the overlay passes 1/8 of the
+//!   base (appended entries against base entries, or tombstoned slots
+//!   against all slots), on [`StreamingCatalog::compact`], and lazily
+//!   as a cached copy in [`StreamingCatalog::graph`].
+//!
+//! Reads never need the compacted graph: [`StreamingCatalog::view`] is
+//! the live graph at any `r ≤ r_max` as an [`crate::Adjacency`] (base
+//! prefix plus appended prefix per slot, tombstoned slots absent), and
+//! the selection runners answer on it exactly as on the compacted
+//! graph.
 //!
 //! The scan is the same neighborhood one M-tree range query at `r_max`
 //! returns (pinned by a test against [`disc_mtree::MTree::range_query`]);
@@ -28,9 +48,12 @@
 //! produces answers comparable with one built from scratch on the same
 //! surviving objects.
 
+use std::sync::OnceLock;
+
 use disc_metric::{Dataset, DatasetError, ObjId};
 
 use crate::error::GraphError;
+use crate::overlay::{LiveView, Overlay};
 use crate::stratified::StratifiedDiskGraph;
 
 /// Why a streaming catalog refused construction or a mutation.
@@ -123,7 +146,15 @@ pub struct RemoveReceipt {
 #[derive(Clone, Debug)]
 pub struct StreamingCatalog {
     data: Dataset,
+    /// The graph as of the last compaction (the frozen base).
     graph: StratifiedDiskGraph,
+    /// Inserts and deletes since `graph` was laid out.
+    overlay: Overlay,
+    /// `graph` with the overlay folded in, built on the first
+    /// [`StreamingCatalog::graph`] call after a mutation.
+    compacted: OnceLock<StratifiedDiskGraph>,
+    /// Compactions this catalog ran in place.
+    compactions: u64,
     /// The next external id an insert will assign; strictly above every
     /// id ever used, so external ids are never recycled.
     next_external: ObjId,
@@ -219,8 +250,11 @@ impl StreamingCatalog {
             });
         }
         Ok(Self {
+            overlay: Overlay::new(graph.len()),
             data,
             graph,
+            compacted: OnceLock::new(),
+            compactions: 0,
             next_external,
             tombstones,
             distance_computations: 0,
@@ -229,7 +263,11 @@ impl StreamingCatalog {
 
     /// Inserts one point, assigning it the next never-used external id.
     /// Exactly `len()` distance computations (the neighborhood scan; see
-    /// the [module docs](self) for why it is index-free).
+    /// the [module docs](self) for why it is index-free), then
+    /// O(degree) overlay work: the new slot and its `(distance, slot)`
+    /// entries in the appended rows at both endpoints. No base array
+    /// moves; the catalog compacts when the overlay passes its
+    /// threshold.
     pub fn insert(&mut self, coords: &[f64]) -> Result<InsertReceipt, StreamError> {
         if coords.len() != self.data.dim() {
             return Err(StreamError::Dataset(DatasetError::MixedDim {
@@ -256,13 +294,18 @@ impl StreamingCatalog {
         }
         self.distance_computations += n as u64;
         let external = self.next_external;
-        let internal = self.graph.insert_object(external, &neighbors)?;
-        match self.data.push_point_external(coords, external) {
-            Ok(i) => debug_assert_eq!(i, internal),
-            // The graph accepted the same external id and the coords
-            // were validated above.
-            Err(_) => unreachable!("dataset push cannot fail after graph insert"),
-        }
+        let internal = match self.data.push_point_external(coords, external) {
+            Ok(i) => i,
+            // The coords were validated above and the external id has
+            // never been used.
+            Err(_) => unreachable!("dataset push cannot fail on a fresh id"),
+        };
+        let slots: Vec<(ObjId, f64)> = neighbors
+            .iter()
+            .map(|&(i, d)| (self.overlay.slot(i), d))
+            .collect();
+        self.overlay.insert(external, &slots);
+        self.mutated();
         self.next_external += 1;
         let mut ext_neighbors: Vec<(ObjId, f64)> = neighbors
             .into_iter()
@@ -278,25 +321,33 @@ impl StreamingCatalog {
 
     /// Deletes the object with external id `external`, tombstoning the
     /// id. Zero distance computations. The receipt lists the surviving
-    /// `r_max`-neighborhood the object left behind.
+    /// `r_max`-neighborhood the object left behind, in the compacted
+    /// graph's row order. The mirror check of
+    /// [`StratifiedDiskGraph::remove_object`] runs first, so an
+    /// asymmetric graph fails with [`GraphError::MissingMirror`] before
+    /// anything is written; then the object's slot is tombstoned
+    /// (O(degree) plus the O(n) dataset compaction).
     pub fn remove_external(&mut self, external: ObjId) -> Result<RemoveReceipt, StreamError> {
         let internal = self
             .internal_of(external)
             .ok_or(StreamError::UnknownExternalId { id: external })?;
-        let neighbors: Vec<(ObjId, f64)> = self
-            .graph
-            .neighbors(internal)
-            .iter()
-            .zip(self.graph.dists(internal))
-            .map(|(&u, &d)| (self.graph.external_id(u), d))
+        if self.data.len() == 1 {
+            return Err(StreamError::Graph(GraphError::LastVertex));
+        }
+        let row = self
+            .overlay
+            .checked_row(&self.graph, self.overlay.slot(internal))?;
+        let neighbors: Vec<(ObjId, f64)> = row
+            .into_iter()
+            .map(|(u, d, _)| (self.overlay.external(&self.graph, u), d))
             .collect();
-        let removed = self.graph.remove_object(internal)?;
-        debug_assert_eq!(removed, external);
         match self.data.remove_point(internal) {
             Ok(e) => debug_assert_eq!(e, external),
-            // The graph removal just succeeded on the same id space.
-            Err(_) => unreachable!("dataset removal cannot fail after graph removal"),
+            // The id is live and not the last one.
+            Err(_) => unreachable!("dataset removal cannot fail on a live id"),
         }
+        self.overlay.tombstone(internal);
+        self.mutated();
         let at = self.tombstones.partition_point(|&t| t < external);
         self.tombstones.insert(at, external);
         Ok(RemoveReceipt {
@@ -305,14 +356,91 @@ impl StreamingCatalog {
         })
     }
 
+    /// Bookkeeping after every mutation: the cached compacted copy is
+    /// stale, and past the threshold the overlay folds into the base.
+    fn mutated(&mut self) {
+        self.compacted = OnceLock::new();
+        if self
+            .overlay
+            .over_threshold(self.graph.neighbors_flat().len())
+        {
+            self.compact();
+        }
+    }
+
+    /// Folds the overlay into the base graph in place: two O(E) sweeps
+    /// over the base arrays, which grow by the appended entries and
+    /// never get a second copy. A no-op on a compact catalog. Returns
+    /// the compacted graph.
+    pub fn compact(&mut self) -> &StratifiedDiskGraph {
+        if !self.overlay.is_empty() {
+            match self.compacted.take() {
+                Some(g) => self.graph = g,
+                None => self
+                    .overlay
+                    .compact_into(&mut self.graph, self.data.permutation().cloned()),
+            }
+            self.overlay = Overlay::new(self.graph.len());
+            self.compactions += 1;
+        }
+        &self.graph
+    }
+
+    /// Whether no mutation is pending in the overlay.
+    pub fn is_compact(&self) -> bool {
+        self.overlay.is_empty()
+    }
+
+    /// Directed entries in the overlay's appended rows (2 per edge an
+    /// insert added since the last compaction).
+    pub fn appended_entries(&self) -> usize {
+        self.overlay.entries()
+    }
+
+    /// Slots tombstoned since the last compaction.
+    pub fn tombstoned_slots(&self) -> usize {
+        self.overlay.tombstoned()
+    }
+
+    /// Compactions this catalog ran in place (threshold or
+    /// [`StreamingCatalog::compact`]).
+    pub fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// The live graph at radius `r ≤ r_max`, read through the overlay:
+    /// what the selection runners solve on between compactions. Rejects
+    /// a NaN, negative or beyond-`r_max` radius like
+    /// [`StratifiedDiskGraph::try_view`].
+    pub fn view(&self, r: f64) -> Result<LiveView<'_>, GraphError> {
+        LiveView::new(
+            &self.graph,
+            &self.overlay,
+            self.data.permutation().map(|p| &**p),
+            r,
+        )
+    }
+
     /// The current points (internal numbering, permutation attached).
     pub fn data(&self) -> &Dataset {
         &self.data
     }
 
-    /// The current stratified graph over [`StreamingCatalog::data`].
+    /// The current stratified graph over [`StreamingCatalog::data`],
+    /// reflecting every mutation. On a compact catalog this is the base;
+    /// with mutations pending it is the compacted graph, built once
+    /// (O(E), a second CSR next to the base) and cached until the next
+    /// mutation. Serving reads [`StreamingCatalog::view`] instead.
     pub fn graph(&self) -> &StratifiedDiskGraph {
-        &self.graph
+        if self.overlay.is_empty() {
+            return &self.graph;
+        }
+        self.compacted.get_or_init(|| {
+            let mut g = self.graph.clone();
+            self.overlay
+                .compact_into(&mut g, self.data.permutation().cloned());
+            g
+        })
     }
 
     /// Number of live objects.
