@@ -75,9 +75,10 @@
 //! [`multi_radius_graph`] execute the adaptive-radius algorithms of
 //! paper Sections 3, 5.2 and 8 over one [`StratifiedDiskGraph`]:
 //!
-//! * the Zooming Rule's *closest-black-neighbour* distances become one
-//!   annotated adjacency scan per black object instead of one range
-//!   query per black ([`zoom_in_graph`]);
+//! * the Zooming Rule's closest-black test (is a black within `r'`?)
+//!   becomes the union of the blacks' adjacency prefixes at `r'` — one
+//!   prefix scan per black object instead of one range query per black
+//!   ([`zoom_in_graph`]);
 //! * coverage at the new radius reads the adjacency prefix at `r'`
 //!   instead of issuing `Q(p, r')` queries;
 //! * the multi-radius `min(r(p), r(q))` edge rule becomes a per-edge
@@ -372,51 +373,6 @@ fn run_cover_graph(
 // multi-radius selection (Section 8) over a stratified graph.
 // ---------------------------------------------------------------------
 
-/// Distances from every object to its closest black neighbour within
-/// `r`, read off the annotated adjacency (one prefix scan per black;
-/// the graph-resident counterpart of the paper's post-processing pass).
-/// `blacks` and the result are in internal (vertex) numbering. Black
-/// objects report 0; objects with no black within `r` report infinity.
-fn closest_black_strat(
-    g: &StratifiedDiskGraph,
-    blacks: &[ObjId],
-    r: f64,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<f64>, Cancelled> {
-    let mut dist = vec![f64::INFINITY; g.len()];
-    for &b in blacks {
-        checkpoint(cancel)?;
-        dist[b] = 0.0;
-        for (q, d) in g.neighbors_within(b, r) {
-            if d < dist[q] {
-                dist[q] = d;
-            }
-        }
-    }
-    Ok(dist)
-}
-
-/// Colouring for a zoom-in at `r_new`: previous blacks stay black,
-/// objects within `r_new` of a black are grey, the rest are white.
-/// `blacks` is in internal numbering.
-fn recolor_strat(
-    g: &StratifiedDiskGraph,
-    blacks: &[ObjId],
-    closest_black: &[f64],
-    r_new: f64,
-) -> Vec<Color> {
-    let mut color = vec![Color::White; g.len()];
-    for &b in blacks {
-        color[b] = Color::Black;
-    }
-    for (id, c) in color.iter_mut().enumerate() {
-        if *c != Color::Black && closest_black[id] <= r_new {
-            *c = Color::Grey;
-        }
-    }
-    color
-}
-
 /// Colours `picked` (internal) black and greys every non-black object
 /// within `r_new` of it (whites and reds alike), appending its
 /// *external* id to the solution — the graph-resident
@@ -443,9 +399,9 @@ fn select_and_cover_strat(
 /// [`LazyMaxHeap`] tie-breaking) with adjacency reads instead of range
 /// queries. One instantiation per neighbour shape: the rows of an
 /// [`Adjacency`] at a fixed radius (zooming, repairs) and the
-/// `min(r(p), r(q))`-filtered prefix (multi-radius). `external` maps an internal id to its external one —
-/// it ranks the heap's tie-breaks and translates each selection before
-/// it is appended to `solution`.
+/// `min(r(p), r(q))`-filtered prefix (multi-radius). `external` maps an
+/// internal id to its external one — it ranks the heap's tie-breaks and
+/// translates each selection before it is appended to `solution`.
 fn greedy_white_pass_over<N, F, E>(
     n: usize,
     neighbors_of: F,
@@ -525,8 +481,8 @@ pub(crate) fn greedy_white_pass_adj<G: Adjacency>(
 /// `r_max ≥ prev.radius`: adapts `prev` to the smaller radius `r_new`,
 /// producing `S^{r'} ⊇ S^r` (Lemma 5) — byte-identical to the
 /// tree-backed [`crate::zoom_in()`] — with **zero** range queries: the
-/// closest-black distances are one annotated adjacency scan per black,
-/// and coverage at `r_new` reads adjacency prefixes. The tree is
+/// objects a black covers at `r_new` are one adjacency prefix scan per
+/// black, and coverage at `r_new` reads adjacency prefixes. The tree is
 /// consulted only for the leaf-chain selection order (never queried; no
 /// node accesses are charged, so both cost fields of the result are 0).
 pub fn zoom_in_graph(
@@ -560,9 +516,9 @@ pub fn zoom_in_graph_checked(
         g.radius(),
         prev.radius
     );
+    let view = g.view(r_new);
     let blacks: Vec<ObjId> = prev.solution.iter().map(|&e| g.internal_id(e)).collect();
-    let closest_black = closest_black_strat(g, &blacks, prev.radius, cancel)?;
-    let mut color = recolor_strat(g, &blacks, &closest_black, r_new);
+    let mut color = zoom_in_colors(&view, &blacks, cancel)?;
     let mut solution = prev.solution.clone();
     for object in tree.objects_in_leaf_order_uncounted() {
         if color[object] != Color::White {
@@ -570,7 +526,7 @@ pub fn zoom_in_graph_checked(
         }
         checkpoint(cancel)?;
         color[object] = Color::Black;
-        for &q in g.row_within(object, r_new).0 {
+        for &q in view.neighbors(object) {
             if color[q] == Color::White {
                 color[q] = Color::Grey;
             }
@@ -623,7 +579,13 @@ pub fn greedy_zoom_in_graph_checked(
 /// Greedy-Zoom-In on a streaming catalog's [`LiveView`] at the new
 /// radius `r' = view.radius()`: the same solutions as
 /// [`greedy_zoom_in_graph`] on the compacted graph, read through the
-/// mutation overlay. `prev` must come from the same catalog state.
+/// mutation overlay.
+///
+/// # Panics
+///
+/// Panics when `r' ≥ prev.radius`, or when `prev` selects an object
+/// that is not live in the view (`prev` must come from the same
+/// catalog state).
 pub fn greedy_zoom_in_live(view: &LiveView<'_>, prev: &DiscResult) -> ZoomResult {
     never_cancelled(greedy_zoom_in_live_checked(view, prev, None))
 }
@@ -648,27 +610,25 @@ pub fn greedy_zoom_in_live_checked(
     greedy_zoom_in_on(view, prev, vertex, cancel)
 }
 
-/// Greedy-Zoom-In on `g`, the graph at the new radius `r'`. The
-/// previous blacks stay black; an object is grey iff it lies within
-/// `r'` of one — the union of the blacks' rows in `g`, which is what
-/// the closest-black pass of [`zoom_in_graph`] decides at `r'` — and
-/// absent vertices are grey from the start. The greedy white pass then
-/// covers the rest. `vertex` maps a selected external id to its vertex.
-fn greedy_zoom_in_on<G: Adjacency>(
+/// Colouring for a zoom-in on `g`, the graph at the new radius `r'`:
+/// the previous `blacks` (vertices) stay black, every other object
+/// within `r'` of one turns grey — the union of the blacks' rows, which
+/// decides the Zooming Rule's closest-black test with no distances —
+/// absent vertices are grey from the start, and the rest stay white.
+/// Polls `cancel` once per black.
+fn zoom_in_colors<G: Adjacency>(
     g: &G,
-    prev: &DiscResult,
-    vertex: impl Fn(ObjId) -> ObjId,
+    blacks: &[ObjId],
     cancel: Option<&CancelToken>,
-) -> Result<ZoomResult, Cancelled> {
+) -> Result<Vec<Color>, Cancelled> {
     let mut color = vec![Color::White; g.len()];
     for &a in g.absent() {
         color[a] = Color::Grey;
     }
-    let blacks: Vec<ObjId> = prev.solution.iter().map(|&e| vertex(e)).collect();
-    for &b in &blacks {
+    for &b in blacks {
         color[b] = Color::Black;
     }
-    for &b in &blacks {
+    for &b in blacks {
         checkpoint(cancel)?;
         for part in row(g, b) {
             for &q in part {
@@ -678,6 +638,20 @@ fn greedy_zoom_in_on<G: Adjacency>(
             }
         }
     }
+    Ok(color)
+}
+
+/// Greedy-Zoom-In on `g`, the graph at the new radius `r'`: the
+/// [`zoom_in_colors`] colouring, then the greedy white pass over the
+/// rest. `vertex` maps a selected external id to its vertex.
+fn greedy_zoom_in_on<G: Adjacency>(
+    g: &G,
+    prev: &DiscResult,
+    vertex: impl Fn(ObjId) -> ObjId,
+    cancel: Option<&CancelToken>,
+) -> Result<ZoomResult, Cancelled> {
+    let blacks: Vec<ObjId> = prev.solution.iter().map(|&e| vertex(e)).collect();
+    let mut color = zoom_in_colors(g, &blacks, cancel)?;
     let mut solution = prev.solution.clone();
     greedy_white_pass_adj(g, &mut color, &mut solution, cancel)?;
     Ok(ZoomResult {

@@ -15,7 +15,7 @@
 //! [`disc_graph::StratifiedDiskGraph`] has been materialised at a radius
 //! `≥ r`, the graph-resident counterparts [`crate::zoom_in_graph`] /
 //! [`crate::greedy_zoom_in_graph`] produce byte-identical solutions with
-//! zero queries — the closest-black pass becomes one annotated adjacency
+//! zero queries — the closest-black pass becomes one adjacency prefix
 //! scan per black, and a whole multi-step zoom-in sweep costs no
 //! distance computations beyond the one annotated self-join.
 

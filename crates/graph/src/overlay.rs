@@ -173,19 +173,6 @@ impl Overlay {
         }
     }
 
-    /// `slot`'s live row at `r_max` in `(distance, slot)` order:
-    /// `(slot, distance, appended?)` per entry, tombstoned entries
-    /// dropped.
-    pub(crate) fn live_row(
-        &self,
-        base: &StratifiedDiskGraph,
-        slot: ObjId,
-    ) -> Vec<(ObjId, f64, bool)> {
-        let (bids, bds) = self.base_row(base, slot);
-        let (aids, ads) = self.app_row(slot);
-        Merge::new(bids, bds, aids, ads, &self.dead).collect()
-    }
-
     /// Records an insert: the next slot with external id `external`,
     /// adjacent to `neighbors` (`(slot, distance)`, live slots, each
     /// once). Returns the new slot. O(degree) plus each neighbour's
@@ -217,17 +204,21 @@ impl Overlay {
         slot
     }
 
-    /// Checks that every live entry `(u, d)` of `slot`'s row has its
-    /// mirror `(slot, d)` in `u`'s row — the check
-    /// [`StratifiedDiskGraph::remove_object`] runs before it writes —
-    /// and returns the live row. A missing mirror is reported in ranks,
-    /// the numbering of the compacted graph.
+    /// `slot`'s live row at `r_max` in `(distance, slot)` order — the
+    /// compacted graph's row order — as `(slot, distance, appended?)`,
+    /// tombstoned entries dropped, after checking that every entry
+    /// `(u, d)` has its mirror `(slot, d)` in `u`'s row: the check
+    /// [`StratifiedDiskGraph::remove_object`] runs before it writes. A
+    /// missing mirror is reported in ranks, the numbering of the
+    /// compacted graph.
     pub(crate) fn checked_row(
         &self,
         base: &StratifiedDiskGraph,
         slot: ObjId,
     ) -> Result<Vec<(ObjId, f64, bool)>, GraphError> {
-        let row = self.live_row(base, slot);
+        let (bids, bds) = self.base_row(base, slot);
+        let (aids, ads) = self.app_row(slot);
+        let row: Vec<_> = Merge::new(bids, bds, aids, ads, &self.dead).collect();
         for &(u, d, appended) in &row {
             let (ids, ds) = if appended {
                 self.app_row(u)
@@ -420,7 +411,6 @@ impl Iterator for Merge<'_> {
 #[derive(Clone, Debug)]
 pub struct LiveView<'g> {
     base: StratifiedView<'g>,
-    graph: &'g StratifiedDiskGraph,
     overlay: &'g Overlay,
     /// The dataset's numbering: external id → rank.
     perm: Option<&'g IdPermutation>,
@@ -450,7 +440,6 @@ impl<'g> LiveView<'g> {
         };
         Ok(Self {
             base,
-            graph,
             overlay,
             perm,
             radius: r,
@@ -476,11 +465,6 @@ impl<'g> LiveView<'g> {
     /// The live slots in rank order (the dataset's internal order).
     pub fn live_vertices(&self) -> &[ObjId] {
         &self.overlay.live
-    }
-
-    /// Whether `v` is tombstoned.
-    pub fn is_absent(&self, v: ObjId) -> bool {
-        self.overlay.dead[v]
     }
 
     /// `v`'s live neighbours within `r` with their distances, in
@@ -537,6 +521,9 @@ impl Adjacency for LiveView<'_> {
 
     #[inline]
     fn external_id(&self, v: ObjId) -> ObjId {
-        self.overlay.external(self.graph, v)
+        match v.checked_sub(self.overlay.base_len) {
+            Some(k) => self.overlay.added[k],
+            None => self.base.external_id(v),
+        }
     }
 }
