@@ -197,7 +197,7 @@ pub fn greedy_disc_graph_checked(
 /// part, each read as a plain slice so the hot loops stay two tight
 /// loops.
 #[inline]
-fn row<G: Adjacency>(g: &G, v: ObjId) -> [&[ObjId]; 2] {
+pub(crate) fn row<G: Adjacency>(g: &G, v: ObjId) -> [&[ObjId]; 2] {
     [g.neighbors(v), g.appended(v)]
 }
 

@@ -55,7 +55,7 @@ use disc_metric::ObjId;
 use disc_mtree::Color;
 
 use crate::never_cancelled;
-use crate::resident::greedy_white_pass_adj;
+use crate::resident::{greedy_white_pass_adj, row};
 use crate::result::DiscResult;
 
 /// Why a repair (or the colouring bootstrap) rejected its input. Every
@@ -209,11 +209,6 @@ fn live_view(catalog: &StreamingCatalog, r: f64) -> Result<LiveView<'_>, RepairE
     })
 }
 
-/// Both parts of `v`'s row in the view.
-fn row<'v>(view: &'v LiveView<'_>, v: ObjId) -> [&'v [ObjId]; 2] {
-    [view.neighbors(v), view.appended(v)]
-}
-
 impl RepairableSolution {
     /// Bootstraps the colouring from a finished greedy run over
     /// `catalog`'s current object set. Validates that the result is a
@@ -249,14 +244,12 @@ impl RepairableSolution {
         for &v in view.live_vertices() {
             let ext = view.external_id(v);
             if color[ext] == Some(Color::Black) {
-                if covered[v] {
-                    let b = view
-                        .row_in_order(v)
-                        .map(|(w, _)| view.external_id(w))
-                        .find(|&w| color[w] == Some(Color::Black));
-                    if let Some(b) = b {
-                        return Err(RepairError::NotIndependent { a: ext, b });
-                    }
+                let clash = view
+                    .row_in_order(v)
+                    .map(|(w, _)| view.external_id(w))
+                    .find(|&w| color[w] == Some(Color::Black));
+                if let Some(b) = clash {
+                    return Err(RepairError::NotIndependent { a: ext, b });
                 }
             } else if covered[v] {
                 color[ext] = Some(Color::Grey);

@@ -51,7 +51,7 @@ use crate::Adjacency;
 const COMPACT_FRACTION: usize = 8;
 
 /// One slot's appended entries, sorted by `(distance, slot)`.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 struct AppendedRow {
     ids: Vec<ObjId>,
     dists: Vec<f64>,
@@ -235,14 +235,13 @@ impl Overlay {
         Ok(row)
     }
 
-    /// Tombstones the live object of rank `rank`; returns its slot.
-    /// O(n) for the rank list, nothing else moves.
-    pub(crate) fn tombstone(&mut self, rank: ObjId) -> ObjId {
+    /// Tombstones the live object of rank `rank`. O(n) for the rank
+    /// list; nothing else moves.
+    pub(crate) fn tombstone(&mut self, rank: ObjId) {
         let slot = self.live.remove(rank);
         self.dead[slot] = true;
         let at = self.absent.partition_point(|&a| a < slot);
         self.absent.insert(at, slot);
-        slot
     }
 
     // ------------------------------------------------------------------
@@ -296,14 +295,14 @@ impl Overlay {
         let end = g.neighbors.len();
         offsets.resize(self.live.len() + 1, end);
 
-        if self.entries > 0 {
-            let mut placed = Vec::with_capacity(offsets.len());
-            placed.push(0);
-            let mut added = 0;
-            for (r, &s) in self.live.iter().enumerate() {
-                added += self.app_row(s).0.iter().filter(|&&u| !self.dead[u]).count();
-                placed.push(offsets[r + 1] + added);
-            }
+        let mut placed = Vec::with_capacity(offsets.len());
+        placed.push(0);
+        let mut added = 0;
+        for (r, &s) in self.live.iter().enumerate() {
+            added += self.app_row(s).0.iter().filter(|&&u| !self.dead[u]).count();
+            placed.push(offsets[r + 1] + added);
+        }
+        if added > 0 {
             g.neighbors.reserve_exact(added);
             g.dists.reserve_exact(added);
             g.neighbors.resize(end + added, 0);
@@ -326,8 +325,11 @@ impl Overlay {
                     g.dists[w] = d;
                     g.neighbors[w] = rank[u];
                 }
-                g.dists.copy_within(lo..i, placed[r]);
-                g.neighbors.copy_within(lo..i, placed[r]);
+                // Rows before the first appended entry stay put.
+                if placed[r] != lo {
+                    g.dists.copy_within(lo..i, placed[r]);
+                    g.neighbors.copy_within(lo..i, placed[r]);
+                }
             }
             offsets = placed;
         }
@@ -421,7 +423,8 @@ pub struct LiveView<'g> {
 }
 
 impl<'g> LiveView<'g> {
-    /// The view at `r` (validated by the caller).
+    /// The view at `r`; fails where [`StratifiedDiskGraph::try_view`]
+    /// fails.
     pub(crate) fn new(
         graph: &'g StratifiedDiskGraph,
         overlay: &'g Overlay,
@@ -445,11 +448,6 @@ impl<'g> LiveView<'g> {
             radius: r,
             app_lens,
         })
-    }
-
-    /// The view radius `r`.
-    pub fn radius(&self) -> f64 {
-        self.radius
     }
 
     /// Slot of the live object with external id `external`, or `None`
