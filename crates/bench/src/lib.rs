@@ -905,11 +905,12 @@ pub struct StreamingBench {
     /// Whether greedy solutions over the mutated catalog equal the
     /// from-scratch rebuild at the probe radius (external ids).
     pub solutions_match: bool,
-    /// Deletes replayed on each clone in the unlink-vs-rescan
-    /// comparison below.
+    /// Deletes replayed on each path of the delete comparison below
+    /// (overlay, unlink, rescan).
     pub delete_compare_ops: usize,
     /// Total wall-clock of the in-place reverse-index unlink
-    /// (`remove_object`, the production delete path), ms.
+    /// (`remove_object`, the single-delete splice the catalog's
+    /// compaction is pinned against), ms.
     pub unlink_total_ms: f64,
     /// Total wall-clock of the filtering-rebuild baseline
     /// (`remove_object_rescan`, the pre-reverse-index delete), ms —
@@ -1020,8 +1021,8 @@ impl StreamingBench {
 }
 
 /// Measures the streaming mutation layer over `graph`: `inserts`
-/// point insertions (duplicating existing coordinates, the worst case
-/// for edge splicing density) and `deletes` removals, timed against
+/// point insertions (duplicating existing coordinates, the densest
+/// neighbourhoods) and `deletes` removals, timed against
 /// one from-scratch rebuild of the stratified graph over the final
 /// object set through the production M-tree self-join pipeline. The
 /// probe at `radius` pins that the mutated catalog and the rebuild

@@ -84,8 +84,9 @@
 //! ## Streaming mutations
 //!
 //! `insert coords=<c1,...>` adds one point to the live catalog (next
-//! never-reused external id, exactly n distance computations to splice
-//! its edges); `delete ext=<id>` tombstones an external id forever.
+//! never-reused external id, exactly n distance computations to find
+//! its edges, which go to the catalog's mutation overlay); `delete
+//! ext=<id>` tombstones an external id forever.
 //! Both reply `{"status":"ok","external":…,"neighbors":…,"n":…,
 //! "invalidated":…}` where `invalidated` counts the per-radius cache
 //! entries dropped — only the radii whose cached cover the mutation

@@ -146,7 +146,7 @@ pub enum Outcome {
     Inserted {
         /// External id assigned to the new object.
         external: ObjId,
-        /// Neighbors within `r_max` the insert spliced in.
+        /// Neighbors within `r_max` the insert linked the new object to.
         neighbors: usize,
         /// Live object count after the mutation.
         n: usize,
