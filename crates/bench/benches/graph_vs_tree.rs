@@ -29,8 +29,9 @@ fn graph_build(c: &mut Criterion) {
 }
 
 /// Selection loops over a resident graph vs tree-backed range queries.
-/// The graph side excludes materialisation (see `graph_build` and the
-/// `fig_graph_vs_tree` binary for end-to-end numbers).
+/// The graph side excludes materialisation (see `graph_build`, and the
+/// `self_join` rows of `BENCH_report.json` for both pipelines' distance
+/// computations).
 fn selection(c: &mut Criterion) {
     let data = bench_clustered(2_000);
     let tree = bench_tree(&data);

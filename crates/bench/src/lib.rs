@@ -1,4 +1,5 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the Criterion benchmarks, and the measurements
+//! behind the gated `report` binary.
 //!
 //! The benches measure wall-clock time of the same computations whose
 //! node-access counts the `disc-eval` experiments report; one bench
@@ -16,16 +17,24 @@
 //! Benchmarks run on bench-scale datasets (a few thousand objects) so a
 //! full `cargo bench` completes in minutes; the eval harness is the tool
 //! for paper-scale numbers.
+//!
+//! [`build_report`] assembles `BENCH_report.json`, which the `report`
+//! binary writes: the paper's cost model (distance computations and
+//! node accesses) on the fig9 clustered workload, graph ≡ tree parity
+//! for every graph-resident runner it runs, the same-run ratio gates,
+//! and the 10^5–10^6 scale tier. Wall clocks that no ratio gate reads
+//! are left to `perfbench/`, which times the build → open → zoom
+//! journeys end to end.
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::sync::Arc;
+use std::time::Instant;
 
-use disc_cli::serve::{ServeConfig, Server, Sink};
-use disc_cli::state::ServeState;
-use disc_cli::worker::{solution_hash, Op, Outcome, Reply, Request};
 use disc_core::{
-    greedy_c, greedy_c_graph, greedy_disc, greedy_disc_graph, greedy_zoom_in, greedy_zoom_in_graph,
-    GreedyVariant,
+    fast_c, greedy_c, greedy_c_graph, greedy_disc, greedy_disc_graph, greedy_zoom_in,
+    greedy_zoom_in_graph, greedy_zoom_out, multi_radius_basic_disc, multi_radius_graph,
+    multi_radius_greedy_disc, par, zoom_out_graph, GreedyVariant, ShardedBuildStats,
+    ZoomOutVariant,
 };
 use disc_datasets::synthetic::{clustered, uniform};
 use disc_graph::{StratifiedDiskGraph, StreamingCatalog, UnitDiskGraph};
@@ -52,9 +61,228 @@ pub fn bench_tree(data: &Dataset) -> MTree<'_> {
     tree
 }
 
-/// One graph-resident vs tree-backed pipeline measurement (shared by
-/// `fig9_report`'s `graph_vs_tree` section and the gated
-/// `fig_graph_vs_tree` binary, so the two reports cannot drift).
+/// Figure 9's radius on the clustered workload.
+const RADIUS: f64 = 0.04;
+/// The zoom sweep's stratified build radius.
+const R_MAX: f64 = 0.08;
+/// The zoom-in targets: [`RADIUS`] bracketed by one coarser and one
+/// finer setting.
+const TARGETS: [f64; 3] = [0.06, RADIUS, 0.02];
+/// Shards of every scale-tier build.
+const SCALE_SHARDS: usize = 8;
+
+/// CSR-assembly regression gate, a ratio against the same run's
+/// annotated self-join instead of an absolute wall clock: both phases
+/// stream the same edge set on the same host in the same process, so
+/// host speed, memory bandwidth and contention cancel out of the
+/// quotient. The renumbered build's recorded ratio at n = 10_000 is
+/// ~3.8; a genuine assembly regression moves it, a slow host does not.
+const ASSEMBLY_RATIO_LIMIT: f64 = 6.0;
+
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1_000.0
+}
+
+/// Outputs that differ between two pipelines, as a gate value.
+fn mismatches(identical: bool) -> f64 {
+    if identical {
+        0.0
+    } else {
+        1.0
+    }
+}
+
+/// A gated report: named metrics with their units, and gates with the
+/// bound each value must meet. Entries keep the order they were
+/// recorded in.
+#[derive(Default)]
+pub struct Report {
+    metrics: Vec<(String, f64, &'static str)>,
+    gates: Vec<(String, f64, f64, bool)>,
+}
+
+impl Report {
+    /// Records `value`, measured in `unit`.
+    pub fn metric(&mut self, name: impl Into<String>, value: f64, unit: &'static str) {
+        self.metrics.push((name.into(), value, unit));
+    }
+
+    /// Gates `value < bound`.
+    pub fn below(&mut self, name: impl Into<String>, value: f64, bound: f64) {
+        self.gates.push((name.into(), value, bound, value < bound));
+    }
+
+    /// Gates `value ≤ bound`.
+    pub fn at_most(&mut self, name: impl Into<String>, value: f64, bound: f64) {
+        self.gates.push((name.into(), value, bound, value <= bound));
+    }
+
+    /// Gates `value ≥ bound`.
+    pub fn at_least(&mut self, name: impl Into<String>, value: f64, bound: f64) {
+        self.gates.push((name.into(), value, bound, value >= bound));
+    }
+
+    /// Names of the failed gates, in report order. A NaN value or bound
+    /// fails its gate.
+    pub fn failed(&self) -> Vec<&str> {
+        self.gates
+            .iter()
+            .filter(|g| !g.3)
+            .map(|g| g.0.as_str())
+            .collect()
+    }
+
+    /// The report as JSON: a provenance block (commit, core count,
+    /// whether the `parallel` feature is on, repetitions per
+    /// measurement, and this process's peak RSS so far), then the
+    /// `metrics` map of `{value, unit}` and the `gates` map of
+    /// `{value, bound, pass}`.
+    pub fn to_json(&self) -> String {
+        let commit = std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or_else(
+                || "unknown".to_string(),
+                |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+            );
+        let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let peak = disc_cli::verbs::peak_rss_mib().unwrap_or(f64::NAN);
+        let metrics: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|(name, value, unit)| {
+                format!(
+                    "    {name:?}: {{\"value\": {}, \"unit\": {unit:?}}}",
+                    num(*value)
+                )
+            })
+            .collect();
+        let gates: Vec<String> = self
+            .gates
+            .iter()
+            .map(|(name, value, bound, pass)| {
+                format!(
+                    "    {name:?}: {{\"value\": {}, \"bound\": {}, \"pass\": {pass}}}",
+                    num(*value),
+                    num(*bound)
+                )
+            })
+            .collect();
+        // Every measurement runs once: repetitions is 1.
+        format!(
+            "{{\n  \"provenance\": {{\"commit\": {commit:?}, \"nproc\": {nproc}, \
+             \"parallel\": {}, \"repetitions\": 1, \"peak_rss_mib\": {}}},\n  \
+             \"metrics\": {{\n{}\n  }},\n  \"gates\": {{\n{}\n  }}\n}}\n",
+            cfg!(feature = "parallel"),
+            num(peak),
+            metrics.join(",\n"),
+            gates.join(",\n")
+        )
+    }
+
+    /// Writes [`Report::to_json`] to `path`, then fails naming every
+    /// failed gate, so a failing run's numbers are on disk.
+    pub fn write(&self, path: &Path) -> Result<(), String> {
+        std::fs::write(path, self.to_json())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let failed = self.failed();
+        if failed.is_empty() {
+            Ok(())
+        } else {
+            Err(format!(
+                "wrote {}; failed gates: {}",
+                path.display(),
+                failed.join(", ")
+            ))
+        }
+    }
+}
+
+/// A JSON number: integers exactly, other values to six significant
+/// digits, and non-finite values (which JSON cannot hold) as `null`.
+fn num(v: f64) -> String {
+    if !v.is_finite() {
+        "null".to_string()
+    } else if v.fract() == 0.0 && v.abs() < 1e15 {
+        format!("{v:.0}")
+    } else {
+        let decimals = (5 - v.abs().log10().floor() as i32).max(0) as usize;
+        let s = format!("{v:.decimals$}");
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    }
+}
+
+/// Builds every section of `BENCH_report.json`: the cost model, parity
+/// and ratio gates on the fig9 clustered workload at `n`, then one
+/// clustered and one uniform scale-tier build at each of `scale_tiers`.
+pub fn build_report(n: usize, scale_tiers: &[usize]) -> Report {
+    let mut r = Report::default();
+    let data = bench_clustered(n);
+    let tree = bench_tree(&data);
+    record_pruning(&mut r, &tree);
+    measure_graph_vs_tree(&tree, RADIUS).record(&mut r);
+    let zoom = measure_zoom_graph_vs_tree(&tree, R_MAX, &TARGETS);
+    zoom.record(&mut r);
+    measure_streaming(&zoom.data, &zoom.strat, 64, 32, RADIUS).record(&mut r);
+    drop(zoom);
+    for &tier in scale_tiers {
+        // Degree-60 target on the uniform square, n·π·r² ≈ 60, so edge
+        // volume grows linearly with n; the clustered workload reuses
+        // the radius and lands denser, the regime the boundary gate
+        // cares about.
+        let radius = (60.0 / (std::f64::consts::PI * tier as f64)).sqrt();
+        measure_scale(&bench_clustered(tier), "clustered", radius, SCALE_SHARDS).record(&mut r);
+        measure_scale(&bench_uniform(tier), "uniform", radius, SCALE_SHARDS).record(&mut r);
+    }
+    r
+}
+
+/// One fig9 runner over a tree, at [`RADIUS`].
+type Fig9Run = fn(&MTree<'_>);
+
+/// Distance computations of count seeding and of full Greedy-DisC,
+/// Greedy-C and Fast-C runs with the M-tree parent-distance lemma off
+/// (a tree built alongside `tree`) and on (`tree`).
+fn record_pruning(r: &mut Report, tree: &MTree<'_>) {
+    let unpruned = MTree::build(
+        tree.data(),
+        MTreeConfig::default().with_parent_pruning(false),
+    );
+    let runs: [(&str, Fig9Run); 4] = [
+        ("count_seeding", |t| {
+            // Object-only queries, exactly as the heuristics seed.
+            par::seed_counts_serial(t.len(), |id, scratch: &mut Vec<usize>| {
+                t.range_query_objs_into(id, RADIUS, scratch);
+                (scratch.len() - 1) as u32
+            });
+        }),
+        ("greedy_disc", |t| {
+            greedy_disc(t, RADIUS, GreedyVariant::Grey, true);
+        }),
+        ("greedy_c", |t| {
+            greedy_c(t, RADIUS);
+        }),
+        ("fast_c", |t| {
+            fast_c(t, RADIUS);
+        }),
+    ];
+    for (label, run) in runs {
+        let [off, on] = [&unpruned, tree].map(|t| {
+            t.reset_distance_computations();
+            run(t);
+            t.reset_distance_computations() as f64
+        });
+        r.metric(format!("pruning.{label}.off_dc"), off, "dc");
+        r.metric(format!("pruning.{label}.on_dc"), on, "dc");
+        r.metric(format!("pruning.{label}.ratio"), off / on.max(1.0), "x");
+    }
+}
+
+/// Greedy-DisC and Greedy-C at one radius, graph-resident (one
+/// self-join, then selection with no index queries) and tree-backed,
+/// in distance computations.
 pub struct GraphVsTree {
     /// `n(n−1)/2`, the O(n²) scan's distance-computation count.
     pub pairs_all: u64,
@@ -63,524 +291,229 @@ pub struct GraphVsTree {
     pub self_join_dc: u64,
     /// Undirected edges of `G_{P,r}`.
     pub edges: usize,
-    /// Self-join + CSR assembly wall-clock.
-    pub build_ms: f64,
-    /// Graph-resident Greedy-DisC selection wall-clock.
-    pub disc_select_ms: f64,
     /// Tree-backed pruned Greedy-DisC distance computations.
     pub disc_tree_dc: u64,
-    /// Tree-backed pruned Greedy-DisC wall-clock.
-    pub disc_tree_ms: f64,
-    /// Greedy-DisC solution size (identical across pipelines).
+    /// Greedy-DisC solution size.
     pub disc_size: usize,
-    /// Graph-resident Greedy-C selection wall-clock.
-    pub c_select_ms: f64,
     /// Tree-backed Greedy-C distance computations.
     pub c_tree_dc: u64,
-    /// Tree-backed Greedy-C wall-clock.
-    pub c_tree_ms: f64,
-    /// Greedy-C solution size (identical across pipelines).
+    /// Greedy-C solution size.
     pub c_size: usize,
+    /// Whether graph-resident Greedy-DisC chose the tree-backed solution.
+    pub disc_identical: bool,
+    /// Whether graph-resident Greedy-C chose the tree-backed solution.
+    pub c_identical: bool,
 }
 
-/// Runs both pipelines at `radius` and asserts the graph-resident
-/// solutions equal the tree-backed exact ones. Resets (and so consumes)
-/// the tree's distance-computation counter.
+/// Runs both pipelines at `radius`. Resets (and so consumes) the tree's
+/// distance-computation counter.
 pub fn measure_graph_vs_tree(tree: &MTree<'_>, radius: f64) -> GraphVsTree {
     let n = tree.len() as u64;
-
     tree.reset_distance_computations();
-    let t = Instant::now();
     let graph = UnitDiskGraph::from_mtree(tree, radius);
-    let build_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let self_join_dc = tree.reset_distance_computations();
-
-    let t = Instant::now();
-    let graph_disc = greedy_disc_graph(&graph);
-    let disc_select_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let t = Instant::now();
-    let graph_c = greedy_c_graph(&graph);
-    let c_select_ms = t.elapsed().as_secs_f64() * 1_000.0;
-
-    tree.reset_distance_computations();
-    let t = Instant::now();
     let tree_disc = greedy_disc(tree, radius, GreedyVariant::Grey, true);
-    let disc_tree_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let disc_tree_dc = tree.reset_distance_computations();
-
-    let t = Instant::now();
     let tree_c = greedy_c(tree, radius);
-    let c_tree_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let c_tree_dc = tree.reset_distance_computations();
-
-    assert_eq!(
-        graph_disc.solution, tree_disc.solution,
-        "graph-resident Greedy-DisC diverged from the tree-backed exact solution"
-    );
-    assert_eq!(
-        graph_c.solution, tree_c.solution,
-        "graph-resident Greedy-C diverged from the tree-backed solution"
-    );
-
     GraphVsTree {
         pairs_all: n * n.saturating_sub(1) / 2,
         self_join_dc,
         edges: graph.edge_count(),
-        build_ms,
-        disc_select_ms,
         disc_tree_dc,
-        disc_tree_ms,
         disc_size: tree_disc.size(),
-        c_select_ms,
         c_tree_dc,
-        c_tree_ms,
         c_size: tree_c.size(),
+        disc_identical: greedy_disc_graph(&graph).solution == tree_disc.solution,
+        c_identical: greedy_c_graph(&graph).solution == tree_c.solution,
     }
 }
 
-/// One serial-vs-parallel self-join build measurement (the
-/// `selfjoin_par` section of `BENCH_fig9.json` and
-/// `BENCH_graph_vs_tree.json`, shared so the two reports cannot drift).
-pub struct SelfJoinPar {
-    /// Worker thread count of the parallel side.
-    pub threads: usize,
-    /// Whether the thread count was forced (e.g. via `SELF_JOIN_THREADS`)
-    /// rather than auto-detected.
-    pub forced: bool,
-    /// Worker threads the "parallel" side actually ran with: the
-    /// self-join short-circuits to the serial traversal when the
-    /// resolved thread count is 1 (e.g. a single-core host), so this is
-    /// 1 there and `threads` otherwise.
-    pub effective_threads: usize,
-    /// Whether the parallel side short-circuited to serial — in which
-    /// case a "speedup" would compare the serial code against itself
-    /// and is reported as `null` instead.
-    pub short_circuited: bool,
-    /// Serial dual-tree traversal wall-clock (ms).
-    pub serial_ms: f64,
-    /// Parallel dual-tree traversal wall-clock (ms).
-    pub parallel_ms: f64,
-    /// Distance computations charged by the serial traversal.
-    pub serial_dc: u64,
-    /// Distance computations charged by the parallel traversal (the
-    /// parity gate requires this to equal `serial_dc` exactly).
-    pub parallel_dc: u64,
-    /// Undirected edges found (identical on both sides by construction;
-    /// `edges_identical` pins it).
-    pub edges: usize,
-    /// Whether the two edge lists are byte-identical (set and order).
-    pub edges_identical: bool,
-    /// Whether `from_edges` (one row-sort worker) and
-    /// `from_edges_sharded` (`threads` workers) build byte-identical CSR
-    /// arrays (`offsets` and `neighbors`).
-    pub csr_identical: bool,
-    /// Whether graph-resident Greedy-DisC picks the same solution on
-    /// both graphs.
-    pub solutions_identical: bool,
-}
-
-impl SelfJoinPar {
-    /// Serial / parallel wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.serial_ms / self.parallel_ms
-    }
-
-    /// The CI parity gate: distance-computation totals, edge lists, CSR
-    /// bytes and solutions must all agree between the serial and
-    /// parallel pipelines.
-    pub fn parity(&self) -> bool {
-        self.serial_dc == self.parallel_dc
-            && self.edges_identical
-            && self.csr_identical
-            && self.solutions_identical
-    }
-
-    /// The `selfjoin_par` JSON object, shared verbatim by
-    /// `BENCH_fig9.json` and `BENCH_graph_vs_tree.json` so the two
-    /// reports cannot drift (no serde in the environment; a non-finite
-    /// speedup serialises as `null`).
-    pub fn to_json(&self) -> String {
-        // A short-circuited "parallel" side ran the serial code: its
-        // wall-clock ratio is measurement noise, not a speedup, and
-        // serialises as null so downstream dashboards cannot chart it.
-        let speedup = if !self.short_circuited && self.speedup().is_finite() {
-            format!("{:.3}", self.speedup())
-        } else {
-            "null".to_string()
-        };
-        format!(
-            "{{\"threads\": {}, \"forced\": {}, \"effective_threads\": {}, \
-             \"short_circuited\": {}, \"serial_ms\": {:.3}, \
-             \"parallel_ms\": {:.3}, \"speedup\": {speedup}, \
-             \"serial_distance_computations\": {}, \
-             \"parallel_distance_computations\": {}, \"edges\": {}, \
-             \"parity\": {}}}",
-            self.threads,
-            self.forced,
-            self.effective_threads,
-            self.short_circuited,
-            self.serial_ms,
-            self.parallel_ms,
-            self.serial_dc,
-            self.parallel_dc,
-            self.edges,
-            self.parity()
-        )
+impl GraphVsTree {
+    fn record(&self, r: &mut Report) {
+        let dc = self.self_join_dc as f64;
+        r.metric("self_join.all_pairs", self.pairs_all as f64, "pairs");
+        r.metric("self_join.dc", dc, "dc");
+        r.metric("self_join.edges", self.edges as f64, "edges");
+        r.metric(
+            "self_join.tree_greedy_disc_dc",
+            self.disc_tree_dc as f64,
+            "dc",
+        );
+        r.metric("self_join.tree_greedy_c_dc", self.c_tree_dc as f64, "dc");
+        r.metric(
+            "self_join.greedy_disc_size",
+            self.disc_size as f64,
+            "objects",
+        );
+        r.metric("self_join.greedy_c_size", self.c_size as f64, "objects");
+        r.below("self_join.dc_below_all_pairs", dc, self.pairs_all as f64);
+        r.at_most(
+            "self_join.dc_within_tree_greedy_disc",
+            dc,
+            self.disc_tree_dc as f64,
+        );
+        r.at_most("parity.greedy_disc", mismatches(self.disc_identical), 0.0);
+        r.at_most("parity.greedy_c", mismatches(self.c_identical), 0.0);
     }
 }
 
-/// The `SELF_JOIN_THREADS` override both perf binaries honour (CI's
-/// thread-count matrix smoke); `None` when unset or unparsable.
-pub fn self_join_threads_from_env() -> Option<usize> {
-    std::env::var("SELF_JOIN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
-/// Measures the serial vs parallel self-join build at `radius` and
-/// cross-checks every determinism guarantee the parallel path makes
-/// (edge order, distance counter, sharded CSR bytes, selection output).
-/// `forced_threads` overrides the worker count (CI's `SELF_JOIN_THREADS`
-/// matrix); `None` auto-detects. Resets (and so consumes) the tree's
-/// distance-computation counter.
-pub fn measure_selfjoin_par(
-    tree: &MTree<'_>,
-    radius: f64,
-    forced_threads: Option<usize>,
-) -> SelfJoinPar {
-    let threads = forced_threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-
-    // Warm both sides once (allocator pages, edge-buffer capacity)
-    // before timing: whichever side ran first used to pay the kernel's
-    // page-clearing for its freshly grown buffers, skewing a
-    // serial-vs-parallel comparison that should only see traversal
-    // cost.
-    let mut serial_edges = Vec::new();
-    tree.range_self_join_serial_into(radius, &mut serial_edges);
-    let mut parallel_edges = Vec::new();
-    tree.range_self_join_with_into(radius, SelfJoinConfig { threads }, &mut parallel_edges);
-
-    tree.reset_distance_computations();
-    let t = Instant::now();
-    tree.range_self_join_serial_into(radius, &mut serial_edges);
-    let serial_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let serial_dc = tree.reset_distance_computations();
-
-    let t = Instant::now();
-    tree.range_self_join_with_into(radius, SelfJoinConfig { threads }, &mut parallel_edges);
-    let parallel_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let parallel_dc = tree.reset_distance_computations();
-
-    let serial_graph = UnitDiskGraph::from_edges(tree.len(), radius, &serial_edges);
-    let sharded_graph =
-        UnitDiskGraph::from_edges_sharded(tree.len(), radius, &parallel_edges, threads);
-
-    SelfJoinPar {
-        threads,
-        forced: forced_threads.is_some(),
-        // Mirror of the self-join's own dispatch: a resolved thread
-        // count of 1 falls back to the serial traversal, so the
-        // "parallel" measurement ran serial code.
-        effective_threads: threads.max(1),
-        short_circuited: threads <= 1,
-        serial_ms,
-        parallel_ms,
-        serial_dc,
-        parallel_dc,
-        edges: serial_edges.len(),
-        edges_identical: serial_edges == parallel_edges,
-        csr_identical: serial_graph.offsets() == sharded_graph.offsets()
-            && serial_graph.neighbors_flat() == sharded_graph.neighbors_flat(),
-        solutions_identical: greedy_disc_graph(&serial_graph).solution
-            == greedy_disc_graph(&sharded_graph).solution,
-    }
-}
-
-/// One graph-resident vs tree-backed **zooming** measurement: a
-/// chained zoom-in sweep (`r_max`, then each target radius in turn)
-/// executed once over a radius-stratified graph and once with the
-/// tree-backed operators. Shared by `fig9_report`'s `zoom_graph`
-/// section and the gated `zoom_graph_vs_tree` binary, so the two
-/// reports cannot drift.
+/// A chained zoom-in sweep (Greedy-DisC at `r_max`, then Greedy-Zoom-In
+/// to each target in turn) run graph-resident on one stratified build
+/// and tree-backed, plus the zoom-out and multi-radius runners on both
+/// sides.
 pub struct ZoomGraphVsTree {
     /// The sweep's largest radius (the stratified build radius).
     pub r_max: f64,
     /// The zoom-in targets below `r_max`, in sweep (descending) order.
     pub targets: Vec<f64>,
-    /// Worker/shard count of the annotated parity check.
-    pub threads: usize,
-    /// Whether `threads` was forced (e.g. via `SELF_JOIN_THREADS`).
-    pub forced: bool,
     /// Distance computations of the one annotated `r_max` self-join +
     /// stratified CSR assembly — the graph pipeline's *total*: the
     /// sweep itself adds zero.
     pub strat_build_dc: u64,
-    /// Stratified build wall-clock (self-join + assembly).
-    pub strat_build_ms: f64,
-    /// The annotated self-join traversal's share of the build.
+    /// The annotated self-join's share of the build wall clock.
     pub strat_selfjoin_ms: f64,
-    /// The radix-sorted CSR assembly's share of the build.
+    /// The CSR assembly's share of the build wall clock.
     pub strat_assembly_ms: f64,
     /// Undirected edges of the stratified graph at `r_max`.
     pub strat_edges: usize,
-    /// Wall-clock of the leaf-order renumbering (order extraction,
-    /// dataset renumber, tree relabel). Kept outside `strat_build_ms`,
-    /// which remains self-join + assembly.
-    pub renumber_ms: f64,
-    /// The leaf-order renumbered dataset the production build ran on.
-    /// It carries the internal↔external bijection `strat` shares, so
-    /// callers persisting the build (`measure_store`) must pair `strat`
+    /// The leaf-order renumbered dataset the build ran on. It carries
+    /// the internal↔external bijection `strat` shares, so `strat` pairs
     /// with this dataset, not the original one.
     pub data: Dataset,
-    /// The stratified graph itself (the timed production build), so
-    /// callers needing further parity checks — e.g. the gated binary's
-    /// zoom-out and multi-radius gates — reuse it instead of paying a
-    /// second annotated self-join.
+    /// The stratified graph over `data`.
     pub strat: StratifiedDiskGraph,
     /// Distance computations charged during the graph-resident sweep
     /// (must be 0 — the sweep never touches the index).
     pub graph_sweep_extra_dc: u64,
-    /// Graph-resident sweep wall-clock (initial Greedy-DisC on the
-    /// `r_max` prefix view plus every zoom-in step).
+    /// Graph-resident sweep wall clock (Greedy-DisC on the `r_max`
+    /// prefix view plus every zoom-in step).
     pub graph_sweep_ms: f64,
-    /// The *plain* (un-annotated) `r_max` self-join's distance
-    /// computations, for reference: the annotation surcharge is
+    /// The plain (un-annotated) `r_max` self-join's distance
+    /// computations: the annotation surcharge is
     /// `strat_build_dc - plain_selfjoin_dc`.
     pub plain_selfjoin_dc: u64,
-    /// Tree-backed sweep distance computations (Greedy-DisC at `r_max`
-    /// plus every Greedy-Zoom-In, preparation included).
+    /// Tree-backed sweep distance computations (preparation included).
     pub tree_sweep_dc: u64,
     /// Tree-backed sweep node accesses (preparation included).
     pub tree_sweep_accesses: u64,
-    /// Tree-backed sweep wall-clock.
+    /// Tree-backed sweep wall clock.
     pub tree_sweep_ms: f64,
-    /// Whether every step of the sweep produced byte-identical
-    /// solutions on both sides.
-    pub solutions_identical: bool,
     /// Solution size at `r_max` and after each zoom-in step.
     pub sizes: Vec<usize>,
-    /// Annotated self-join: serial distance computations.
-    pub annotated_serial_dc: u64,
-    /// Annotated self-join: forced-thread-count distance computations
-    /// (the parity gate requires equality with the serial total).
-    pub annotated_parallel_dc: u64,
-    /// Whether the serial and parallel annotated edge lists are
-    /// byte-identical (order and f64 annotations included).
-    pub annotated_edges_identical: bool,
-    /// Whether serial and sharded stratified CSR assembly agree byte
-    /// for byte (`offsets`, `neighbors` and `dists`).
-    pub stratified_csr_identical: bool,
+    /// Sweep steps whose graph-resident solution differs from the
+    /// tree-backed one.
+    pub zoom_in_mismatches: usize,
+    /// Zoom-out variants (of four, from the first target out to
+    /// `r_max`) whose graph-resident solution differs.
+    pub zoom_out_mismatches: usize,
+    /// Multi-radius modes (greedy, basic) whose graph-resident
+    /// solution differs.
+    pub multi_radius_mismatches: usize,
 }
 
-impl ZoomGraphVsTree {
-    /// Total distance computations of the graph-resident sweep: the one
-    /// stratified build plus whatever the sweep added (gated to zero).
-    pub fn graph_total_dc(&self) -> u64 {
-        self.strat_build_dc + self.graph_sweep_extra_dc
-    }
-
-    /// The CI parity gate: identical solutions at every radius, exact
-    /// annotated counter parity, byte-identical annotated edges and
-    /// stratified CSR.
-    pub fn parity(&self) -> bool {
-        self.solutions_identical
-            && self.annotated_serial_dc == self.annotated_parallel_dc
-            && self.annotated_edges_identical
-            && self.stratified_csr_identical
-    }
-
-    /// The stratified-build cost gate: every distance the annotated
-    /// build computes beyond the plain self-join belongs to an emitted
-    /// edge (the inclusion-qualified pairs), so the annotated total
-    /// must stay within `plain + edges`. A regression here means the
-    /// annotated traversal started paying for non-edges.
-    pub fn dc_within_edge_bound(&self) -> bool {
-        self.strat_build_dc <= self.plain_selfjoin_dc + self.strat_edges as u64
-    }
-
-    /// The `zoom_graph` JSON object shared by `BENCH_fig9.json` and
-    /// `BENCH_zoom_graph.json` (no serde in the environment).
-    pub fn to_json(&self) -> String {
-        let targets = self
-            .targets
-            .iter()
-            .map(|r| format!("{r}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let sizes = self
-            .sizes
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"r_max\": {}, \"targets\": [{targets}], \"threads\": {}, \"forced\": {}, \
-             \"stratified_build\": {{\"distance_computations\": {}, \"edges\": {}, \
-             \"renumber_ms\": {:.3}, \"selfjoin_ms\": {:.3}, \"assembly_ms\": {:.3}, \
-             \"build_ms\": {:.3}, \"dc_within_edge_bound\": {}}}, \
-             \"plain_self_join_distance_computations\": {}, \
-             \"graph_sweep\": {{\"extra_distance_computations\": {}, \
-             \"total_distance_computations\": {}, \"sweep_ms\": {:.3}}}, \
-             \"tree_sweep\": {{\"distance_computations\": {}, \"node_accesses\": {}, \
-             \"sweep_ms\": {:.3}}}, \
-             \"solution_sizes\": [{sizes}], \"solutions_identical\": {}, \"parity\": {}}}",
-            self.r_max,
-            self.threads,
-            self.forced,
-            self.strat_build_dc,
-            self.strat_edges,
-            self.renumber_ms,
-            self.strat_selfjoin_ms,
-            self.strat_assembly_ms,
-            self.strat_build_ms,
-            self.dc_within_edge_bound(),
-            self.plain_selfjoin_dc,
-            self.graph_sweep_extra_dc,
-            self.graph_total_dc(),
-            self.graph_sweep_ms,
-            self.tree_sweep_dc,
-            self.tree_sweep_accesses,
-            self.tree_sweep_ms,
-            self.solutions_identical,
-            self.parity()
-        )
-    }
-}
-
-/// Measures a chained zoom-in sweep (Greedy-DisC at `r_max`, then
-/// Greedy-Zoom-In to each target radius in order) once graph-resident —
-/// one stratified build, zero index work afterwards — and once
-/// tree-backed, cross-checking byte-identical solutions at every step
-/// plus the serial/parallel determinism of the annotated pipeline.
-/// `forced_threads` overrides the worker/shard count (CI's
-/// `SELF_JOIN_THREADS` matrix). Resets (and so consumes) the tree's
+/// Measures the zoom sweep over `targets` (descending, below `r_max`,
+/// at least two) graph-resident and tree-backed, and compares every
+/// step. Zoom-out starts from a Greedy-DisC solution at the first
+/// target; multi-radius gives even external ids the second target and
+/// odd ones `r_max`. Resets (and so consumes) the tree's
 /// distance-computation and node-access counters.
 pub fn measure_zoom_graph_vs_tree(
     tree: &MTree<'_>,
     r_max: f64,
     targets: &[f64],
-    forced_threads: Option<usize>,
 ) -> ZoomGraphVsTree {
     assert!(
-        targets.windows(2).all(|w| w[0] > w[1]) && targets.iter().all(|&r| r < r_max),
-        "targets must descend below r_max"
+        targets.len() >= 2
+            && targets.windows(2).all(|w| w[0] > w[1])
+            && targets.iter().all(|&r| r < r_max),
+        "targets must be two or more radii descending below r_max"
     );
-    let threads = forced_threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
-
-    // Leaf-order renumbering: the production build runs on a
-    // renumbered dataset and relabeled tree whose leaf order is the
-    // identity, so the annotated self-join emits endpoints in
-    // near-row order and CSR fill walks warm cache lines. Solutions
-    // stay in external ids on both sides (the graph carries the
-    // bijection and the runners translate at the boundary).
-    let t = Instant::now();
+    // Leaf-order renumbering, as the production build runs: the
+    // annotated self-join emits endpoints in near-row order. Solutions
+    // stay in external ids on both sides.
     let order = tree.objects_in_leaf_order_uncounted();
-    let data2 = tree.data().renumbered(&order);
-    let tree2 = tree.relabeled(&data2, &order);
-    let renumber_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let data = tree.data().renumbered(&order);
+    let tree2 = tree.relabeled(&data, &order);
 
-    // Annotated serial/parallel parity (edge lists, counters, CSR) on
-    // the renumbered tree — the pipeline the production build uses.
-    tree2.reset_distance_computations();
-    let serial_edges = tree2.range_self_join_dist_serial(r_max);
-    let annotated_serial_dc = tree2.reset_distance_computations();
-    let par_edges = tree2.range_self_join_dist_with(r_max, SelfJoinConfig { threads });
-    let annotated_parallel_dc = tree2.reset_distance_computations();
-    let serial_strat = StratifiedDiskGraph::from_dist_edges(tree2.len(), r_max, &serial_edges);
-    let sharded_strat =
-        StratifiedDiskGraph::from_dist_edges_sharded(tree2.len(), r_max, &par_edges, threads);
-    let annotated_edges_identical = serial_edges == par_edges;
-    let stratified_csr_identical = serial_strat.offsets() == sharded_strat.offsets()
-        && serial_strat.neighbors_flat() == sharded_strat.neighbors_flat()
-        && serial_strat.dists_flat() == sharded_strat.dists_flat();
-    // Free the parity transients before timing the production build:
-    // several hundred MB of live edge lists and graphs would otherwise
-    // push the build onto freshly faulted kernel pages and bill the
-    // page-clearing to the build (it roughly doubled the recorded
-    // wall clock at n = 10k).
-    drop(serial_strat);
-    drop(sharded_strat);
-    drop(serial_edges);
-    drop(par_edges);
-
-    // Timed production build — `StratifiedDiskGraph::from_mtree`'s two
-    // phases, driven through the same entry points it uses
-    // (`range_self_join_dist` + the one CSR assembly,
-    // `from_dist_edge_slices_checked` with one row-sort worker per
-    // core) so the annotated traversal and the radix-sorted CSR
-    // assembly are attributed separately.
+    // `StratifiedDiskGraph::from_mtree`'s two phases, timed apart.
     tree2.reset_distance_computations();
     let t = Instant::now();
     let edges = tree2.range_self_join_dist(r_max);
-    let strat_selfjoin_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let strat_selfjoin_ms = ms_since(t);
     let t = Instant::now();
     let (strat, _) =
         StratifiedDiskGraph::from_dist_edge_slices_checked(tree2.len(), r_max, &[&edges], 0, None)
             .expect("valid radius, no cancel token");
-    let strat_assembly_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let strat_assembly_ms = ms_since(t);
     drop(edges);
-    // The bijection rides on the graph (outside the timed phases; the
-    // sweep below externalises every solution id through it).
-    let strat = strat.with_permutation(data2.permutation().cloned());
-    let strat_build_ms = strat_selfjoin_ms + strat_assembly_ms;
+    let strat = strat.with_permutation(data.permutation().cloned());
     let strat_build_dc = tree2.reset_distance_computations();
 
-    // Plain self-join reference (annotation surcharge bookkeeping).
     let _ = tree2.range_self_join(r_max);
     let plain_selfjoin_dc = tree2.reset_distance_computations();
 
-    // Tree-backed sweep (original numbering; solutions are external
-    // ids on both sides, so the byte-identity check is direct).
     tree.reset_distance_computations();
     tree.reset_node_accesses();
     let t = Instant::now();
-    let mut tree_sols: Vec<Vec<usize>> = Vec::new();
     let mut prev = greedy_disc(tree, r_max, GreedyVariant::Grey, true);
-    tree_sols.push(prev.solution.clone());
+    let mut tree_sols = vec![prev.solution.clone()];
     for &r_new in targets {
         prev = greedy_zoom_in(tree, &prev, r_new).result;
         tree_sols.push(prev.solution.clone());
     }
-    let tree_sweep_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let tree_sweep_ms = ms_since(t);
     let tree_sweep_dc = tree.reset_distance_computations();
     let tree_sweep_accesses = tree.reset_node_accesses();
 
-    // Graph-resident sweep: everything reads the stratified graph, and
-    // the first solve runs on the prefix view itself, as serving does.
+    // The first solve runs on the prefix view itself, as serving does.
     let t = Instant::now();
-    let mut graph_sols: Vec<Vec<usize>> = Vec::new();
-    let mut prev_g = greedy_disc_graph(&strat.view(r_max));
-    graph_sols.push(prev_g.solution.clone());
+    let mut prev = greedy_disc_graph(&strat.view(r_max));
+    let mut graph_sols = vec![prev.solution.clone()];
     for &r_new in targets {
-        prev_g = greedy_zoom_in_graph(&strat, &prev_g, r_new).result;
-        graph_sols.push(prev_g.solution.clone());
+        prev = greedy_zoom_in_graph(&strat, &prev, r_new).result;
+        graph_sols.push(prev.solution.clone());
     }
-    let graph_sweep_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let graph_sweep_ms = ms_since(t);
     // Neither tree may have been touched by the graph sweep.
     let graph_sweep_extra_dc =
         tree.reset_distance_computations() + tree2.reset_distance_computations();
+
+    let seed = greedy_disc(tree, targets[0], GreedyVariant::Grey, true);
+    let zoom_out_mismatches = [
+        ZoomOutVariant::Plain,
+        ZoomOutVariant::GreedyA,
+        ZoomOutVariant::GreedyB,
+        ZoomOutVariant::GreedyC,
+    ]
+    .into_iter()
+    .filter(|&v| {
+        zoom_out_graph(&tree2, &strat, &seed, r_max, v)
+            .result
+            .solution
+            != greedy_zoom_out(tree, &seed, r_max, v).result.solution
+    })
+    .count();
+    let radii: Vec<f64> = (0..tree.len())
+        .map(|id| if id % 2 == 0 { targets[1] } else { r_max })
+        .collect();
+    let multi_radius_mismatches = usize::from(
+        multi_radius_graph(&tree2, &strat, &radii, true).solution
+            != multi_radius_greedy_disc(tree, &radii, true).solution,
+    ) + usize::from(
+        multi_radius_graph(&tree2, &strat, &radii, false).solution
+            != multi_radius_basic_disc(tree, &radii, true).solution,
+    );
     drop(tree2);
 
     ZoomGraphVsTree {
         r_max,
         targets: targets.to_vec(),
-        threads,
-        forced: forced_threads.is_some(),
         strat_build_dc,
-        strat_build_ms,
         strat_selfjoin_ms,
         strat_assembly_ms,
         strat_edges: strat.edge_count(),
-        renumber_ms,
-        data: data2,
+        data,
         strat,
         graph_sweep_extra_dc,
         graph_sweep_ms,
@@ -588,342 +521,112 @@ pub fn measure_zoom_graph_vs_tree(
         tree_sweep_dc,
         tree_sweep_accesses,
         tree_sweep_ms,
-        solutions_identical: graph_sols == tree_sols,
         sizes: graph_sols.iter().map(Vec::len).collect(),
-        annotated_serial_dc,
-        annotated_parallel_dc,
-        annotated_edges_identical,
-        stratified_csr_identical,
+        zoom_in_mismatches: graph_sols
+            .iter()
+            .zip(&tree_sols)
+            .filter(|(g, t)| g != t)
+            .count(),
+        zoom_out_mismatches,
+        multi_radius_mismatches,
     }
 }
 
-/// One snapshot save/load measurement (the `store` section of
-/// `BENCH_fig9.json` and the gated `zoom_graph_vs_tree` store smoke):
-/// the measured stratified graph and its dataset go through the full
-/// fail-closed persistence path — `disc_store::write_snapshot` to a
-/// temp file, `read_snapshot` into aligned storage, checksum-validated
-/// `decode` — and the round trip is pinned byte-identical by
-/// re-encoding the loaded pair and comparing against the file bytes.
-pub struct StoreBench {
-    /// Snapshot size on disk (bytes).
-    pub snapshot_bytes: u64,
-    /// Encode + write wall-clock (ms).
-    pub save_ms: f64,
-    /// Read + validate + decode wall-clock (ms).
-    pub load_ms: f64,
-    /// Whether re-encoding the loaded dataset/graph reproduced the file
-    /// byte for byte (covers coords, CSR arrays, distances, metadata).
-    pub round_trip_identical: bool,
-}
-
-impl StoreBench {
-    /// Hand-rolled JSON object (no serde in the environment).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"snapshot_bytes\": {}, \"save_ms\": {:.3}, \"load_ms\": {:.3}, \
-             \"round_trip_identical\": {}}}",
-            self.snapshot_bytes, self.save_ms, self.load_ms, self.round_trip_identical
-        )
-    }
-}
-
-/// Measures the snapshot save/load path for `data` + `strat` and
-/// returns the timings plus the byte-identity verdict, along with the
-/// loaded pair so callers can run further parity gates on the loaded
-/// graph (the `zoom_graph_vs_tree` binary replays its sweep on it).
-/// The temp file is removed before returning.
-pub fn measure_store(
-    data: &Dataset,
-    strat: &StratifiedDiskGraph,
-) -> (StoreBench, Dataset, StratifiedDiskGraph) {
-    let dir = std::env::temp_dir().join("disc-bench-store");
-    std::fs::create_dir_all(&dir).expect("create snapshot temp dir");
-    let path = dir.join(format!("snapshot-{}.discsnap", std::process::id()));
-
-    let t = Instant::now();
-    let snapshot_bytes = disc_store::write_snapshot(&path, data, strat).expect("write snapshot");
-    let save_ms = t.elapsed().as_secs_f64() * 1_000.0;
-
-    let t = Instant::now();
-    let bytes = disc_store::read_snapshot(&path).expect("read snapshot");
-    let (loaded_data, loaded_graph) =
-        disc_store::decode(bytes.as_bytes()).expect("decode snapshot");
-    let load_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let _ = std::fs::remove_file(&path);
-
-    let reencoded = disc_store::encode(&loaded_data, &loaded_graph).expect("re-encode snapshot");
-    let round_trip_identical = reencoded.as_slice() == bytes.as_bytes();
-
-    (
-        StoreBench {
-            snapshot_bytes,
-            save_ms,
-            load_ms,
-            round_trip_identical,
-        },
-        loaded_data,
-        loaded_graph,
-    )
-}
-
-/// One hardened-serving measurement (the `serve` section of
-/// `BENCH_zoom_graph.json`): request latency under a healthy pool, and
-/// shed/degraded behaviour under deliberate saturation, both against
-/// the same `disc-cli` serving core `disc serve` runs.
-pub struct ServeBench {
-    /// Worker threads of the throughput phase.
-    pub workers: usize,
-    /// Zoom requests submitted in the throughput phase.
-    pub requests: usize,
-    /// Distinct radii cycled through.
-    pub unique_radii: usize,
-    /// Submit-to-drained wall-clock of the throughput phase (ms).
-    pub total_ms: f64,
-    /// Requests completed in the throughput phase (gated to all).
-    pub completed: u64,
-    /// Worker-path cache hits during the throughput phase.
-    pub cache_hits: u64,
-    /// Whether every served hash equalled the in-process
-    /// `greedy_disc_graph` hash at its radius (parity by construction,
-    /// verified anyway).
-    pub solutions_identical: bool,
-    /// Whether the throughput phase's final counters satisfy the serve
-    /// bookkeeping identities.
-    pub counters_consistent: bool,
-    /// Requests flooded at a deliberately saturated 1-worker /
-    /// 1-slot-queue pool.
-    pub flood: usize,
-    /// Flood requests served degraded from the per-radius cache.
-    pub degraded: u64,
-    /// Flood requests shed with the typed overload reply.
-    pub shed: u64,
-    /// Whether the overload phase's final counters satisfy the
-    /// identities (every flooded request accounted for exactly once).
-    pub overload_consistent: bool,
-}
-
-impl ServeBench {
-    /// Mean wall-clock per request in the throughput phase.
-    pub fn per_request_ms(&self) -> f64 {
-        self.total_ms / self.requests.max(1) as f64
-    }
-
-    /// The CI serve gate: hash parity and exact counters in both
-    /// phases, and the saturated pool both degraded and shed (i.e.
-    /// admission control actually engaged).
-    pub fn parity(&self) -> bool {
-        self.solutions_identical
-            && self.counters_consistent
-            && self.overload_consistent
-            && self.completed == self.requests as u64
-            && self.degraded > 0
-            && self.shed > 0
-    }
-
-    /// The `serve` JSON object of `BENCH_zoom_graph.json` (no serde in
-    /// the environment).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"workers\": {}, \"requests\": {}, \"unique_radii\": {}, \
-             \"total_ms\": {:.3}, \"per_request_ms\": {:.4}, \"completed\": {}, \
-             \"cache_hits\": {}, \"solutions_identical\": {}, \
-             \"counters_consistent\": {}, \"flood\": {}, \"degraded\": {}, \
-             \"shed\": {}, \"overload_consistent\": {}, \"parity\": {}}}",
-            self.workers,
-            self.requests,
-            self.unique_radii,
-            self.total_ms,
-            self.per_request_ms(),
-            self.completed,
-            self.cache_hits,
-            self.solutions_identical,
-            self.counters_consistent,
-            self.flood,
-            self.degraded,
-            self.shed,
-            self.overload_consistent,
-            self.parity()
-        )
-    }
-}
-
-/// Sink collecting the hash of every successfully served zoom.
-#[derive(Default)]
-struct HashSink {
-    hashes: Mutex<Vec<u64>>,
-}
-
-impl Sink for HashSink {
-    fn deliver(&self, reply: &Reply) {
-        if let Outcome::Zoomed { value, .. } = &reply.outcome {
-            self.hashes
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(value.hash);
+impl ZoomGraphVsTree {
+    fn record(&self, r: &mut Report) {
+        let build_dc = self.strat_build_dc as f64;
+        let extra_dc = self.graph_sweep_extra_dc as f64;
+        r.metric("zoom.build_dc", build_dc, "dc");
+        r.metric("zoom.plain_join_dc", self.plain_selfjoin_dc as f64, "dc");
+        r.metric("zoom.edges", self.strat_edges as f64, "edges");
+        r.metric("zoom.graph_sweep_extra_dc", extra_dc, "dc");
+        r.metric("zoom.tree_sweep_dc", self.tree_sweep_dc as f64, "dc");
+        r.metric(
+            "zoom.tree_sweep_node_accesses",
+            self.tree_sweep_accesses as f64,
+            "accesses",
+        );
+        let radii = std::iter::once(&self.r_max).chain(&self.targets);
+        for (radius, &size) in radii.zip(&self.sizes) {
+            r.metric(format!("zoom.size_at_{radius}"), size as f64, "objects");
         }
-    }
-
-    fn info(&self, _line: &str) {}
-}
-
-/// Measures the hardened serving core over `graph`: `rounds` cycles of
-/// zooms across `radii` on a `workers`-thread pool (latency +
-/// hash-parity against in-process `greedy_disc_graph`), then a
-/// deliberately saturated 1-worker pool flooded with `2 × flood_half`
-/// requests alternating a cached and an uncached radius (shed/degraded
-/// accounting). `radii` needs at least two entries within
-/// `(0, graph.radius()]`.
-pub fn measure_serve(
-    data: &Dataset,
-    graph: &StratifiedDiskGraph,
-    radii: &[f64],
-    workers: usize,
-    rounds: usize,
-    flood_half: usize,
-) -> ServeBench {
-    assert!(radii.len() >= 2, "serve bench needs two radii");
-    let catalog = StreamingCatalog::try_new(data.clone(), graph.clone())
-        .expect("bench dataset/graph pair is consistent");
-    let state = ServeState::from_catalog(catalog);
-    let expected: Vec<u64> = radii
-        .iter()
-        .map(|&r| solution_hash(&greedy_disc_graph(&graph.view(r).to_unit_disk_graph()).solution))
-        .collect();
-
-    // Throughput phase: queue large enough that nothing sheds.
-    let requests = radii.len() * rounds;
-    let sink = Arc::new(HashSink::default());
-    let server = Server::start(
-        Arc::clone(&state),
-        ServeConfig {
-            workers,
-            queue: requests.max(1),
-            cache: radii.len(),
-        },
-        Arc::<HashSink>::clone(&sink) as Arc<dyn Sink>,
-    );
-    let t = Instant::now();
-    for round in 0..rounds {
-        for (i, &radius) in radii.iter().enumerate() {
-            server.submit(Request {
-                id: (round * radii.len() + i) as u64,
-                op: Op::Zoom { radius },
-                deadline: None,
-            });
-        }
-    }
-    let drained = server.drain(Duration::from_secs(600));
-    let total_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let snap = server.shutdown();
-    let hashes = sink.hashes.lock().unwrap_or_else(|p| p.into_inner());
-    let solutions_identical =
-        hashes.len() == requests && hashes.iter().all(|h| expected.contains(h));
-
-    // Overload phase: one worker pinned by a sleep, one queue slot
-    // filled, then a flood alternating a cache-warm radius (must come
-    // back degraded) and a cache-cold one (must shed).
-    let overload_sink = Arc::new(HashSink::default());
-    let overload = Server::start(
-        state,
-        ServeConfig {
-            workers: 1,
-            queue: 1,
-            cache: radii.len(),
-        },
-        Arc::<HashSink>::clone(&overload_sink) as Arc<dyn Sink>,
-    );
-    overload.submit(Request {
-        id: 0,
-        op: Op::Zoom { radius: radii[0] },
-        deadline: None,
-    });
-    overload.drain(Duration::from_secs(600));
-    overload.submit(Request {
-        id: 1,
-        op: Op::Sleep { ms: 250 },
-        deadline: None,
-    });
-    std::thread::sleep(Duration::from_millis(50)); // worker picked up the sleep
-    overload.submit(Request {
-        id: 2,
-        op: Op::Sleep { ms: 1 },
-        deadline: None,
-    });
-    let flood = 2 * flood_half;
-    for i in 0..flood {
-        overload.submit(Request {
-            id: 100 + i as u64,
-            op: Op::Zoom {
-                radius: radii[i % 2],
-            },
-            deadline: None,
-        });
-    }
-    overload.drain(Duration::from_secs(600));
-    let overload_snap = overload.shutdown();
-
-    ServeBench {
-        workers,
-        requests,
-        unique_radii: radii.len(),
-        total_ms,
-        completed: snap.completed,
-        cache_hits: snap.cache_hits,
-        solutions_identical,
-        counters_consistent: drained && snap.is_consistent(),
-        flood,
-        degraded: overload_snap.degraded,
-        shed: overload_snap.shed,
-        overload_consistent: overload_snap.is_consistent(),
+        r.metric("zoom.self_join_ms", self.strat_selfjoin_ms, "ms");
+        r.metric("zoom.assembly_ms", self.strat_assembly_ms, "ms");
+        r.metric("zoom.graph_sweep_ms", self.graph_sweep_ms, "ms");
+        r.metric("zoom.tree_sweep_ms", self.tree_sweep_ms, "ms");
+        r.at_most("zoom.sweep_extra_dc", extra_dc, 0.0);
+        r.below(
+            "zoom.graph_dc_below_tree",
+            build_dc + extra_dc,
+            self.tree_sweep_dc as f64,
+        );
+        // Every distance the annotated build computes beyond the plain
+        // self-join belongs to an emitted edge.
+        r.at_most(
+            "zoom.build_dc_within_plain_plus_edges",
+            build_dc,
+            (self.plain_selfjoin_dc + self.strat_edges as u64) as f64,
+        );
+        r.at_most(
+            "zoom.assembly_over_self_join",
+            self.strat_assembly_ms / self.strat_selfjoin_ms,
+            ASSEMBLY_RATIO_LIMIT,
+        );
+        // Solving on the prefix view leaves the graph sweep no copy to
+        // pay, so with zero distance computations it must also win on
+        // the same run's wall clock.
+        r.below(
+            "zoom.graph_sweep_ms_below_tree",
+            self.graph_sweep_ms,
+            self.tree_sweep_ms,
+        );
+        r.at_most("parity.zoom_in", self.zoom_in_mismatches as f64, 0.0);
+        r.at_most("parity.zoom_out", self.zoom_out_mismatches as f64, 0.0);
+        r.at_most(
+            "parity.multi_radius",
+            self.multi_radius_mismatches as f64,
+            0.0,
+        );
     }
 }
 
-/// One streaming-mutation measurement (the `streaming` section of
-/// `BENCH_zoom_graph.json`): per-insert catalog-maintenance latency
-/// against a full from-scratch rebuild of the stratified graph over
-/// the final object set, plus solution parity of the mutated catalog
-/// against that rebuild, and three delete paths over one sequence —
-/// the catalog's overlay deletes plus one compaction, the in-place
-/// unlink, the filtering rebuild.
+/// One streaming-mutation measurement: per-insert catalog maintenance
+/// against a from-scratch rebuild over the final object set, with
+/// solution parity, and one delete sequence run three ways — the
+/// catalog's overlay deletes plus one compaction, the in-place unlink
+/// (`remove_object`) and the filtering rebuild (`remove_object_rescan`).
 pub struct StreamingBench {
     /// Live objects before the mutations.
     pub n: usize,
     /// Points inserted.
     pub inserts: usize,
-    /// Objects deleted.
+    /// Objects deleted (after the inserts, and again in each delete
+    /// path of the comparison).
     pub deletes: usize,
-    /// Wall-clock of all inserts (ms).
+    /// Wall clock of all inserts (ms).
     pub insert_total_ms: f64,
-    /// Wall-clock of all deletes (ms).
-    pub delete_total_ms: f64,
-    /// Wall-clock of one from-scratch rebuild over the final object
+    /// Wall clock of one from-scratch rebuild over the final object
     /// set (M-tree build + self-join + CSR assembly), ms.
     pub rebuild_ms: f64,
     /// Distance computations charged by the mutation layer (exactly
     /// `n` per insert, none per delete).
     pub mutation_dc: u64,
     /// Whether greedy solutions over the mutated catalog equal the
-    /// from-scratch rebuild at the probe radius (external ids).
+    /// rebuild's at the probe radius (external ids).
     pub solutions_match: bool,
-    /// Deletes replayed on each path of the delete comparison below
-    /// (overlay, unlink, rescan).
-    pub delete_compare_ops: usize,
-    /// Total wall-clock of the in-place reverse-index unlink
-    /// (`remove_object`, the single-delete splice the catalog's
-    /// compaction is pinned against), ms.
+    /// Total wall clock of the deletes through `remove_object`, ms.
     pub unlink_total_ms: f64,
-    /// Total wall-clock of the filtering-rebuild baseline
-    /// (`remove_object_rescan`, the pre-reverse-index delete), ms —
-    /// same delete sequence on a clone of the same graph.
+    /// Total wall clock of the same deletes through
+    /// `remove_object_rescan`, on a clone of the same graph, ms.
     pub rescan_total_ms: f64,
     /// Whether both delete paths left byte-identical CSR arrays
     /// (offsets, neighbors, distance bits).
     pub delete_paths_identical: bool,
-    /// Total wall-clock of the same delete sequence through a
-    /// catalog's `remove_external` (the served delete: a tombstone in
-    /// the mutation overlay, plus the dataset compaction), ms.
+    /// Total wall clock of the same deletes through a catalog's
+    /// `remove_external` (a tombstone in the mutation overlay, plus the
+    /// dataset compaction), ms.
     pub overlay_total_ms: f64,
-    /// Wall-clock of the one `compact()` that folds those tombstones
+    /// Wall clock of the one `compact()` that folds those tombstones
     /// into the CSR, ms.
     pub compact_ms: f64,
     /// Whether that compaction left the graph `remove_object` left:
@@ -932,7 +635,7 @@ pub struct StreamingBench {
 }
 
 impl StreamingBench {
-    /// Mean wall-clock per insert.
+    /// Mean wall clock per insert.
     pub fn per_insert_ms(&self) -> f64 {
         self.insert_total_ms / self.inserts.max(1) as f64
     }
@@ -942,91 +645,58 @@ impl StreamingBench {
         self.rebuild_ms / self.per_insert_ms()
     }
 
-    /// How many times cheaper one in-place unlink delete is than the
-    /// filtering-rebuild baseline (same delete sequence, same graph).
+    /// How many times cheaper the unlink deletes are than the rescan's.
     pub fn delete_speedup(&self) -> f64 {
         self.rescan_total_ms / self.unlink_total_ms
     }
 
-    /// How many times cheaper the catalog's overlay deletes plus one
-    /// compaction are than the same deletes through `remove_object`.
+    /// How many times cheaper the overlay deletes plus one compaction
+    /// are than the same deletes through `remove_object`.
     pub fn overlay_speedup(&self) -> f64 {
         self.unlink_total_ms / (self.overlay_total_ms + self.compact_ms)
     }
 
-    /// The CI streaming gate: the mutated catalog answers like a
-    /// rebuild, one insert beats one rebuild by at least 10×, the
-    /// reverse-index delete beats the rescan baseline by at least 2×
-    /// while staying byte-identical to it, and the overlay deletes plus
-    /// one compaction beat the reverse-index deletes by at least 2×,
-    /// byte-identical too.
-    pub fn gate(&self) -> bool {
-        self.solutions_match
-            && self.speedup() >= 10.0
-            && self.delete_paths_identical
-            && self.delete_speedup() >= 2.0
-            && self.overlay_identical
-            && self.overlay_speedup() >= 2.0
-    }
-
-    /// The `streaming` JSON object of `BENCH_zoom_graph.json` (no
-    /// serde in the environment; a non-finite speedup serialises as
-    /// `null`).
-    pub fn to_json(&self) -> String {
-        let speedup = if self.speedup().is_finite() {
-            format!("{:.1}", self.speedup())
-        } else {
-            "null".to_string()
-        };
-        let delete_speedup = if self.delete_speedup().is_finite() {
-            format!("{:.2}", self.delete_speedup())
-        } else {
-            "null".to_string()
-        };
-        let overlay_speedup = if self.overlay_speedup().is_finite() {
-            format!("{:.2}", self.overlay_speedup())
-        } else {
-            "null".to_string()
-        };
-        format!(
-            "{{\"n\": {}, \"inserts\": {}, \"deletes\": {}, \
-             \"insert_total_ms\": {:.3}, \"per_insert_ms\": {:.5}, \
-             \"delete_total_ms\": {:.3}, \"rebuild_ms\": {:.3}, \
-             \"speedup\": {speedup}, \"mutation_distance_computations\": {}, \
-             \"solutions_match\": {}, \"delete_compare_ops\": {}, \
-             \"per_delete_unlink_ms\": {:.5}, \"per_delete_rescan_ms\": {:.5}, \
-             \"delete_speedup\": {delete_speedup}, \
-             \"delete_paths_identical\": {}, \"per_delete_overlay_ms\": {:.5}, \
-             \"compact_ms\": {:.3}, \"overlay_speedup\": {overlay_speedup}, \
-             \"overlay_identical\": {}, \"gate\": {}}}",
-            self.n,
-            self.inserts,
-            self.deletes,
-            self.insert_total_ms,
-            self.per_insert_ms(),
-            self.delete_total_ms,
-            self.rebuild_ms,
-            self.mutation_dc,
-            self.solutions_match,
-            self.delete_compare_ops,
-            self.unlink_total_ms / self.delete_compare_ops.max(1) as f64,
-            self.rescan_total_ms / self.delete_compare_ops.max(1) as f64,
-            self.delete_paths_identical,
-            self.overlay_total_ms / self.delete_compare_ops.max(1) as f64,
-            self.compact_ms,
-            self.overlay_identical,
-            self.gate()
-        )
+    fn record(&self, r: &mut Report) {
+        r.metric("streaming.mutation_dc", self.mutation_dc as f64, "dc");
+        r.metric("streaming.per_insert_ms", self.per_insert_ms(), "ms");
+        r.metric("streaming.rebuild_ms", self.rebuild_ms, "ms");
+        r.metric("streaming.deletes", self.deletes as f64, "objects");
+        r.metric("streaming.remove_object_ms", self.unlink_total_ms, "ms");
+        r.metric("streaming.rescan_ms", self.rescan_total_ms, "ms");
+        r.metric("streaming.overlay_deletes_ms", self.overlay_total_ms, "ms");
+        r.metric("streaming.compact_ms", self.compact_ms, "ms");
+        r.at_least(
+            "streaming.insert_speedup_over_rebuild",
+            self.speedup(),
+            10.0,
+        );
+        r.at_least(
+            "streaming.remove_object_speedup_over_rescan",
+            self.delete_speedup(),
+            2.0,
+        );
+        r.at_least(
+            "streaming.overlay_speedup_over_remove_object",
+            self.overlay_speedup(),
+            2.0,
+        );
+        r.at_most("parity.rebuild", mismatches(self.solutions_match), 0.0);
+        r.at_most(
+            "parity.rescan",
+            mismatches(self.delete_paths_identical),
+            0.0,
+        );
+        r.at_most("parity.overlay", mismatches(self.overlay_identical), 0.0);
     }
 }
 
-/// Measures the streaming mutation layer over `graph`: `inserts`
-/// point insertions (duplicating existing coordinates, the densest
-/// neighbourhoods) and `deletes` removals, timed against
-/// one from-scratch rebuild of the stratified graph over the final
-/// object set through the production M-tree self-join pipeline. The
-/// probe at `radius` pins that the mutated catalog and the rebuild
-/// select identical external ids.
+/// Measures the streaming mutation layer over `graph`: `inserts` point
+/// insertions (duplicating existing coordinates, the densest
+/// neighbourhoods) and `deletes` removals, timed against one
+/// from-scratch rebuild of the stratified graph over the final object
+/// set through the production M-tree self-join pipeline. The probe at
+/// `radius` pins that the mutated catalog and the rebuild select
+/// identical external ids.
 pub fn measure_streaming(
     data: &Dataset,
     graph: &StratifiedDiskGraph,
@@ -1046,13 +716,10 @@ pub fn measure_streaming(
         let coords = data.flat_coords()[v * dim..(v + 1) * dim].to_vec();
         catalog.insert(&coords).expect("in-range insert");
     }
-    let insert_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
-
-    let t = Instant::now();
+    let insert_total_ms = ms_since(t);
     for ext in 0..deletes {
         catalog.remove_external(ext).expect("live id");
     }
-    let delete_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
     let mutation_dc = catalog.distance_computations();
 
     // The alternative the mutation layer replaces: a full rebuild over
@@ -1071,37 +738,35 @@ pub fn measure_streaming(
     let rebuilt = StratifiedDiskGraph::from_mtree_checked(
         &tree,
         graph.radius(),
-        SelfJoinConfig::with_threads(self_join_threads_from_env().unwrap_or(0)),
+        SelfJoinConfig::default(),
         None,
     )
     .expect("self-join over a clean dataset");
-    let rebuild_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let rebuild_ms = ms_since(t);
+    let solutions_match = greedy_disc_graph(&catalog.graph().view(radius).to_unit_disk_graph())
+        .solution
+        == greedy_disc_graph(&rebuilt.view(radius).to_unit_disk_graph()).solution;
+    // Free both graphs before the delete paths clone the original three
+    // more times.
+    drop((catalog, rebuilt));
 
-    let mine = greedy_disc_graph(&catalog.graph().view(radius).to_unit_disk_graph());
-    let scratch = greedy_disc_graph(&rebuilt.view(radius).to_unit_disk_graph());
-
-    // Delete-path comparison: the same deterministic delete sequence
-    // replayed on two clones of the *original* graph — once through the
-    // in-place reverse-index unlink, once through the old filtering
-    // rebuild — timed separately and pinned byte-identical; then once
-    // more through a catalog's overlay deletes and one compaction (the
-    // served path), pinned to the unlink's graph.
-    let delete_compare_ops = deletes.max(1);
-    let seq: Vec<usize> = (0..delete_compare_ops)
-        .map(|i| (i * 131) % (n - i))
-        .collect();
+    // One deterministic delete sequence replayed on clones of the
+    // *original* graph through the unlink and the rescan, pinned
+    // byte-identical, then through a catalog's overlay and one
+    // compaction, pinned to the unlink's graph.
+    let seq: Vec<usize> = (0..deletes).map(|i| (i * 131) % (n - i)).collect();
     let mut unlink_graph = graph.clone();
     let mut rescan_graph = graph.clone();
     let t = Instant::now();
     for &v in &seq {
         unlink_graph.remove_object(v).expect("live id");
     }
-    let unlink_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let unlink_total_ms = ms_since(t);
     let t = Instant::now();
     for &v in &seq {
         rescan_graph.remove_object_rescan(v).expect("live id");
     }
-    let rescan_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let rescan_total_ms = ms_since(t);
     let delete_paths_identical = unlink_graph.offsets() == rescan_graph.offsets()
         && unlink_graph.neighbors_flat() == rescan_graph.neighbors_flat()
         && unlink_graph.dists_flat() == rescan_graph.dists_flat();
@@ -1113,321 +778,198 @@ pub fn measure_streaming(
         let ext = overlay.external_of(v);
         overlay.remove_external(ext).expect("live id");
     }
-    let overlay_total_ms = t.elapsed().as_secs_f64() * 1_000.0;
+    let overlay_total_ms = ms_since(t);
     let t = Instant::now();
     overlay.compact();
-    let compact_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let overlay_identical = *overlay.graph() == unlink_graph;
+    let compact_ms = ms_since(t);
 
     StreamingBench {
         n,
         inserts,
         deletes,
         insert_total_ms,
-        delete_total_ms,
         rebuild_ms,
         mutation_dc,
-        solutions_match: mine.solution == scratch.solution,
-        delete_compare_ops,
+        solutions_match,
         unlink_total_ms,
         rescan_total_ms,
         delete_paths_identical,
         overlay_total_ms,
         compact_ms,
-        overlay_identical,
+        overlay_identical: *overlay.graph() == unlink_graph,
     }
 }
 
-/// One scalar-vs-batched distance-kernel measurement (the `kernel`
-/// section of `BENCH_fig9.json`): the same one-to-many workload — one
-/// query object against the whole dataset — evaluated with per-pair
-/// [`disc_metric::Metric::dist_coords`] calls and with one
-/// [`disc_metric::Metric::dist_batch`] sweep over the lane-major block.
-pub struct KernelBench {
-    /// Block size (the dataset cardinality).
-    pub n: usize,
-    /// Dimensionality (selects the kernel specialization arm).
-    pub dim: usize,
-    /// Timed repetitions per side.
-    pub reps: usize,
-    /// Scalar loop wall-clock per repetition (ms).
-    pub scalar_ms: f64,
-    /// Batched kernel wall-clock per repetition (ms).
-    pub batch_ms: f64,
-    /// Whether every batched output was bitwise identical to the scalar
-    /// kernel's (the contract the self-join's parity pins depend on).
-    pub identical: bool,
-}
-
-impl KernelBench {
-    /// Scalar nanoseconds per distance.
-    pub fn scalar_ns_per_dist(&self) -> f64 {
-        self.scalar_ms * 1e6 / self.n as f64
-    }
-
-    /// Batched nanoseconds per distance.
-    pub fn batch_ns_per_dist(&self) -> f64 {
-        self.batch_ms * 1e6 / self.n as f64
-    }
-
-    /// Scalar / batched wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.scalar_ms / self.batch_ms
-    }
-
-    /// The `kernel` JSON object of `BENCH_fig9.json` (no serde in the
-    /// environment; a sub-clock-resolution timing would make the
-    /// ratios non-finite, which is not valid JSON, so those serialise
-    /// as null).
-    pub fn to_json(&self) -> String {
-        let num = |v: f64, digits: usize| {
-            if v.is_finite() {
-                format!("{v:.digits$}")
-            } else {
-                "null".to_string()
-            }
-        };
-        format!(
-            "{{\"n\": {}, \"dim\": {}, \"reps\": {}, \
-             \"scalar_ns_per_dist\": {}, \"batch_ns_per_dist\": {}, \
-             \"speedup\": {}, \"identical\": {}}}",
-            self.n,
-            self.dim,
-            self.reps,
-            num(self.scalar_ns_per_dist(), 2),
-            num(self.batch_ns_per_dist(), 2),
-            num(self.speedup(), 3),
-            self.identical
-        )
-    }
-}
-
-/// Measures the scalar and batched one-to-many kernels on `data`
-/// (query = object 0 against every object) and cross-checks bitwise
-/// identity of every output pair.
-pub fn measure_kernel(data: &Dataset, reps: usize) -> KernelBench {
-    let (n, dim, metric) = (data.len(), data.dim(), data.metric());
-    // Lane-major transpose of the whole dataset, as the M-tree leaves
-    // store their blocks.
-    let mut lanes = vec![0.0f64; n * dim];
-    for id in 0..n {
-        for (d, &c) in data.row(id).iter().enumerate() {
-            lanes[d * n + id] = c;
-        }
-    }
-    let q: Vec<f64> = data.row(0).to_vec();
-    let mut scalar_out = vec![0.0f64; n];
-    let mut batch_out = vec![0.0f64; n];
-
-    let time = |out: &mut Vec<f64>, f: &dyn Fn(&mut Vec<f64>)| {
-        f(out); // warmup
-        let t = Instant::now();
-        for _ in 0..reps {
-            f(out);
-            std::hint::black_box(&*out);
-        }
-        t.elapsed().as_secs_f64() * 1_000.0 / reps.max(1) as f64
-    };
-    let scalar_ms = time(&mut scalar_out, &|out| {
-        for (id, o) in out.iter_mut().enumerate() {
-            *o = metric.dist_coords(&q, data.row(id));
-        }
-    });
-    let batch_ms = time(&mut batch_out, &|out| {
-        metric.dist_batch(&q, &lanes, n, out);
-    });
-
-    let identical = scalar_out
-        .iter()
-        .zip(&batch_out)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    KernelBench {
-        n,
-        dim,
-        reps,
-        scalar_ms,
-        batch_ms,
-        identical,
-    }
-}
-
-/// One sharded-build measurement at scale (one workload row of
-/// `BENCH_scale.json`): the full [`disc_core::build_sharded_with`]
-/// pipeline timed end to end, with the per-phase wall-clocks and the
-/// exact distance/node accounting lifted straight off the returned
-/// [`disc_core::ShardedBuildStats`].
+/// One sharded build at scale: the full [`disc_core::build_sharded`]
+/// pipeline timed end to end, with the per-phase wall clocks and exact
+/// distance/node accounting of its [`ShardedBuildStats`].
 pub struct ScaleBench {
     /// Workload label (`"clustered"` or `"uniform"`).
-    pub workload: String,
+    pub workload: &'static str,
     /// Object count.
     pub n: usize,
-    /// Dimensionality.
-    pub dim: usize,
     /// Build radius (`r_max`).
     pub radius: f64,
-    /// Requested shard count.
-    pub shards_requested: usize,
-    /// End-to-end sharded build wall-clock (ms).
+    /// End-to-end sharded build wall clock (ms).
     pub build_ms: f64,
     /// Per-phase timings and exact counters from the build.
-    pub stats: disc_core::ShardedBuildStats,
-    /// Mean vertex degree of the assembled graph.
-    pub mean_degree: f64,
-    /// Peak resident set of the process so far (`VmHWM`, kiB), read
-    /// after the build — an upper bound on the build's own footprint.
-    pub peak_rss_kib: u64,
+    pub stats: ShardedBuildStats,
+    /// The built CSR's offsets, neighbors and dists, in MiB.
+    pub csr_mib: f64,
+}
+
+/// Runs one sharded build of `data` at `radius` over `shards` shards,
+/// on one worker per core.
+pub fn measure_scale(
+    data: &Dataset,
+    workload: &'static str,
+    radius: f64,
+    shards: usize,
+) -> ScaleBench {
+    let t = Instant::now();
+    let built =
+        disc_core::build_sharded(data, radius, shards).expect("scale bench dataset is clean");
+    let build_ms = ms_since(t);
+    let g = &built.graph;
+    let csr_bytes = std::mem::size_of_val(g.offsets())
+        + std::mem::size_of_val(g.neighbors_flat())
+        + std::mem::size_of_val(g.dists_flat());
+    ScaleBench {
+        workload,
+        n: data.len(),
+        radius,
+        build_ms,
+        stats: built.stats,
+        csr_mib: csr_bytes as f64 / (1024.0 * 1024.0),
+    }
 }
 
 impl ScaleBench {
-    /// The boundary-join overhead bound the scale tier gates: on the
-    /// clustered workload, boundary joins must stay under 25% of the
-    /// total join distance computations.
-    pub fn boundary_share_bounded(&self) -> bool {
-        self.stats.boundary_dc_share() < 0.25
-    }
-
-    /// One workload object of the `BENCH_scale.json` report.
-    pub fn to_json(&self) -> String {
+    fn record(&self, r: &mut Report) {
         let s = &self.stats;
-        format!(
-            "{{\"workload\": \"{}\", \"n\": {}, \"dim\": {}, \"radius\": {}, \
-             \"shards_requested\": {}, \"shards_planned\": {}, \
-             \"boundary_pairs_considered\": {}, \"boundary_pairs_joined\": {}, \
-             \"edges\": {}, \"mean_degree\": {:.1}, \"build_ms\": {:.1}, \
-             \"phase_ms\": {{\"partition\": {:.1}, \"renumber\": {:.1}, \
-             \"tree\": {:.1}, \"intra_join\": {:.1}, \"boundary_join\": {:.1}, \
-             \"merge\": {:.1}, \"assembly\": {:.1}}}, \
-             \"distance_computations\": {}, \
-             \"dc\": {{\"partition\": {}, \"tree\": {}, \"intra_join\": {}, \
-             \"boundary_join\": {}}}, \"boundary_dc_share\": {:.4}, \
-             \"node_accesses\": {}, \"peak_rss_kib\": {}}}",
-            self.workload,
-            self.n,
-            self.dim,
-            self.radius,
-            self.shards_requested,
-            s.shards,
-            s.boundary_pairs_considered,
-            s.boundary_pairs_joined,
-            s.edges,
-            self.mean_degree,
-            self.build_ms,
-            s.partition_ms,
-            s.renumber_ms,
-            s.tree_ms,
-            s.intra_join_ms,
-            s.boundary_join_ms,
-            s.merge_ms,
-            s.assembly_ms,
-            s.distance_computations(),
-            s.partition_dc,
-            s.tree_dc,
-            s.intra_join_dc,
-            s.boundary_join_dc,
-            s.boundary_dc_share(),
-            s.node_accesses,
-            self.peak_rss_kib
-        )
-    }
-}
-
-/// Peak resident set (`VmHWM`) of this process in kiB, from
-/// `/proc/self/status`; `0` where procfs is unavailable.
-pub fn peak_rss_kib() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or(0)
-}
-
-/// Runs one sharded build over `data` and packages the scale-tier
-/// measurement. The caller picks the radius (degree target) and shard
-/// count; `threads = 0` lets the executor size itself.
-pub fn measure_scale(
-    data: &Dataset,
-    workload: &str,
-    radius: f64,
-    shards: usize,
-    threads: usize,
-) -> ScaleBench {
-    let config = disc_core::ShardedBuildConfig {
-        threads,
-        ..disc_core::ShardedBuildConfig::default()
-    };
-    let t = Instant::now();
-    let built = disc_core::build_sharded_with(data, radius, shards, config, None)
-        .expect("scale bench dataset is clean");
-    let build_ms = t.elapsed().as_secs_f64() * 1_000.0;
-    let stats = built.stats;
-    ScaleBench {
-        workload: workload.to_string(),
-        n: data.len(),
-        dim: data.dim(),
-        radius,
-        shards_requested: shards,
-        build_ms,
-        stats,
-        mean_degree: 2.0 * stats.edges as f64 / data.len().max(1) as f64,
-        peak_rss_kib: peak_rss_kib(),
+        let row = format!("scale.{}_{}", self.workload, self.n);
+        for (name, value, unit) in [
+            ("radius", self.radius, "distance"),
+            ("shards", s.shards as f64, "shards"),
+            ("edges", s.edges as f64, "edges"),
+            (
+                "mean_degree",
+                2.0 * s.edges as f64 / self.n.max(1) as f64,
+                "edges/object",
+            ),
+            ("csr_mib", self.csr_mib, "MiB"),
+            ("build_ms", self.build_ms, "ms"),
+            ("phase_ms.partition", s.partition_ms, "ms"),
+            ("phase_ms.renumber", s.renumber_ms, "ms"),
+            ("phase_ms.tree", s.tree_ms, "ms"),
+            ("phase_ms.intra_join", s.intra_join_ms, "ms"),
+            ("phase_ms.boundary_join", s.boundary_join_ms, "ms"),
+            ("phase_ms.merge", s.merge_ms, "ms"),
+            ("phase_ms.assembly", s.assembly_ms, "ms"),
+            ("dc", s.distance_computations() as f64, "dc"),
+            ("dc.partition", s.partition_dc as f64, "dc"),
+            ("dc.tree", s.tree_dc as f64, "dc"),
+            ("dc.intra_join", s.intra_join_dc as f64, "dc"),
+            ("dc.boundary_join", s.boundary_join_dc as f64, "dc"),
+            ("boundary_dc_share", s.boundary_dc_share(), "ratio"),
+            (
+                "boundary_pairs_joined",
+                s.boundary_pairs_joined as f64,
+                "pairs",
+            ),
+            ("node_accesses", s.node_accesses as f64, "accesses"),
+        ] {
+            r.metric(format!("{row}.{name}"), value, unit);
+        }
+        // Boundary work must stay a fringe, not a second all-pairs
+        // join. The degree-targeted radius grows as 1/sqrt(n), so below
+        // 10^5 the boundary bands are proportionally thicker and the
+        // share is not comparable.
+        if self.workload == "clustered" && self.n >= 100_000 {
+            r.below(
+                format!("{row}.boundary_dc_share"),
+                s.boundary_dc_share(),
+                0.25,
+            );
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    use disc_cli::serve::{ServeConfig, Server, Sink};
+    use disc_cli::state::ServeState;
+    use disc_cli::worker::{solution_hash, Op, Outcome, Reply, Request};
+
     use super::*;
 
     #[test]
     fn scale_measurement_records_phases_rss_and_share() {
         let d = bench_clustered(1_500);
-        let m = measure_scale(&d, "clustered", 0.03, 4, 1);
+        let m = measure_scale(&d, "clustered", 0.03, 4);
         assert_eq!(m.n, 1_500);
-        assert!(m.stats.edges > 0 && m.mean_degree > 0.0);
-        assert!(m.build_ms > 0.0);
-        assert!(m.peak_rss_kib > 0, "VmHWM must be readable on this host");
+        assert!(m.stats.edges > 0 && m.build_ms > 0.0);
+        // n + 1 offsets, and each undirected edge twice in neighbors
+        // and in dists, all 8-byte words.
+        let words = 1_501 + 4 * m.stats.edges;
+        assert_eq!(m.csr_mib, (8 * words) as f64 / (1024.0 * 1024.0));
+        let peak = disc_cli::verbs::peak_rss_mib().expect("VmHWM must be readable on this host");
+        assert!(peak >= m.csr_mib, "the process held the CSR");
         let share = m.stats.boundary_dc_share();
         assert!((0.0..1.0).contains(&share));
-        let j = m.to_json();
+        let mut r = Report::default();
+        m.record(&mut r);
         for key in [
-            "\"phase_ms\"",
-            "\"peak_rss_kib\"",
-            "\"boundary_dc_share\"",
-            "\"distance_computations\"",
+            "\"scale.clustered_1500.phase_ms.merge\"",
+            "\"scale.clustered_1500.csr_mib\"",
+            "\"scale.clustered_1500.boundary_dc_share\"",
+            "\"scale.clustered_1500.dc\"",
         ] {
-            assert!(j.contains(key), "scale json missing {key}");
+            assert!(r.to_json().contains(key), "scale row missing {key}");
         }
     }
 
     #[test]
     fn kernel_measurement_is_bitwise_identical() {
+        // One query object against the whole dataset, per pair and as
+        // one batched sweep over the lane-major block the M-tree
+        // leaves store.
         let d = bench_clustered(2_000);
-        let k = measure_kernel(&d, 2);
-        assert!(k.identical, "batched kernel diverged from scalar");
-        assert_eq!(k.n, 2_000);
-        assert_eq!(k.dim, 2);
-        assert!(k.scalar_ms > 0.0 && k.batch_ms > 0.0);
+        let (n, metric) = (d.len(), d.metric());
+        let mut lanes = vec![0.0f64; n * d.dim()];
+        for id in 0..n {
+            for (k, &c) in d.row(id).iter().enumerate() {
+                lanes[k * n + id] = c;
+            }
+        }
+        let q = d.row(0).to_vec();
+        let mut batch = vec![0.0f64; n];
+        metric.dist_batch(&q, &lanes, n, &mut batch);
+        for (id, b) in batch.iter().enumerate() {
+            assert_eq!(
+                b.to_bits(),
+                metric.dist_coords(&q, d.row(id)).to_bits(),
+                "batched kernel diverged from scalar at object {id}"
+            );
+        }
     }
 
     #[test]
     fn stratified_build_stays_within_edge_bound() {
         let d = bench_clustered(600);
         let t = bench_tree(&d);
-        let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02], Some(2));
+        let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02]);
         assert!(
-            m.dc_within_edge_bound(),
+            m.strat_build_dc <= m.plain_selfjoin_dc + m.strat_edges as u64,
             "annotated build {} dc beyond plain {} + edges {}",
             m.strat_build_dc,
             m.plain_selfjoin_dc,
             m.strat_edges
         );
         assert!(m.strat_selfjoin_ms >= 0.0 && m.strat_assembly_ms >= 0.0);
-        assert!(
-            (m.strat_build_ms - m.strat_selfjoin_ms - m.strat_assembly_ms).abs() < 1e-9,
-            "build wall clock must be the sum of its phases"
-        );
     }
 
     #[test]
@@ -1443,36 +985,123 @@ mod tests {
     fn selfjoin_par_measurement_holds_parity() {
         let d = bench_clustered(500);
         let t = bench_tree(&d);
-        for threads in [1, 2, 3, 8] {
-            let m = measure_selfjoin_par(&t, 0.04, Some(threads));
-            assert!(m.parity(), "parity failed at threads={threads}");
-            assert!(m.forced && m.threads == threads);
-            assert!(m.edges > 0 && m.serial_dc > 0);
-            assert_eq!(m.short_circuited, threads <= 1);
-            assert_eq!(m.effective_threads, threads);
-            if m.short_circuited {
-                assert!(
-                    m.to_json().contains("\"speedup\": null"),
-                    "a short-circuited run must not report a speedup"
-                );
+        let mut serial = Vec::new();
+        t.reset_distance_computations();
+        t.range_self_join_serial_into(0.04, &mut serial);
+        let serial_dc = t.reset_distance_computations();
+        assert!(!serial.is_empty() && serial_dc > 0);
+        let serial_graph = UnitDiskGraph::from_edges(t.len(), 0.04, &serial);
+        let serial_solution = greedy_disc_graph(&serial_graph).solution;
+        let auto = std::thread::available_parallelism().map_or(1, |p| p.get());
+        for threads in [1, 2, 3, 8, auto] {
+            let mut parallel = Vec::new();
+            t.range_self_join_with_into(0.04, SelfJoinConfig { threads }, &mut parallel);
+            assert_eq!(
+                t.reset_distance_computations(),
+                serial_dc,
+                "threads={threads}"
+            );
+            assert_eq!(parallel, serial, "edge lists, threads={threads}");
+            let sharded = UnitDiskGraph::from_edges_sharded(t.len(), 0.04, &parallel, threads);
+            assert_eq!(sharded.offsets(), serial_graph.offsets());
+            assert_eq!(sharded.neighbors_flat(), serial_graph.neighbors_flat());
+            assert_eq!(greedy_disc_graph(&sharded).solution, serial_solution);
+        }
+    }
+
+    /// Collects the hash of every successfully served zoom.
+    #[derive(Default)]
+    struct HashSink {
+        hashes: Mutex<Vec<u64>>,
+    }
+
+    impl Sink for HashSink {
+        fn deliver(&self, reply: &Reply) {
+            if let Outcome::Zoomed { value, .. } = &reply.outcome {
+                self.hashes.lock().expect("sink lock").push(value.hash);
             }
         }
-        let auto = measure_selfjoin_par(&t, 0.04, None);
-        assert!(auto.parity() && !auto.forced);
+
+        fn info(&self, _line: &str) {}
+    }
+
+    fn zoom(id: u64, radius: f64) -> Request {
+        Request {
+            id,
+            op: Op::Zoom { radius },
+            deadline: None,
+        }
     }
 
     #[test]
     fn serve_measurement_holds_parity_and_sheds_under_flood() {
         let d = bench_clustered(500);
         let g = StratifiedDiskGraph::build(&d, 0.08);
-        let m = measure_serve(&d, &g, &[0.08, 0.04, 0.02], 2, 3, 5);
-        assert!(m.solutions_identical, "served hashes diverged");
-        assert!(m.counters_consistent);
-        assert!(m.overload_consistent);
-        assert_eq!(m.completed, 9);
-        assert!(m.degraded > 0, "saturated pool never served degraded");
-        assert!(m.shed > 0, "saturated pool never shed");
-        assert!(m.parity(), "{}", m.to_json());
+        let radii = [0.08, 0.04, 0.02];
+        let catalog = StreamingCatalog::try_new(d.clone(), g.clone()).expect("consistent pair");
+        let state = ServeState::from_catalog(catalog);
+        let expected: Vec<u64> = radii
+            .iter()
+            .map(|&r| solution_hash(&greedy_disc_graph(&g.view(r).to_unit_disk_graph()).solution))
+            .collect();
+
+        // Three rounds over the radii on two workers, with a queue
+        // large enough that nothing sheds.
+        let sink = Arc::new(HashSink::default());
+        let server = Server::start(
+            Arc::clone(&state),
+            ServeConfig {
+                workers: 2,
+                queue: 9,
+                cache: radii.len(),
+            },
+            Arc::<HashSink>::clone(&sink) as Arc<dyn Sink>,
+        );
+        for id in 0..9 {
+            server.submit(zoom(id, radii[id as usize % 3]));
+        }
+        assert!(server.drain(Duration::from_secs(600)));
+        let snap = server.shutdown();
+        assert!(snap.is_consistent());
+        assert_eq!(snap.completed, 9);
+        let hashes = sink.hashes.lock().expect("sink lock");
+        assert_eq!(hashes.len(), 9);
+        assert!(
+            hashes.iter().all(|h| expected.contains(h)),
+            "served hashes diverged"
+        );
+
+        // One worker pinned by a sleep and one queue slot filled, then
+        // a flood alternating a cache-warm radius (served degraded)
+        // and a cache-cold one (shed).
+        let overload = Server::start(
+            state,
+            ServeConfig {
+                workers: 1,
+                queue: 1,
+                cache: radii.len(),
+            },
+            Arc::new(HashSink::default()) as Arc<dyn Sink>,
+        );
+        overload.submit(zoom(0, radii[0]));
+        overload.drain(Duration::from_secs(600));
+        for (id, ms) in [(1, 250), (2, 1)] {
+            overload.submit(Request {
+                id,
+                op: Op::Sleep { ms },
+                deadline: None,
+            });
+            // Let the worker pick up the long sleep first.
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        for i in 0..10 {
+            overload.submit(zoom(100 + i, radii[i as usize % 2]));
+        }
+        overload.drain(Duration::from_secs(600));
+        let snap = overload.shutdown();
+        assert!(snap.is_consistent());
+        assert!(snap.degraded > 0, "saturated pool never served degraded");
+        assert!(snap.shed > 0, "saturated pool never shed");
     }
 
     #[test]
@@ -1485,26 +1114,24 @@ mod tests {
         assert!(m.mutation_dc >= (32 * 2_000) as u64, "exact insert charge");
         assert!(
             m.delete_paths_identical,
-            "unlink and rescan deletes diverged: {}",
-            m.to_json()
+            "unlink and rescan deletes diverged"
         );
-        // The wall-clock thresholds (insert 10x, delete 2x) are
-        // calibrated for optimised code — the gated release binaries
-        // enforce them in CI. A debug build keeps the correctness
-        // halves of the gate plus a direction check on the ratios.
+        assert!(
+            m.overlay_identical,
+            "overlay compaction diverged from unlink"
+        );
+        // The wall-clock bounds (insert 10x, deletes 2x) are calibrated
+        // for optimised code, which the release report gates. A debug
+        // build keeps a direction check on the ratios.
         if cfg!(debug_assertions) {
             assert!(
                 m.speedup() > 1.0 && m.delete_speedup() > 1.0,
-                "even unoptimised, the structural wins must show: {}",
-                m.to_json()
+                "even unoptimised, the structural wins must show"
             );
         } else {
-            assert!(
-                m.gate(),
-                "per-insert must beat a full rebuild 10x and the unlink \
-                 delete must beat the rescan 2x: {}",
-                m.to_json()
-            );
+            let mut r = Report::default();
+            m.record(&mut r);
+            assert!(r.failed().is_empty(), "{}", r.to_json());
         }
     }
 
@@ -1517,37 +1144,65 @@ mod tests {
         assert!(m.self_join_dc > 0 && m.self_join_dc < m.pairs_all);
         assert!(m.edges > 0);
         assert!(m.disc_size > 0 && m.c_size > 0);
+        assert!(m.disc_identical && m.c_identical);
     }
 
     #[test]
     fn zoom_graph_measurement_holds_parity_and_adds_no_distances() {
         let d = bench_clustered(600);
         let t = bench_tree(&d);
-        for threads in [1, 2, 3, 8] {
-            let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02], Some(threads));
-            assert!(m.parity(), "parity failed at threads={threads}");
-            assert!(m.forced && m.threads == threads);
-            assert_eq!(
-                m.graph_sweep_extra_dc, 0,
-                "graph sweep must not touch the index"
-            );
-            assert_eq!(m.sizes.len(), 4);
-            assert!(m.sizes.windows(2).all(|w| w[0] <= w[1]), "Lemma 5 sizes");
-            assert!(m.strat_build_dc >= m.plain_selfjoin_dc);
-            assert_eq!(
-                m.data.permutation(),
-                m.strat.permutation(),
-                "renumbered dataset and graph must share the bijection"
-            );
-            assert!(
-                m.data.permutation().is_some(),
-                "leaf order must renumber a clustered corpus"
-            );
-            // The renumbered pair must persist through the store path.
-            let (store, _, _) = measure_store(&m.data, &m.strat);
-            assert!(store.round_trip_identical);
+        let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02]);
+        assert_eq!(m.zoom_in_mismatches, 0);
+        assert_eq!(m.zoom_out_mismatches, 0);
+        assert_eq!(m.multi_radius_mismatches, 0);
+        assert_eq!(
+            m.graph_sweep_extra_dc, 0,
+            "graph sweep must not touch the index"
+        );
+        assert_eq!(m.sizes.len(), 4);
+        assert!(m.sizes.windows(2).all(|w| w[0] <= w[1]), "Lemma 5 sizes");
+        assert!(m.strat_build_dc >= m.plain_selfjoin_dc);
+        assert_eq!(
+            m.data.permutation(),
+            m.strat.permutation(),
+            "renumbered dataset and graph must share the bijection"
+        );
+        assert!(
+            m.data.permutation().is_some(),
+            "leaf order must renumber a clustered corpus"
+        );
+        // The renumbered pair persists through the store.
+        let bytes = disc_store::encode(&m.data, &m.strat).expect("encode");
+        let (data, graph) = disc_store::decode(&bytes).expect("decode");
+        assert_eq!(disc_store::encode(&data, &graph).expect("re-encode"), bytes);
+    }
+
+    #[test]
+    fn report_gates_every_metric_and_fails_closed() {
+        let mut r = build_report(600, &[2_000]);
+        assert!(r.metrics.iter().all(|(_, _, unit)| !unit.is_empty()));
+        assert!(r.gates.iter().all(|(_, _, bound, _)| bound.is_finite()));
+        for gate in [
+            "self_join.dc_below_all_pairs",
+            "zoom.sweep_extra_dc",
+            "zoom.assembly_over_self_join",
+            "streaming.overlay_speedup_over_remove_object",
+            "parity.multi_radius",
+            "parity.overlay",
+        ] {
+            assert!(r.gates.iter().any(|g| g.0 == gate), "{gate} not gated");
         }
-        let auto = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02], None);
-        assert!(auto.parity() && !auto.forced);
+
+        r.at_most("forced", 1.0, 0.0);
+        let path = std::env::temp_dir().join(format!("bench-report-{}.json", std::process::id()));
+        let err = r.write(&path).expect_err("a failed gate fails the run");
+        let written = std::fs::read_to_string(&path).expect("written before failing");
+        let _ = std::fs::remove_file(&path);
+        assert!(err.contains("forced"), "{err}");
+        assert!(
+            written.contains("\"forced\": {\"value\": 1, \"bound\": 0, \"pass\": false}"),
+            "{written}"
+        );
+        assert!(written.contains("\"provenance\": {\"commit\": "));
     }
 }

@@ -49,9 +49,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 ///
 /// The one JSON line on stdout carries the build's per-phase wall
 /// clocks as `phase_ms` (partition, renumber, tree, intra_join,
-/// boundary_join, merge, assembly — the keys `BENCH_scale.json` uses,
-/// from [`disc_core::ShardedBuildStats`]) and, where the kernel reports
-/// it, the process's memory high-water mark as `peak_rss_mib`.
+/// boundary_join, merge, assembly — the `phase_ms` keys of the scale
+/// rows in `BENCH_report.json`, from [`disc_core::ShardedBuildStats`])
+/// and, where the kernel reports it, the process's memory high-water
+/// mark as `peak_rss_mib`.
 fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     if !(build.radius.is_finite() && build.radius > 0.0) {
         return Err(CliError::Usage(format!(
@@ -108,7 +109,7 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
 /// This process's resident-set high-water mark (`VmHWM` in
 /// `/proc/self/status`), in MiB; `None` where the kernel does not
 /// report it.
-fn peak_rss_mib() -> Option<f64> {
+pub fn peak_rss_mib() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kib: f64 = status
         .lines()

@@ -1,8 +1,8 @@
 //! Pins the `disc build` verb end to end through the binary: it writes
 //! a snapshot that loads, and its one JSON line on stdout reports the
-//! build's per-phase wall clocks under `phase_ms`, with the same keys
-//! `BENCH_scale.json` uses, and the process's memory high-water mark
-//! as `peak_rss_mib`.
+//! build's per-phase wall clocks under `phase_ms`, with the `phase_ms`
+//! keys of the scale rows in `BENCH_report.json`, and the process's
+//! memory high-water mark as `peak_rss_mib`.
 
 use std::process::Command;
 

@@ -31,7 +31,7 @@
 //!   computations (plain join 2.85M + ≤ 1 per edge, 6.04M edges) in
 //!   ≈ 0.5 s — down 3× from the 1.61 s the PR 4 pipeline recorded — and
 //!   a whole multi-radius zoom sweep still adds **zero** distance
-//!   computations on top (`zoom_graph_vs_tree` gates both properties).
+//!   computations on top (`disc-bench`'s `report` gates both properties).
 //! * **tree-backed** — no edge materialisation, so it wins when memory
 //!   is tight or when only a small part of the graph will be consumed
 //!   (local zooms, early termination).

@@ -48,8 +48,8 @@
 //! is *bounded by the edge count* (only inclusion-qualified pairs, all
 //! of them edges, pay the extra distance) and is evaluated through the
 //! M-tree's batched SoA leaf sweeps (see
-//! [`disc_mtree::MTree::range_self_join_dist`]); the
-//! `zoom_graph_vs_tree` binary gates the bound. Both costs are the
+//! [`disc_mtree::MTree::range_self_join_dist`]); `disc-bench`'s
+//! `report` binary gates the bound. Both costs are the
 //! price of answering *every* radius from one build.
 //!
 //! ## When to prefer it

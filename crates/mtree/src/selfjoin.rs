@@ -72,7 +72,7 @@
 //!   distances through the batched kernels instead of skipping the
 //!   computation. Every distance the annotated traversal computes
 //!   beyond the plain one belongs to an emitted edge, so its counter
-//!   total is bounded by `plain + edges` (the `zoom_graph_vs_tree`
+//!   total is bounded by `plain + edges` (`disc-bench`'s `report`
 //!   binary gates this). The emitted edge list — annotations stripped —
 //!   is byte-identical to the plain variant's, and the annotated
 //!   traversal has the same serial/parallel parity guarantees (a test
