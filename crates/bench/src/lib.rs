@@ -210,7 +210,11 @@ fn num(v: f64) -> String {
     } else {
         let decimals = (5 - v.abs().log10().floor() as i32).max(0) as usize;
         let s = format!("{v:.decimals$}");
-        s.trim_end_matches('0').trim_end_matches('.').to_string()
+        if decimals == 0 {
+            s
+        } else {
+            s.trim_end_matches('0').trim_end_matches('.').to_string()
+        }
     }
 }
 
@@ -922,13 +926,14 @@ mod tests {
         assert!((0.0..1.0).contains(&share));
         let mut r = Report::default();
         m.record(&mut r);
+        let json = r.to_json();
         for key in [
             "\"scale.clustered_1500.phase_ms.merge\"",
             "\"scale.clustered_1500.csr_mib\"",
             "\"scale.clustered_1500.boundary_dc_share\"",
             "\"scale.clustered_1500.dc\"",
         ] {
-            assert!(r.to_json().contains(key), "scale row missing {key}");
+            assert!(json.contains(key), "scale row missing {key}");
         }
     }
 
@@ -1194,6 +1199,8 @@ mod tests {
         }
 
         r.at_most("forced", 1.0, 0.0);
+        r.metric("wide", 100_000.4, "ms");
+        r.metric("narrow", 0.0125, "distance");
         let path = std::env::temp_dir().join(format!("bench-report-{}.json", std::process::id()));
         let err = r.write(&path).expect_err("a failed gate fails the run");
         let written = std::fs::read_to_string(&path).expect("written before failing");
@@ -1204,5 +1211,8 @@ mod tests {
             "{written}"
         );
         assert!(written.contains("\"provenance\": {\"commit\": "));
+        // Six significant digits, trailing zeros only after a point.
+        assert!(written.contains("\"wide\": {\"value\": 100000, "));
+        assert!(written.contains("\"narrow\": {\"value\": 0.0125, "));
     }
 }
