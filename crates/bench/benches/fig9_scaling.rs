@@ -52,32 +52,23 @@ fn parent_pruning(c: &mut Criterion) {
     group.finish();
 }
 
-/// Count seeding (one range query per object): serial loop vs the
-/// threaded fan-out used under the `parallel` feature.
+/// Count seeding (one range query per object): the serial loop vs the
+/// threaded fan-out every heuristic seeds with.
 fn seeding(c: &mut Criterion) {
     let data = clustered(4_000, 2, 8, BENCH_SEED);
     let tree = bench_tree(&data);
-    let seed_serial = || {
-        par::seed_counts_serial(data.len(), |id, scratch: &mut Vec<usize>| {
-            tree.range_query_objs_into(id, 0.04, scratch);
-            (scratch.len() - 1) as u32
-        })
+    let per_id = |id, scratch: &mut Vec<usize>| {
+        tree.range_query_objs_into(id, 0.04, scratch);
+        (scratch.len() - 1) as u32
     };
     let mut group = c.benchmark_group("fig9_count_seeding");
     group.sample_size(10);
     group.throughput(Throughput::Elements(data.len() as u64));
-    group.bench_function("serial", |b| b.iter(|| black_box(seed_serial())));
-    #[cfg(feature = "parallel")]
+    group.bench_function("serial", |b| {
+        b.iter(|| black_box(par::seed_counts_serial(data.len(), per_id)))
+    });
     group.bench_function("parallel", |b| {
-        b.iter(|| {
-            black_box(par::seed_counts_parallel(
-                data.len(),
-                |id, scratch: &mut Vec<usize>| {
-                    tree.range_query_objs_into(id, 0.04, scratch);
-                    (scratch.len() - 1) as u32
-                },
-            ))
-        })
+        b.iter(|| black_box(par::seed_counts(data.len(), per_id)))
     });
     group.finish();
 }

@@ -2,8 +2,8 @@
 //! [`disc_bench::build_report`]) and exits non-zero, naming every
 //! failed gate, after the file is on disk.
 //!
-//! Usage: `cargo run --release -p disc-bench --features parallel --bin
-//! report [-- <output-path>]` (default `BENCH_report.json`). The fig9
+//! Usage: `cargo run --release -p disc-bench --bin report [--
+//! <output-path>]` (default `BENCH_report.json`). The fig9
 //! sections run on the clustered workload at n = 10_000 and the scale
 //! tier at n = 10^5; `SCALE_MILLION=1` adds the 10^6 tier, whose
 //! clustered build peaks near 10 GiB (the CSR plus the edge lists of

@@ -133,10 +133,9 @@ impl Report {
     }
 
     /// The report as JSON: a provenance block (commit, core count,
-    /// whether the `parallel` feature is on, repetitions per
-    /// measurement, and this process's peak RSS so far), then the
-    /// `metrics` map of `{value, unit}` and the `gates` map of
-    /// `{value, bound, pass}`.
+    /// repetitions per measurement, and this process's peak RSS so
+    /// far), then the `metrics` map of `{value, unit}` and the `gates`
+    /// map of `{value, bound, pass}`.
     pub fn to_json(&self) -> String {
         let commit = std::process::Command::new("git")
             .args(["rev-parse", "HEAD"])
@@ -147,7 +146,7 @@ impl Report {
                 || "unknown".to_string(),
                 |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
             );
-        let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let nproc = disc_metric::tasks::workers(0);
         let peak = disc_cli::verbs::peak_rss_mib().unwrap_or(f64::NAN);
         let metrics: Vec<String> = self
             .metrics
@@ -173,9 +172,8 @@ impl Report {
         // Every measurement runs once: repetitions is 1.
         format!(
             "{{\n  \"provenance\": {{\"commit\": {commit:?}, \"nproc\": {nproc}, \
-             \"parallel\": {}, \"repetitions\": 1, \"peak_rss_mib\": {}}},\n  \
+             \"repetitions\": 1, \"peak_rss_mib\": {}}},\n  \
              \"metrics\": {{\n{}\n  }},\n  \"gates\": {{\n{}\n  }}\n}}\n",
-            cfg!(feature = "parallel"),
             num(peak),
             metrics.join(",\n"),
             gates.join(",\n")
@@ -997,7 +995,7 @@ mod tests {
         assert!(!serial.is_empty() && serial_dc > 0);
         let serial_graph = UnitDiskGraph::from_edges(t.len(), 0.04, &serial);
         let serial_solution = greedy_disc_graph(&serial_graph).solution;
-        let auto = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let auto = disc_metric::tasks::workers(0);
         for threads in [1, 2, 3, 8, auto] {
             let mut parallel = Vec::new();
             t.range_self_join_with_into(0.04, SelfJoinConfig { threads }, &mut parallel);

@@ -40,19 +40,19 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// every served solution and wire hash stays in external ids.
 ///
 /// The snapshot is **byte-identical at every `--shards` value** and at
-/// every worker count (`SELF_JOIN_THREADS` forces the worker count
-/// when the `parallel` feature is compiled in; CI pins both with
-/// sha256 matrices).
+/// every worker count (`SELF_JOIN_THREADS` forces the worker count; CI
+/// pins both with sha256 matrices).
 ///
 /// The snapshot streams to `--out` through [`disc_store::write_snapshot`],
 /// so the write holds one chunk, not the file.
 ///
-/// The one JSON line on stdout carries the build's per-phase wall
-/// clocks as `phase_ms` (partition, renumber, tree, intra_join,
-/// boundary_join, merge, assembly — the `phase_ms` keys of the scale
-/// rows in `BENCH_report.json`, from [`disc_core::ShardedBuildStats`])
-/// and, where the kernel reports it, the process's memory high-water
-/// mark as `peak_rss_mib`.
+/// The one JSON line on stdout carries the build's exact counters
+/// (`distance_computations`, `node_accesses`, `boundary_join_dc`), its
+/// per-phase wall clocks as `phase_ms` (partition, renumber, tree,
+/// intra_join, boundary_join, merge, assembly — the `phase_ms` keys of
+/// the scale rows in `BENCH_report.json`, from
+/// [`disc_core::ShardedBuildStats`]) and, where the kernel reports it,
+/// the process's memory high-water mark as `peak_rss_mib`.
 fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     if !(build.radius.is_finite() && build.radius > 0.0) {
         return Err(CliError::Usage(format!(
@@ -82,7 +82,8 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
     let s = &built.stats;
     println!(
         "{{\"op\":\"build\",\"status\":\"ok\",\"path\":{:?},\"n\":{},\"dim\":{},\"edges\":{},\"r_max\":{},\"bytes\":{},\
-         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"boundary_join_dc\":{},{peak}\
+         \"shards\":{},\"boundary_pairs\":{},\"distance_computations\":{},\"node_accesses\":{},\
+         \"boundary_join_dc\":{},{peak}\
          \"phase_ms\":{{\"partition\":{:.1},\"renumber\":{:.1},\"tree\":{:.1},\"intra_join\":{:.1},\
          \"boundary_join\":{:.1},\"merge\":{:.1},\"assembly\":{:.1}}}}}",
         build.out.display().to_string(),
@@ -94,6 +95,7 @@ fn run_build(build: &BuildArgs) -> Result<(), CliError> {
         s.shards,
         s.boundary_pairs_joined,
         s.distance_computations(),
+        s.node_accesses,
         s.boundary_join_dc,
         s.partition_ms,
         s.renumber_ms,

@@ -4,12 +4,13 @@
 //! Everything here is **index-free**: a snapshot persists the dataset
 //! and the stratified disk graph but not the M-tree, so serving uses
 //! exactly the graph-resident selection runners
-//! ([`disc_core::greedy_disc_graph_checked`] for one radius,
-//! [`disc_core::greedy_zoom_in_graph_checked`] chains for sweeps). The
-//! parity guarantee — a served solution is byte-identical to the same
-//! runner called in-process — holds by construction, because these are
-//! the same functions, and the `*_checked` runners are pinned
-//! byte-identical to their plain twins when the token never fires.
+//! ([`disc_core::greedy_disc_graph_checked`] for one radius and a
+//! sweep's first step, [`disc_core::greedy_zoom_in_live_checked`]
+//! chains for the further sweep steps). The parity guarantee — a
+//! served solution is byte-identical to the same runner called
+//! in-process — holds by construction, because these are the same
+//! functions, and the `*_checked` runners are pinned byte-identical to
+//! their plain twins when the token never fires.
 //!
 //! Both solve on the catalog's live view
 //! ([`disc_graph::StreamingCatalog::view`]: per slot the base prefix

@@ -1,8 +1,9 @@
 //! Pins the `disc build` verb end to end through the binary: it writes
 //! a snapshot that loads, and its one JSON line on stdout reports the
-//! build's per-phase wall clocks under `phase_ms`, with the `phase_ms`
-//! keys of the scale rows in `BENCH_report.json`, and the process's
-//! memory high-water mark as `peak_rss_mib`.
+//! build's node accesses as `node_accesses`, its per-phase wall clocks
+//! under `phase_ms`, with the `phase_ms` keys of the scale rows in
+//! `BENCH_report.json`, and the process's memory high-water mark as
+//! `peak_rss_mib`.
 
 use std::process::Command;
 
@@ -61,11 +62,18 @@ fn build_line_reports_every_phase_timing() {
                 "{key} = {ms}, shards={shards}"
             );
         }
-        let peak: f64 = line
-            .split_once("\"peak_rss_mib\":")
-            .and_then(|(_, rest)| rest.split(',').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("peak_rss_mib number: {line}"));
+        let field = |key: &str| -> f64 {
+            line.split_once(&format!("\"{key}\":"))
+                .and_then(|(_, rest)| rest.split(',').next())
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("{key} number: {line}"))
+        };
+        let accesses = field("node_accesses");
+        assert!(
+            accesses > 0.0,
+            "node_accesses = {accesses}, shards={shards}"
+        );
+        let peak = field("peak_rss_mib");
         assert!(peak > 0.0, "peak_rss_mib = {peak}, shards={shards}");
         let bytes = disc_store::read_snapshot(&out).expect("read snapshot");
         disc_store::decode(bytes.as_bytes()).expect("the written snapshot decodes");

@@ -6,10 +6,10 @@
 //! pass (one range query per object) charged to the calling algorithm,
 //! which preserves the relative cost shapes of the experiments.
 //!
-//! The seeding pass fans out across threads when the `parallel` feature
-//! is on (see [`crate::par`]); results and cost counters are identical
-//! either way. Update loops reuse one scratch hit buffer per algorithm
-//! run instead of allocating a fresh `Vec` per range query.
+//! The seeding pass fans out across threads (see [`crate::par`]);
+//! results and cost counters are identical to the serial loop's.
+//! Update loops reuse one scratch hit buffer per algorithm run instead
+//! of allocating a fresh `Vec` per range query.
 //!
 //! The updates only write `counts`: every object enters the
 //! [`LazyMaxHeap`] once, at seeding, and the heap reads the fallen

@@ -55,7 +55,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
 
     // counts[p] = |N_r(p) ∩ white| for every object, initialised by one
     // range query per object (exact: nothing is grey yet). The queries
-    // are independent, so the pass fans out when `parallel` is enabled.
+    // are independent, so the pass fans out across threads.
     let mut counts = par::seed_counts(n, |id, scratch: &mut Vec<ObjId>| {
         query_into(tree, id, r, fast, &colors, scratch);
         (scratch.len() - 1) as u32

@@ -122,7 +122,7 @@ pub fn multi_radius_greedy_disc_checked(
     let mut colors = ColorState::new(tree);
 
     // Seeding: one `Q(p, r(p))` query per object, independent across
-    // objects — fans out under the `parallel` feature.
+    // objects — fans out across threads.
     let mut counts = par::seed_counts(n, |id, scratch| {
         count_neighbors_into(tree, id, radii, pruned, &colors, scratch)
     });

@@ -33,13 +33,13 @@
 //!    `(distance, id)` order, so the bytes equal the unsharded
 //!    assembly's.
 //!
-//! With the `parallel` feature and `threads > 1`, stages 3 and 4 and
-//! the count and fill of stage 5 run their *tasks* concurrently (an
-//! atomic work cursor over serial tasks, [`run_tasks`]); a single-shard
-//! build instead gives its one intra-join the configured thread count,
-//! and fills its one part serially. Either way every task's traversal
-//! is deterministic, so the edge sets, the assembled bytes and the
-//! [`ShardedBuildStats`] counters are identical at every worker count.
+//! With `threads > 1`, stages 3 and 4 and the count and fill of stage 5
+//! run their *tasks* concurrently (serial tasks taken in order by the
+//! workers of [`run_tasks`]); a single-shard build instead gives its
+//! one intra-join the configured thread count, and fills its one part
+//! serially. Either way every task's traversal is deterministic, so the
+//! edge sets, the assembled bytes and the [`ShardedBuildStats`]
+//! counters are identical at every worker count.
 //!
 //! ## Why bytes match at every shard count
 //!
@@ -57,8 +57,8 @@
 
 use std::time::Instant;
 
-use disc_graph::tasks::run_tasks;
 use disc_graph::{GraphError, PartEdges, StratifiedDiskGraph};
+use disc_metric::tasks::run_tasks;
 use disc_metric::{CancelToken, Dataset};
 use disc_mtree::shard::DEFAULT_STOP;
 use disc_mtree::{
@@ -209,13 +209,7 @@ pub fn build_sharded_with(
     let data = data.renumbered(plan.order());
     stats.renumber_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let workers = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
+    let workers = disc_metric::tasks::workers(config.threads);
 
     // Phase A: per-shard tree + intra-join, one task per non-empty
     // shard. With a single shard the whole dataset is one task and the

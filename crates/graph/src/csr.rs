@@ -20,14 +20,14 @@
 //!    once; parts then write their rows' directed entries straight into
 //!    their own disjoint ranges of the two *final* aligned arrays
 //!    (`payloads`, `neighbors`), in parallel through
-//!    [`crate::tasks::run_tasks`]. The lists are taken by value: a part
-//!    drops its own lists once filled, and a shared list is dropped
-//!    when its second part is done, so the assembly never holds every
-//!    edge and the whole CSR at once;
+//!    [`disc_metric::tasks::run_tasks`]. The lists are taken by value:
+//!    a part drops its own lists once filled, and a shared list is
+//!    dropped when its second part is done, so the assembly never holds
+//!    every edge and the whole CSR at once;
 //! 2. **row sort** — rows are cut into contiguous ranges balanced by
 //!    entry count (not by vertex count), so sort work distributes
-//!    evenly even when degrees are skewed, and `workers` scoped threads
-//!    sort disjoint ranges.
+//!    evenly even when degrees are skewed, and each range is one task
+//!    of the same runner.
 //!
 //! The row payload comes from the edge type ([`Edge`]): distance edges
 //! store an `f64` per entry and sort rows by `(distance, id)`; plain
@@ -66,16 +66,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use disc_metric::cancel::{CancelToken, Cancelled};
+use disc_metric::tasks::run_tasks;
 use disc_metric::ObjId;
 use disc_mtree::DistEdge;
 
 use crate::error::GraphError;
-use crate::tasks::run_tasks;
 
 /// Work items between cancellation checkpoints in the assembly loops:
 /// one relaxed atomic load per this many edges/rows keeps the poll cost
 /// unmeasurable while bounding post-cancel latency to microseconds.
 pub(crate) const CANCEL_CHUNK: usize = 4_096;
+
+/// Below this many directed entries an auto-sized row sort runs on one
+/// worker.
+const SORT_MIN_PARALLEL: usize = 4_096;
 
 /// Raw CSR arrays: `(offsets, payloads, neighbors)`.
 pub(crate) type Csr<P> = (Vec<usize>, Vec<P>, Vec<ObjId>);
@@ -211,8 +215,7 @@ where
             owned[a].boundary.push(edges);
         }
     }
-    let cores = || std::thread::available_parallelism().map_or(1, |p| p.get());
-    let fill_workers = if workers == 0 { cores() } else { workers };
+    let fill_workers = disc_metric::tasks::workers(workers);
 
     // Count: each part adds its own rows' degrees into its own slice of
     // `offsets`, then one serial prefix sum sizes the CSR.
@@ -259,10 +262,10 @@ where
     .collect::<Result<(), Cancelled>>()?;
     let merge_ms = merge_start.elapsed().as_secs_f64() * 1e3;
 
-    let sort_workers = match workers {
-        0 if total < 4_096 => 1,
-        0 => cores(),
-        w => w,
+    let sort_workers = if workers == 0 && total < SORT_MIN_PARALLEL {
+        1
+    } else {
+        fill_workers
     }
     .clamp(1, n.max(1));
     let sort_start = Instant::now();
@@ -382,9 +385,10 @@ impl<S> Part<S> {
 /// The row-sort phase of [`assemble_rows`]: rows are partitioned into
 /// contiguous ranges balanced by **entry count** (one binary search on
 /// `offsets` per cut), so a worker owning a few heavy rows sorts as much
-/// data as one owning many light rows. Each worker sorts a disjoint
-/// slice of both arrays with its own scratch; per-row sorts are
-/// independent, so the output is byte-identical to sorting serially.
+/// data as one owning many light rows. Each range is one task that
+/// owns its disjoint slices of both arrays and its own scratch;
+/// per-row sorts are independent, so the output is byte-identical to
+/// sorting serially.
 fn sort_rows<E: Edge>(
     offsets: &[usize],
     payloads: &mut [E::Payload],
@@ -404,44 +408,33 @@ fn sort_rows<E: Edge>(
     }
     cuts.push(n);
 
-    let aborted = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let aborted = &aborted;
-        let mut rest_p: &mut [E::Payload] = payloads;
-        let mut rest_n: &mut [ObjId] = neighbors;
-        for w in 0..workers {
-            let (lo, hi) = (cuts[w], cuts[w + 1]);
-            let len = offsets[hi] - offsets[lo];
-            let (mine_p, tail_p) = rest_p.split_at_mut(len);
-            rest_p = tail_p;
-            let (mine_n, tail_n) = rest_n.split_at_mut(len);
-            rest_n = tail_n;
-            scope.spawn(move || {
-                let base = offsets[lo];
-                let mut scratch = RowScratch::default();
-                for (t, v) in (lo..hi).enumerate() {
-                    if t % CANCEL_CHUNK == 0 {
-                        if let Some(c) = cancel {
-                            if c.checkpoint().is_err() {
-                                aborted.store(true, std::sync::atomic::Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                    let row = offsets[v] - base..offsets[v + 1] - base;
-                    E::order_row(&mut mine_p[row.clone()], &mut mine_n[row], &mut scratch);
-                }
-            });
-        }
-    });
-    if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-        return Err(Cancelled);
+    let (mut rest_p, mut rest_n) = (payloads, neighbors);
+    let mut ranges = Vec::with_capacity(workers);
+    for rows in cuts.windows(2).map(|c| c[0]..c[1]) {
+        let len = offsets[rows.end] - offsets[rows.start];
+        let (mine_p, tail_p) = std::mem::take(&mut rest_p).split_at_mut(len);
+        let (mine_n, tail_n) = std::mem::take(&mut rest_n).split_at_mut(len);
+        (rest_p, rest_n) = (tail_p, tail_n);
+        ranges.push((rows, mine_p, mine_n));
     }
-    Ok(())
+    run_tasks(ranges, workers, |(rows, ps, ids)| {
+        let base = offsets[rows.start];
+        let mut scratch = RowScratch::default();
+        for (t, v) in rows.enumerate() {
+            if t % CANCEL_CHUNK == 0 {
+                cancel.map_or(Ok(()), CancelToken::checkpoint)?;
+            }
+            let row = offsets[v] - base..offsets[v + 1] - base;
+            E::order_row(&mut ps[row.clone()], &mut ids[row], &mut scratch);
+        }
+        Ok(())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Reusable scatter buffers for [`Edge::order_row`], one per sort
-/// worker, reused across the rows it sorts (only the distance rows'
+/// range, reused across the rows it sorts (only the distance rows'
 /// radix sort touches them).
 #[derive(Default)]
 pub(crate) struct RowScratch<P> {

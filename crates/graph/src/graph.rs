@@ -27,9 +27,9 @@
 //!   radii — use the radius-stratified sibling
 //!   [`crate::StratifiedDiskGraph`], which answers every radius below
 //!   its build radius from one distance-annotated self-join (the
-//!   production `disc build` path). With the `parallel` feature enabled
-//!   the self-join traversal runs multi-threaded (see `disc-mtree`);
-//!   the CSR row sort always uses one worker per core.
+//!   production `disc build` path). The self-join traversal runs
+//!   multi-threaded (see `disc-mtree`), and the CSR row sort uses one
+//!   worker per core.
 //! * [`UnitDiskGraph::build`] — the O(n²) all-pairs scan, kept as the
 //!   validation reference the property tests compare against.
 //! * [`UnitDiskGraph::from_edges`] — CSR assembly from any edge list

@@ -46,7 +46,6 @@ pub mod reference;
 pub mod sets;
 pub mod stratified;
 pub mod stream;
-pub mod tasks;
 
 pub use adjacency::Adjacency;
 pub use csr::{AssemblyBreakdown, PartEdges};

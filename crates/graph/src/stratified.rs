@@ -117,10 +117,10 @@ impl StratifiedDiskGraph {
     /// M-tree self-join at `r_max` (distance computations are charged to
     /// the tree's counter; the selection/zooming consumers then run at
     /// zero additional distance computations for every radius
-    /// `≤ r_max`), assembled with one row-sort worker per core. With the
-    /// `parallel` feature enabled the self-join traversal runs
-    /// multi-threaded too. The graph is byte-identical either way,
-    /// distance annotations included.
+    /// `≤ r_max`), assembled with one row-sort worker per core. The
+    /// self-join traversal runs multi-threaded too. The graph is
+    /// byte-identical at every thread count, distance annotations
+    /// included.
     pub fn from_mtree(tree: &MTree<'_>, r_max: f64) -> Self {
         let edges = tree.range_self_join_dist(r_max);
         Self::from_dist_edges_sharded(tree.len(), r_max, &edges, 0)

@@ -10,7 +10,9 @@
 //!   (maximum number of independent neighbours `B`, and the `NI_{r1,r2}`
 //!   annulus bounds used by the zooming analysis),
 //! * [`neighbors`] — brute-force neighbourhood utilities used as ground truth
-//!   by tests and by the graph substrate.
+//!   by tests and by the graph substrate,
+//! * [`tasks`] — the scoped task runner every threaded loop of the
+//!   workspace fans out through.
 //!
 //! Objects are addressed by their index (`ObjId`) inside a [`Dataset`]; all
 //! higher layers (M-tree, DisC heuristics, baselines) share this convention.
@@ -22,6 +24,7 @@ pub mod distance;
 pub mod ids;
 pub mod neighbors;
 pub mod point;
+pub mod tasks;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use dataset::{Dataset, DatasetError};

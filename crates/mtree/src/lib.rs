@@ -22,10 +22,10 @@
 //! * **a batched range self-join** ([`MTree::range_self_join`]) that
 //!   materialises the whole neighbourhood graph `G_{P,r}` in one
 //!   dual-tree traversal with node-pair pruning — the bulk counterpart
-//!   of issuing one range query per object. Behind the `parallel`
-//!   feature the traversal fans out over `std::thread::scope` workers
-//!   with byte-identical output and exact counters
-//!   ([`SelfJoinConfig`] forces the thread count in tests);
+//!   of issuing one range query per object. The traversal fans out
+//!   over `disc_metric::tasks::run_tasks` workers with byte-identical
+//!   output and exact counters ([`SelfJoinConfig`] forces the thread
+//!   count in tests);
 //! * **fat-factor computation** ([`stats`]) for the Figure 10 experiment;
 //! * **sharded-build primitives** — a spatial partitioner with a
 //!   shard-count-independent canonical order ([`ShardPlan`]),

@@ -56,8 +56,8 @@
 //! from an inclusion bound or the batch, so the plain and annotated
 //! edge lists stay byte-identical (annotations aside) by construction.
 //! All scratch (survivor lists, gathered lanes, batch outputs, task
-//! stacks) lives in a per-traversal arena that the parallel path reuses
-//! across a worker's tasks.
+//! stacks) lives in one arena per traversal, or per frontier task on
+//! the parallel path, reused across every node pair it visits.
 //!
 //! ## Plain and distance-annotated output
 //!
@@ -111,16 +111,16 @@
 //!    concatenated outputs, in list order, are precisely the serial
 //!    output. Edges are only ever emitted by leaf-level tasks, so
 //!    expansion itself emits nothing.
-//! 2. **Scoped workers.** `std::thread::scope` workers drain the work
-//!    list through an atomic cursor. Each task's edges go to a buffer
-//!    slot keyed by its work-list index, and each worker accumulates
-//!    its distance-computation and node-access counts locally. After
-//!    the scope joins, slots are concatenated in index order and the
-//!    per-worker counters are added to the tree's global counters in
-//!    one bulk charge each — the totals equal the serial traversal's
-//!    exactly, because the multiset of distances computed is scheduling
-//!    independent (expansion order is fixed, and each task's internal
-//!    traversal is sequential).
+//! 2. **Tasks.** The work list runs through
+//!    [`disc_metric::tasks::run_tasks`], each entry into a buffer of
+//!    its own that accumulates its edges and its distance-computation
+//!    and node-access counts. The results come back in work-list
+//!    order: their edges are concatenated in that order and their
+//!    counters added to the tree's global counters in one bulk charge
+//!    each — the totals equal the serial traversal's exactly, because
+//!    the multiset of distances computed is scheduling independent
+//!    (expansion order is fixed, and each task's internal traversal is
+//!    sequential).
 //!
 //! No step of either phase consults thread identity, timing, or
 //! scheduling order for anything except *which worker* runs a task, so
@@ -129,10 +129,8 @@
 //! `tests/concurrency.rs` tier pins this across thread counts 1, 2, 3
 //! and 8 on all four metrics.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use disc_metric::cancel::{CancelToken, Cancelled};
-use disc_metric::{Metric, ObjId};
+use disc_metric::{tasks, Metric, ObjId};
 
 use crate::error::JoinError;
 use crate::node::{NodeId, NodeKind};
@@ -160,8 +158,7 @@ const MIN_PARALLEL: usize = 1_024;
 /// `threads` to 1, 2, 3 and 8 to pin that the parallel traversal is
 /// byte-identical to the serial one regardless of worker count.
 /// Production callers normally use [`MTree::range_self_join`], which
-/// picks the thread count automatically (and only goes parallel when
-/// the `parallel` feature is enabled).
+/// picks the thread count automatically.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SelfJoinConfig {
     /// Worker thread count. `0` (the default) means one worker per
@@ -170,7 +167,7 @@ pub struct SelfJoinConfig {
     /// inputs (so tests can exercise the parallel machinery on tiny
     /// trees). An *effective* count of 1 — explicit or auto-detected —
     /// dispatches straight to the serial traversal: the frontier
-    /// expansion and slot merge only pay off with real workers, and the
+    /// expansion and task merge only pay off with real workers, and the
     /// output is byte-identical either way (a test pins this).
     pub threads: usize,
 }
@@ -221,17 +218,6 @@ impl JoinEdge for DistEdge {
     }
 }
 
-/// One task's slice of a worker's edge arena: `(task index, start,
-/// end)` — the task index is the merge key that restores serial output
-/// order.
-type TaskSlot = (usize, usize, usize);
-
-/// One worker's results: its task slots, the shared edge arena they
-/// index into (one allocation reused across all of the worker's tasks),
-/// and the worker's locally accumulated distance-computation and
-/// node-access counts.
-type WorkerResult<E> = (Vec<TaskSlot>, Vec<E>, u64, u64);
-
 /// One independent unit of traversal work: a subtree joined with
 /// itself, or two disjoint subtrees joined with their pivot distance
 /// already computed (and already past the covering-radius bound).
@@ -245,8 +231,8 @@ enum Task {
 
 /// Reusable scratch arena for the blocked leaf kernels, the subtree
 /// inclusion sweeps and the task stacks. One arena lives per traversal
-/// (serial) or per worker (parallel) inside its [`JoinBuf`], so no leaf
-/// pair or task allocates on its own.
+/// (serial) or per frontier task (parallel) inside its [`JoinBuf`], so
+/// no leaf pair allocates on its own.
 #[derive(Default)]
 struct JoinScratch {
     /// Survivors of one left entry's opposing-row filter:
@@ -278,12 +264,11 @@ struct JoinScratch {
     sub: Vec<Task>,
 }
 
-/// Thread-local traversal state: the edges found so far, the
+/// Per-task traversal state: the edges found so far, the
 /// distance-computation and node-access counts accrued while finding
-/// them, and the reusable scratch arena. Workers keep one of these
-/// across all their tasks and flush the counters into the tree's global
-/// atomics in a single bulk charge at the end, so the global totals
-/// stay exact without per-distance atomic traffic.
+/// them, and the reusable scratch arena. The drivers flush the counters
+/// into the tree's global atomics in a single bulk charge at the end,
+/// so the global totals stay exact without per-distance atomic traffic.
 struct JoinBuf<E> {
     edges: Vec<E>,
     dist_comps: u64,
@@ -453,11 +438,9 @@ impl MTree<'_> {
     /// objects within distance `r`, as `(i, j)` with `i < j`, each pair
     /// exactly once, in the deterministic task order described in the
     /// [module docs](self). This is the edge list of the neighbourhood
-    /// graph `G_{P,r}` materialised in one traversal.
-    ///
-    /// With the `parallel` feature enabled this dispatches to the
-    /// multi-threaded traversal (auto thread count, byte-identical
-    /// output); without it, to the serial traversal.
+    /// graph `G_{P,r}` materialised in one traversal, on the automatic
+    /// thread count of [`SelfJoinConfig::default`] (byte-identical
+    /// output at every count).
     pub fn range_self_join(&self, r: f64) -> Vec<(ObjId, ObjId)> {
         let mut out = Vec::new();
         self.range_self_join_into(r, &mut out);
@@ -468,10 +451,7 @@ impl MTree<'_> {
     /// buffer is cleared first (like every `*_into` API in this crate)
     /// and refilled in task order, `(a, b)` with `a < b`.
     pub fn range_self_join_into(&self, r: f64, out: &mut Vec<(ObjId, ObjId)>) {
-        #[cfg(feature = "parallel")]
-        self.range_self_join_with_into(r, SelfJoinConfig::default(), out);
-        #[cfg(not(feature = "parallel"))]
-        self.range_self_join_serial_into(r, out);
+        self.join_with_into(r, SelfJoinConfig::default(), out);
     }
 
     /// The single-threaded self-join traversal (always available; the
@@ -521,11 +501,9 @@ impl MTree<'_> {
     /// [`MTree::distance_computations`] than the plain self-join at the
     /// same radius — the price of exact per-edge distances. Stripped of
     /// the annotations, the output is byte-identical to the plain
-    /// variant's.
-    ///
-    /// With the `parallel` feature enabled this dispatches to the
-    /// multi-threaded traversal (auto thread count, byte-identical
-    /// output — annotations included); without it, to the serial one.
+    /// variant's. Like [`MTree::range_self_join`] it runs on the
+    /// automatic thread count, byte-identical — annotations included —
+    /// at every count.
     pub fn range_self_join_dist(&self, r: f64) -> Vec<DistEdge> {
         let mut out = Vec::new();
         self.range_self_join_dist_into(r, &mut out);
@@ -535,10 +513,7 @@ impl MTree<'_> {
     /// [`MTree::range_self_join_dist`] into a reusable edge buffer
     /// (cleared first; same ordering contract).
     pub fn range_self_join_dist_into(&self, r: f64, out: &mut Vec<DistEdge>) {
-        #[cfg(feature = "parallel")]
-        self.range_self_join_dist_with_into(r, SelfJoinConfig::default(), out);
-        #[cfg(not(feature = "parallel"))]
-        self.range_self_join_dist_serial_into(r, out);
+        self.join_with_into(r, SelfJoinConfig::default(), out);
     }
 
     /// The single-threaded distance-annotated traversal (always
@@ -641,8 +616,19 @@ impl MTree<'_> {
             ..JoinBuf::default()
         };
         let run = self.run_task(Task::Same(self.root()), r, &mut buf, cancel);
-        // Bulk-charge exactly the work performed — also on the abandoned
-        // path, so cancellation never loses or double-counts work.
+        self.finish(buf, run, out)
+    }
+
+    /// Bulk-charges exactly the work `buf` performed — also on the
+    /// abandoned path, so cancellation never loses or double-counts
+    /// work — and hands its edges to `out`, or an empty list on
+    /// `Err(Cancelled)`.
+    fn finish<E>(
+        &self,
+        mut buf: JoinBuf<E>,
+        run: Result<(), Cancelled>,
+        out: &mut Vec<E>,
+    ) -> Result<(), Cancelled> {
         self.charge_accesses_bulk(buf.accesses);
         self.charge_distances_bulk(buf.dist_comps);
         if run.is_err() {
@@ -663,7 +649,7 @@ impl MTree<'_> {
     /// for the determinism argument, which is edge-type independent),
     /// optionally cancellable at task granularity. On `Err(Cancelled)`
     /// counters are charged for exactly the work performed across all
-    /// workers and `out` is left empty.
+    /// tasks and `out` is left empty.
     fn join_with_core<E: JoinEdge>(
         &self,
         r: f64,
@@ -672,20 +658,14 @@ impl MTree<'_> {
         cancel: Option<&CancelToken>,
     ) -> Result<(), Cancelled> {
         assert!(r >= 0.0, "radius must be non-negative");
-        let threads = if config.threads == 0 {
-            let auto = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            if auto <= 1 || self.len() < MIN_PARALLEL {
-                return self.join_serial_core(r, out, cancel);
-            }
-            auto
+        let threads = if config.threads == 0 && self.len() < MIN_PARALLEL {
+            1
         } else {
-            config.threads
+            tasks::workers(config.threads)
         };
         if threads <= 1 {
             // One worker degenerates to the serial traversal; skip the
-            // frontier expansion + slot merge entirely (they used to
+            // frontier expansion and the merge entirely (they used to
             // cost ~60% extra wall clock at an effective thread count
             // of 1). Output and counters are byte-identical either way
             // — the traversal order never depended on the phase split.
@@ -704,24 +684,20 @@ impl MTree<'_> {
             ..JoinBuf::default()
         };
         let target = threads * TASKS_PER_WORKER;
-        let mut tasks = vec![Task::Same(self.root())];
+        let mut frontier = vec![Task::Same(self.root())];
         for _ in 0..MAX_EXPANSION_PASSES {
             if let Some(c) = cancel {
-                if c.checkpoint().is_err() {
+                if let Err(e) = c.checkpoint() {
                     // Charge the expansion work already performed and
                     // surface the cancellation with an empty buffer.
-                    self.charge_accesses_bulk(expand_buf.accesses);
-                    self.charge_distances_bulk(expand_buf.dist_comps);
-                    expand_buf.edges.clear();
-                    *out = expand_buf.edges;
-                    return Err(Cancelled);
+                    return self.finish(expand_buf, Err(e), out);
                 }
             }
-            if tasks.len() >= target || tasks.iter().all(|&t| self.is_terminal(t, r)) {
+            if frontier.len() >= target || frontier.iter().all(|&t| self.is_terminal(t, r)) {
                 break;
             }
-            let mut next = Vec::with_capacity(tasks.len() * 4);
-            for &t in &tasks {
+            let mut next = Vec::with_capacity(frontier.len() * 4);
+            for &t in &frontier {
                 if self.is_terminal(t, r) {
                     next.push(t);
                 } else {
@@ -729,103 +705,36 @@ impl MTree<'_> {
                     debug_assert!(!done, "internal tasks expand, they never emit");
                 }
             }
-            tasks = next;
+            frontier = next;
         }
         debug_assert!(
             expand_buf.edges.is_empty(),
             "expansion visits only internal node pairs and emits no edges"
         );
 
-        // Phase 2: scoped workers drain the frontier through an atomic
-        // cursor; each worker pushes its tasks' edges into one arena
-        // (reused across tasks — no per-task allocation) and remembers
-        // the per-task slice bounds; counters accumulate per worker.
-        // threads >= 2 here (an effective count of 1 returned serial
-        // above) and the task list is never empty (it starts from the
-        // root), so this is at least 1.
-        let workers = threads.min(tasks.len());
-        let mut aborted = false;
-        if workers <= 1 {
-            // A frontier of one task: run in place.
-            for &t in &tasks {
-                if self.run_task(t, r, &mut expand_buf, cancel).is_err() {
-                    aborted = true;
-                    break;
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let per_worker: Vec<WorkerResult<E>> = std::thread::scope(|s| {
-                let tasks = &tasks;
-                let cursor = &cursor;
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(move || {
-                            let mut buf = JoinBuf::default();
-                            let mut done = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(&task) = tasks.get(i) else { break };
-                                let start = buf.edges.len();
-                                if self.run_task(task, r, &mut buf, cancel).is_err() {
-                                    // Abandon mid-task: the slot stays
-                                    // unclaimed, which the merge below
-                                    // reads as cancellation. The buffer
-                                    // still carries this worker's exact
-                                    // counters.
-                                    break;
-                                }
-                                done.push((i, start, buf.edges.len()));
-                            }
-                            (done, buf.edges, buf.dist_comps, buf.accesses)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(res) => res,
-                        // A worker panic is a bug, not a recoverable
-                        // condition: re-raise it on the driver thread.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-            // Merge in task order: the concatenation equals the serial
-            // traversal's output byte for byte. Counters from every
-            // worker are folded in first so a cancelled run still
-            // charges exactly the work performed.
-            let mut slots: Vec<(usize, usize, usize)> = vec![(usize::MAX, 0, 0); tasks.len()];
-            for (w, (done, _, dist_comps, accesses)) in per_worker.iter().enumerate() {
-                expand_buf.dist_comps += dist_comps;
-                expand_buf.accesses += accesses;
-                for &(i, start, end) in done {
-                    slots[i] = (w, start, end);
-                }
-            }
-            if slots.iter().any(|&(w, _, _)| w == usize::MAX) {
-                // At least one task was never completed: the token fired
-                // mid-drain. (A token that trips only after every slot
-                // was claimed does not fail the run — the output is
-                // already complete and exact.)
-                aborted = true;
-            } else {
-                for &(w, start, end) in &slots {
-                    expand_buf
-                        .edges
-                        .extend_from_slice(&per_worker[w].1[start..end]);
-                }
+        // Phase 2: the frontier runs through the task runner, each task
+        // into a buffer of its own. Concatenated in frontier order, the
+        // edges equal the serial traversal's byte for byte; every
+        // task's counters are folded in, so a cancelled run still
+        // charges exactly the work performed.
+        let results = tasks::run_tasks(frontier, threads, |t| {
+            let mut buf = JoinBuf::default();
+            let run = self.run_task(t, r, &mut buf, cancel);
+            (run, buf)
+        });
+        let mut run = Ok(());
+        expand_buf
+            .edges
+            .reserve(results.iter().map(|(_, buf)| buf.edges.len()).sum());
+        for (task_run, buf) in results {
+            expand_buf.dist_comps += buf.dist_comps;
+            expand_buf.accesses += buf.accesses;
+            run = run.and(task_run);
+            if run.is_ok() {
+                expand_buf.edges.extend_from_slice(&buf.edges);
             }
         }
-        self.charge_accesses_bulk(expand_buf.accesses);
-        self.charge_distances_bulk(expand_buf.dist_comps);
-        if aborted {
-            expand_buf.edges.clear();
-            *out = expand_buf.edges;
-            return Err(Cancelled);
-        }
-        *out = expand_buf.edges;
-        Ok(())
+        self.finish(expand_buf, run, out)
     }
 
     /// Whether a task runs to completion in one `step` (emitting its

@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use disc_graph::{GraphError, StratifiedDiskGraph, StreamingCatalog};
-use disc_metric::{Dataset, IdPermutation, Metric, ObjId};
+use disc_metric::{tasks, Dataset, IdPermutation, Metric, ObjId};
 
 use crate::cast::{as_f64s, as_u32s, as_u64s, AlignedBytes};
 use crate::checksum::{fnv1a_64, word_checksum, WordFold};
@@ -94,50 +94,10 @@ pub(crate) fn section_checksum(version: u32, bytes: &[u8]) -> u64 {
     }
 }
 
-/// Below this payload size the serial checksum pass beats seven thread
-/// spawns — and the exhaustive bit-flip fault suite (thousands of tiny
-/// loads) stays on the serial path.
-#[cfg(feature = "parallel")]
+/// Below this payload size one worker checksums every section: the
+/// serial pass beats thread spawns, and the exhaustive bit-flip fault
+/// suite (thousands of tiny loads) stays on the caller's thread.
 const PARALLEL_MIN_BYTES: usize = 1 << 20;
-
-/// Eagerly checksums every payload section on scoped threads. Returns `None`
-/// (leaving `verify` on the lazy serial fold) when the feature is off,
-/// the payload is small, or the machine is single-core.
-#[cfg(feature = "parallel")]
-fn parallel_section_checksums(
-    version: u32,
-    bytes: &[u8],
-    extents: &[(usize, usize); SECTION_COUNT],
-) -> Option<[u64; SECTION_COUNT]> {
-    let payload: usize = extents.iter().map(|&(_, len)| len).sum();
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    if payload < PARALLEL_MIN_BYTES || cores <= 1 {
-        return None;
-    }
-    let mut out = [0u64; SECTION_COUNT];
-    std::thread::scope(|s| {
-        let handles = extents
-            .map(|(off, len)| s.spawn(move || section_checksum(version, &bytes[off..off + len])));
-        for (slot, handle) in out.iter_mut().zip(handles) {
-            *slot = match handle.join() {
-                Ok(sum) => sum,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-        }
-    });
-    Some(out)
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_section_checksums(
-    _version: u32,
-    _bytes: &[u8],
-    _extents: &[(usize, usize); SECTION_COUNT],
-) -> Option<[u64; SECTION_COUNT]> {
-    None
-}
 
 pub(crate) fn read_u64(bytes: &[u8], off: usize) -> u64 {
     let mut a = [0u8; 8];
@@ -741,20 +701,23 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
         });
     }
 
-    // Per-section checksums: the serial path folds each section lazily
-    // inside `verify`; with the `parallel` feature and a large enough
-    // payload all seven are computed eagerly on scoped threads, one
-    // per section. `verify` compares stored vs computed in the same
-    // order either way, so error attribution and precedence are
-    // byte-identical.
-    let precomputed = parallel_section_checksums(version, bytes, &extents);
+    // Per-section checksums, one task per section (every extent is in
+    // bounds: the sections tile the file). `verify` compares stored vs
+    // computed in section order whatever the worker count, so error
+    // attribution and precedence do not depend on it.
+    let payload = bytes.len() - TABLE_END;
+    let workers = if payload < PARALLEL_MIN_BYTES {
+        1
+    } else {
+        tasks::workers(0)
+    };
+    let sums = tasks::run_tasks(extents.to_vec(), workers, |(off, len)| {
+        section_checksum(version, &bytes[off..off + len])
+    });
     let verify = |i: usize| -> Result<&[u8], StoreError> {
         let (off, len) = extents[i];
         let region = &bytes[off..off + len];
-        let computed = match precomputed {
-            Some(c) => c[i],
-            None => section_checksum(version, region),
-        };
+        let computed = sums[i];
         if checksums[i] != computed {
             return Err(StoreError::ChecksumMismatch {
                 section: SECTION_ORDER[i],

@@ -1,12 +1,12 @@
 //! Acceptance/rejection parity for the large-buffer load path.
 //!
-//! With `--features parallel`, snapshots past the 1 MiB payload
-//! threshold validate their section checksums on scoped threads; this
-//! suite builds a snapshot big enough to actually take that path and
-//! pins that acceptance, rejection, and error attribution are identical
-//! to the serial path (which the exhaustive small-snapshot fault suite
-//! covers). Without the feature the same assertions exercise the serial
-//! path on a large buffer — the behaviour must not depend on size.
+//! Snapshots past the 1 MiB payload threshold checksum their sections
+//! as tasks on one worker per core; smaller ones on the caller's
+//! thread. This suite builds a snapshot big enough to take the threaded
+//! path and pins that acceptance, rejection, and error attribution are
+//! identical to the one-worker path (which the exhaustive
+//! small-snapshot fault suite covers) — the behaviour must not depend
+//! on size.
 
 use disc_store::fault::corrupt;
 use disc_store::{encode_parts, load, AlignedBytes, Fault, SectionId, SnapshotParts, StoreError};
