@@ -7,8 +7,9 @@
 //! sections run on the clustered workload at n = 10_000 and the scale
 //! tier at n = 10^5; `SCALE_MILLION=1` adds the 10^6 tier, whose
 //! clustered build peaks near 10 GiB (the CSR plus the edge lists of
-//! the shards still being filled). Every phase sizes its workers to the
-//! host's cores.
+//! the shards still being filled). The scale tier's builds run on
+//! [`disc_core::DEFAULT_SHARDS`] shards with one worker per core; the
+//! fig9 sections' self-joins are serial traversals.
 
 use std::path::Path;
 

@@ -34,12 +34,12 @@ use disc_core::{
     fast_c, greedy_c, greedy_c_graph, greedy_disc, greedy_disc_graph, greedy_zoom_in,
     greedy_zoom_in_graph, greedy_zoom_out, multi_radius_basic_disc, multi_radius_graph,
     multi_radius_greedy_disc, par, zoom_out_graph, GreedyVariant, ShardedBuildStats,
-    ZoomOutVariant,
+    ZoomOutVariant, DEFAULT_SHARDS,
 };
 use disc_datasets::synthetic::{clustered, uniform};
 use disc_graph::{StratifiedDiskGraph, StreamingCatalog, UnitDiskGraph};
 use disc_metric::{Dataset, IdPermutation};
-use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_mtree::{MTree, MTreeConfig};
 
 /// Seed shared by all bench datasets.
 pub const BENCH_SEED: u64 = 77;
@@ -68,8 +68,6 @@ const R_MAX: f64 = 0.08;
 /// The zoom-in targets: [`RADIUS`] bracketed by one coarser and one
 /// finer setting.
 const TARGETS: [f64; 3] = [0.06, RADIUS, 0.02];
-/// Shards of every scale-tier build.
-const SCALE_SHARDS: usize = 8;
 
 /// CSR-assembly regression gate, a ratio against the same run's
 /// annotated self-join instead of an absolute wall clock: both phases
@@ -235,8 +233,8 @@ pub fn build_report(n: usize, scale_tiers: &[usize]) -> Report {
         // the radius and lands denser, the regime the boundary gate
         // cares about.
         let radius = (60.0 / (std::f64::consts::PI * tier as f64)).sqrt();
-        measure_scale(&bench_clustered(tier), "clustered", radius, SCALE_SHARDS).record(&mut r);
-        measure_scale(&bench_uniform(tier), "uniform", radius, SCALE_SHARDS).record(&mut r);
+        measure_scale(&bench_clustered(tier), "clustered", radius, DEFAULT_SHARDS).record(&mut r);
+        measure_scale(&bench_uniform(tier), "uniform", radius, DEFAULT_SHARDS).record(&mut r);
     }
     r
 }
@@ -737,13 +735,8 @@ pub fn measure_streaming(
     )
     .with_permutation(Some(Arc::new(perm)));
     let tree = MTree::build(&rebuilt_data, MTreeConfig::default());
-    let rebuilt = StratifiedDiskGraph::from_mtree_checked(
-        &tree,
-        graph.radius(),
-        SelfJoinConfig::default(),
-        None,
-    )
-    .expect("self-join over a clean dataset");
+    let rebuilt = StratifiedDiskGraph::from_mtree_checked(&tree, graph.radius(), 0, None)
+        .expect("self-join over a clean dataset");
     let rebuild_ms = ms_since(t);
     let solutions_match = greedy_disc_graph(&catalog.graph().view(radius).to_unit_disk_graph())
         .solution
@@ -899,7 +892,7 @@ impl ScaleBench {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::time::Duration;
 
     use disc_cli::serve::{ServeConfig, Server, Sink};
@@ -908,8 +901,22 @@ mod tests {
 
     use super::*;
 
+    /// Held by every test in this module, so they run one at a time:
+    /// the streaming test gates wall-clock ratios in release builds,
+    /// and tests running beside it on the harness's other threads
+    /// would take the cores those ratios time.
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+    /// Takes [`ONE_AT_A_TIME`]. A test that failed while holding it
+    /// poisons it; the guarded `()` is valid regardless, so the next
+    /// test still runs.
+    fn one_at_a_time() -> MutexGuard<'static, ()> {
+        ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn scale_measurement_records_phases_rss_and_share() {
+        let _one = one_at_a_time();
         let d = bench_clustered(1_500);
         let m = measure_scale(&d, "clustered", 0.03, 4);
         assert_eq!(m.n, 1_500);
@@ -937,6 +944,7 @@ mod tests {
 
     #[test]
     fn kernel_measurement_is_bitwise_identical() {
+        let _one = one_at_a_time();
         // One query object against the whole dataset, per pair and as
         // one batched sweep over the lane-major block the M-tree
         // leaves store.
@@ -962,6 +970,7 @@ mod tests {
 
     #[test]
     fn stratified_build_stays_within_edge_bound() {
+        let _one = one_at_a_time();
         let d = bench_clustered(600);
         let t = bench_tree(&d);
         let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02]);
@@ -977,6 +986,7 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
+        let _one = one_at_a_time();
         let d = bench_clustered(300);
         assert_eq!(d.len(), 300);
         let t = bench_tree(&d);
@@ -986,26 +996,17 @@ mod tests {
 
     #[test]
     fn selfjoin_par_measurement_holds_parity() {
+        let _one = one_at_a_time();
         let d = bench_clustered(500);
         let t = bench_tree(&d);
-        let mut serial = Vec::new();
         t.reset_distance_computations();
-        t.range_self_join_serial_into(0.04, &mut serial);
-        let serial_dc = t.reset_distance_computations();
-        assert!(!serial.is_empty() && serial_dc > 0);
-        let serial_graph = UnitDiskGraph::from_edges(t.len(), 0.04, &serial);
+        let edges = t.range_self_join(0.04);
+        assert!(!edges.is_empty() && t.reset_distance_computations() > 0);
+        let serial_graph = UnitDiskGraph::from_edges(t.len(), 0.04, &edges);
         let serial_solution = greedy_disc_graph(&serial_graph).solution;
         let auto = disc_metric::tasks::workers(0);
         for threads in [1, 2, 3, 8, auto] {
-            let mut parallel = Vec::new();
-            t.range_self_join_with_into(0.04, SelfJoinConfig { threads }, &mut parallel);
-            assert_eq!(
-                t.reset_distance_computations(),
-                serial_dc,
-                "threads={threads}"
-            );
-            assert_eq!(parallel, serial, "edge lists, threads={threads}");
-            let sharded = UnitDiskGraph::from_edges_sharded(t.len(), 0.04, &parallel, threads);
+            let sharded = UnitDiskGraph::from_edges_sharded(t.len(), 0.04, &edges, threads);
             assert_eq!(sharded.offsets(), serial_graph.offsets());
             assert_eq!(sharded.neighbors_flat(), serial_graph.neighbors_flat());
             assert_eq!(greedy_disc_graph(&sharded).solution, serial_solution);
@@ -1038,6 +1039,7 @@ mod tests {
 
     #[test]
     fn serve_measurement_holds_parity_and_sheds_under_flood() {
+        let _one = one_at_a_time();
         let d = bench_clustered(500);
         let g = StratifiedDiskGraph::build(&d, 0.08);
         let radii = [0.08, 0.04, 0.02];
@@ -1109,6 +1111,7 @@ mod tests {
 
     #[test]
     fn streaming_measurement_matches_rebuild_and_beats_it() {
+        let _one = one_at_a_time();
         let d = bench_clustered(2_000);
         let g = StratifiedDiskGraph::build(&d, 0.08);
         let m = measure_streaming(&d, &g, 32, 16, 0.04);
@@ -1140,6 +1143,7 @@ mod tests {
 
     #[test]
     fn graph_vs_tree_measurement_is_consistent() {
+        let _one = one_at_a_time();
         let d = bench_clustered(400);
         let t = bench_tree(&d);
         let m = measure_graph_vs_tree(&t, 0.04);
@@ -1152,6 +1156,7 @@ mod tests {
 
     #[test]
     fn zoom_graph_measurement_holds_parity_and_adds_no_distances() {
+        let _one = one_at_a_time();
         let d = bench_clustered(600);
         let t = bench_tree(&d);
         let m = measure_zoom_graph_vs_tree(&t, 0.08, &[0.06, 0.04, 0.02]);
@@ -1182,6 +1187,7 @@ mod tests {
 
     #[test]
     fn report_gates_every_metric_and_fails_closed() {
+        let _one = one_at_a_time();
         let mut r = build_report(600, &[2_000]);
         assert!(r.metrics.iter().all(|(_, _, unit)| !unit.is_empty()));
         assert!(r.gates.iter().all(|(_, _, bound, _)| bound.is_finite()));

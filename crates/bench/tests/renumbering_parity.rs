@@ -2,8 +2,8 @@
 //! cache-layout change, so every graph-resident runner must produce
 //! byte-identical solutions — in *external* ids — before and after it,
 //! and the renumbered snapshot must round-trip byte-identically, under
-//! all four metrics and every self-join thread/shard count CI pins
-//! (1, 2, 3, 8).
+//! all four metrics and every assembly worker count CI pins (1, 2, 3,
+//! 8).
 
 use disc_core::{
     greedy_c_graph, greedy_disc_graph, greedy_zoom_in_graph, multi_radius_graph, zoom_out_graph,
@@ -11,7 +11,7 @@ use disc_core::{
 };
 use disc_graph::StratifiedDiskGraph;
 use disc_metric::{Dataset, Metric, Point};
-use disc_mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_mtree::{MTree, MTreeConfig};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -92,10 +92,9 @@ fn renumbering_preserves_every_runner_and_the_snapshot_round_trip() {
 
         let mut snapshots: Vec<Vec<u8>> = Vec::new();
         for threads in THREAD_COUNTS {
-            let config = SelfJoinConfig::with_threads(threads);
-            let strat = StratifiedDiskGraph::from_mtree_checked(&tree, r_max, config, None)
+            let strat = StratifiedDiskGraph::from_mtree_checked(&tree, r_max, threads, None)
                 .expect("original build");
-            let strat2 = StratifiedDiskGraph::from_mtree_checked(&tree2, r_max, config, None)
+            let strat2 = StratifiedDiskGraph::from_mtree_checked(&tree2, r_max, threads, None)
                 .expect("renumbered build");
             assert!(
                 strat2.permutation().is_some(),
@@ -127,7 +126,7 @@ fn renumbering_preserves_every_runner_and_the_snapshot_round_trip() {
         }
         assert!(
             snapshots.windows(2).all(|w| w[0] == w[1]),
-            "{metric:?}: snapshot bytes differ across SELF_JOIN_THREADS"
+            "{metric:?}: snapshot bytes differ across assembly worker counts"
         );
     }
 }

@@ -44,9 +44,10 @@ pub struct BuildArgs {
     pub radius: f64,
     /// Use the uniform generator instead of the clustered one.
     pub uniform: bool,
-    /// Spatial shard count for the sharded build pipeline; the snapshot
-    /// is byte-identical at every count (1 = one shard, still the
-    /// sharded pipeline).
+    /// Spatial shard count for the sharded build pipeline, by default
+    /// [`disc_core::DEFAULT_SHARDS`]. The snapshot is byte-identical at
+    /// every count; the shards' joins are the build's parallel tasks,
+    /// so 1 builds with one join on one worker.
     pub shards: usize,
 }
 
@@ -234,7 +235,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         shards
                     }
-                    None => 1,
+                    None => disc_core::DEFAULT_SHARDS,
                 },
             }))
         }
@@ -337,6 +338,7 @@ mod tests {
                 assert_eq!(b.dim, 2);
                 assert_eq!(b.clusters, 5);
                 assert!(!b.uniform);
+                assert_eq!(b.shards, disc_core::DEFAULT_SHARDS);
             }
             other => unreachable!("expected build, got {other:?}"),
         }

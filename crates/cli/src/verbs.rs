@@ -39,9 +39,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
 /// persists the internal↔external bijection in its ext-ids section;
 /// every served solution and wire hash stays in external ids.
 ///
-/// The snapshot is **byte-identical at every `--shards` value** and at
-/// every worker count (`SELF_JOIN_THREADS` forces the worker count; CI
-/// pins both with sha256 matrices).
+/// `--shards` defaults to [`disc_core::DEFAULT_SHARDS`]. The snapshot
+/// is **byte-identical at every `--shards` value** and at every worker
+/// count (`SELF_JOIN_THREADS` forces the build's worker count; CI pins
+/// both with sha256 matrices).
 ///
 /// The snapshot streams to `--out` through [`disc_store::write_snapshot`],
 /// so the write holds one chunk, not the file.

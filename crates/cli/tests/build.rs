@@ -3,8 +3,10 @@
 //! build's node accesses as `node_accesses`, its per-phase wall clocks
 //! under `phase_ms`, with the `phase_ms` keys of the scale rows in
 //! `BENCH_report.json`, and the process's memory high-water mark as
-//! `peak_rss_mib`.
+//! `peak_rss_mib`. Without `--shards` it builds on 8 shards and writes
+//! the bytes of a one-shard build.
 
+use std::path::Path;
 use std::process::Command;
 
 const PHASES: [&str; 7] = [
@@ -79,4 +81,36 @@ fn build_line_reports_every_phase_timing() {
         disc_store::decode(bytes.as_bytes()).expect("the written snapshot decodes");
     }
     let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn default_build_uses_eight_shards_and_writes_the_one_shard_bytes() {
+    let dir = std::env::temp_dir().join("disc-cli-build");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let build = |out: &Path, shards: &[&str]| -> String {
+        let run = Command::new(env!("CARGO_BIN_EXE_disc"))
+            .args(["build", "--out"])
+            .arg(out)
+            .args(["--n", "600", "--clusters", "4", "--seed", "5"])
+            .args(["--radius", "0.1"])
+            .args(shards)
+            .output()
+            .expect("run disc build");
+        assert!(run.status.success(), "exit {:?}", run.status);
+        String::from_utf8(run.stdout).expect("utf-8 stdout")
+    };
+    let pid = std::process::id();
+    let default_out = dir.join(format!("default-{pid}.snap"));
+    let one_out = dir.join(format!("one-shard-{pid}.snap"));
+    let line = build(&default_out, &[]);
+    assert!(line.contains("\"shards\":8,"), "{line}");
+    build(&one_out, &["--shards", "1"]);
+    let default_bytes = std::fs::read(&default_out).expect("read default build");
+    let one_bytes = std::fs::read(&one_out).expect("read one-shard build");
+    assert!(
+        default_bytes == one_bytes,
+        "default and --shards 1 snapshots differ"
+    );
+    let _ = std::fs::remove_file(&default_out);
+    let _ = std::fs::remove_file(&one_out);
 }

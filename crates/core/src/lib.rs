@@ -104,6 +104,7 @@ pub use result::{DiscResult, ZoomResult};
 pub use runner::Heuristic;
 pub use sharded::{
     build_sharded, build_sharded_with, ShardedBuild, ShardedBuildConfig, ShardedBuildStats,
+    DEFAULT_SHARDS,
 };
 pub use stream::{RepairError, RepairReport, RepairableSolution};
 pub use verify::{verify_coverage, verify_disc, VerifyReport};

@@ -33,13 +33,16 @@
 //!    `(distance, id)` order, so the bytes equal the unsharded
 //!    assembly's.
 //!
-//! With `threads > 1`, stages 3 and 4 and the count and fill of stage 5
-//! run their *tasks* concurrently (serial tasks taken in order by the
-//! workers of [`run_tasks`]); a single-shard build instead gives its
-//! one intra-join the configured thread count, and fills its one part
-//! serially. Either way every task's traversal is deterministic, so the
-//! edge sets, the assembled bytes and the [`ShardedBuildStats`]
-//! counters are identical at every worker count.
+//! Sharding is the build's only parallelism. With `threads > 1`,
+//! stages 3 and 4 and the count and fill of stage 5 run their *tasks*
+//! concurrently (serial tasks taken in order by the workers of
+//! [`run_tasks`]), and the stage 5 row sort splits its rows across the
+//! same workers. Each join is one serial traversal, so a build whose
+//! data falls in one shard joins it on one worker. Every task's
+//! traversal is deterministic, so the edge sets, the assembled bytes
+//! and the [`ShardedBuildStats`] counters are identical at every worker
+//! count. [`DEFAULT_SHARDS`] is the count `disc build` uses unless told
+//! otherwise.
 //!
 //! ## Why bytes match at every shard count
 //!
@@ -61,17 +64,21 @@ use disc_graph::{GraphError, PartEdges, StratifiedDiskGraph};
 use disc_metric::tasks::run_tasks;
 use disc_metric::{CancelToken, Dataset};
 use disc_mtree::shard::DEFAULT_STOP;
-use disc_mtree::{
-    cross_tree_join_dist_checked, DistEdge, MTree, MTreeConfig, SelfJoinConfig, ShardPlan,
-};
+use disc_mtree::{cross_tree_join_dist_checked, DistEdge, MTree, MTreeConfig, ShardPlan};
+
+/// The shard count of `disc build` when `--shards` is not given, and
+/// of the report's scale tier. The bytes are the same at every count.
+/// More shards than cores leave the join tasks room to balance, and
+/// each shard frees its edge lists as soon as its rows are filled, so
+/// the build never holds every edge beside the whole CSR.
+pub const DEFAULT_SHARDS: usize = 8;
 
 /// Tuning knobs for [`build_sharded_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedBuildConfig {
-    /// Worker threads for the task phases, the CSR fill and the
-    /// assembly row sort (`0` = one per available core). With one shard
-    /// this instead becomes the intra-join's [`SelfJoinConfig`] thread
-    /// count.
+    /// Worker threads for the join tasks, the CSR fill and the assembly
+    /// row sort (`0` = one per available core). Each join task is one
+    /// serial traversal, so a one-shard build joins on one worker.
     pub threads: usize,
     /// Partition recursion stop size ([`DEFAULT_STOP`]); tests shrink it
     /// to force deep recursion on small datasets.
@@ -212,8 +219,7 @@ pub fn build_sharded_with(
     let workers = disc_metric::tasks::workers(config.threads);
 
     // Phase A: per-shard tree + intra-join, one task per non-empty
-    // shard. With a single shard the whole dataset is one task and the
-    // intra-join itself gets the worker budget instead.
+    // shard.
     struct ShardOut<'a> {
         shard: usize,
         tree: MTree<'a>,
@@ -230,7 +236,6 @@ pub fn build_sharded_with(
         .filter(|(_, r)| !r.is_empty())
         .map(|(s, r)| (s, r.clone()))
         .collect();
-    let join_threads = if tasks.len() <= 1 { workers } else { 1 };
     let shard_results: Vec<Result<ShardOut<'_>, GraphError>> = {
         let data = &data;
         run_tasks(tasks, workers, move |(shard, range)| {
@@ -239,11 +244,7 @@ pub fn build_sharded_with(
             let tree_ms = t0.elapsed().as_secs_f64() * 1e3;
             let tree_dc = tree.distance_computations();
             let t1 = Instant::now();
-            let edges = tree.range_self_join_dist_checked(
-                r_max,
-                SelfJoinConfig::with_threads(join_threads),
-                cancel,
-            )?;
+            let edges = tree.range_self_join_dist_checked(r_max, cancel)?;
             Ok(ShardOut {
                 shard,
                 join_ms: t1.elapsed().as_secs_f64() * 1e3,

@@ -27,8 +27,8 @@
 //!   radii — use the radius-stratified sibling
 //!   [`crate::StratifiedDiskGraph`], which answers every radius below
 //!   its build radius from one distance-annotated self-join (the
-//!   production `disc build` path). The self-join traversal runs
-//!   multi-threaded (see `disc-mtree`), and the CSR row sort uses one
+//!   production `disc build` path). The self-join is one serial
+//!   traversal (see `disc-mtree`), and the CSR row sort uses one
 //!   worker per core.
 //! * [`UnitDiskGraph::build`] — the O(n²) all-pairs scan, kept as the
 //!   validation reference the property tests compare against.
@@ -94,10 +94,10 @@ impl UnitDiskGraph {
         Self::from_edges(n, radius, &edges).with_permutation(data.permutation().cloned())
     }
 
-    /// Materialises `G_{P,r}` with one M-tree range self-join (the bulk
-    /// path; distance computations are charged to the tree's counter),
-    /// assembled with one row-sort worker per core. The graph is
-    /// byte-identical at every thread count.
+    /// Materialises `G_{P,r}` with one serial M-tree range self-join
+    /// (the bulk path; distance computations are charged to the tree's
+    /// counter), assembled with one row-sort worker per core. The graph
+    /// is byte-identical at every row-sort worker count.
     pub fn from_mtree(tree: &MTree<'_>, radius: f64) -> Self {
         let edges = tree.range_self_join(radius);
         Self::from_edges_sharded(tree.len(), radius, &edges, 0)
@@ -408,7 +408,7 @@ mod tests {
         let data = random_data_metric(300, 11, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         for r in [0.0, 0.05, 0.2, 2.0] {
-            let edges = tree.range_self_join_serial(r);
+            let edges = tree.range_self_join(r);
             let serial = UnitDiskGraph::from_edges(data.len(), r, &edges);
             for shards in SHARD_COUNTS {
                 let sharded = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, shards);
@@ -463,7 +463,7 @@ mod tests {
         }
         let tree = MTree::build(&data, MTreeConfig::with_capacity(3));
         assert_eq!(UnitDiskGraph::from_mtree(&tree, 0.0), reference);
-        let edges = tree.range_self_join_serial(0.0);
+        let edges = tree.range_self_join(0.0);
         for shards in SHARD_COUNTS {
             assert_eq!(
                 UnitDiskGraph::from_edges_sharded(n, 0.0, &edges, shards),
@@ -482,7 +482,7 @@ mod tests {
         }
         let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
         assert_eq!(UnitDiskGraph::from_mtree(&tree, 2.0), reference);
-        let edges = tree.range_self_join_serial(2.0);
+        let edges = tree.range_self_join(2.0);
         for shards in SHARD_COUNTS {
             assert_eq!(
                 UnitDiskGraph::from_edges_sharded(data.len(), 2.0, &edges, shards),

@@ -82,7 +82,7 @@ use std::sync::Arc;
 
 use disc_metric::cancel::CancelToken;
 use disc_metric::{Dataset, IdPermutation, ObjId};
-use disc_mtree::{DistEdge, MTree, SelfJoinConfig};
+use disc_mtree::{DistEdge, MTree};
 
 use crate::error::GraphError;
 use crate::graph::UnitDiskGraph;
@@ -118,9 +118,8 @@ impl StratifiedDiskGraph {
     /// the tree's counter; the selection/zooming consumers then run at
     /// zero additional distance computations for every radius
     /// `≤ r_max`), assembled with one row-sort worker per core. The
-    /// self-join traversal runs multi-threaded too. The graph is
-    /// byte-identical at every thread count, distance annotations
-    /// included.
+    /// self-join is one serial traversal; the graph is byte-identical
+    /// at every row-sort worker count, distance annotations included.
     pub fn from_mtree(tree: &MTree<'_>, r_max: f64) -> Self {
         let edges = tree.range_self_join_dist(r_max);
         Self::from_dist_edges_sharded(tree.len(), r_max, &edges, 0)
@@ -134,24 +133,19 @@ impl StratifiedDiskGraph {
     /// assembly). On [`GraphError::Cancelled`] no partial graph escapes
     /// and the tree's counters account exactly for the work performed.
     ///
-    /// `config.threads` drives both the traversal worker count and the
-    /// assembly's row-sort worker count (`0` = auto). The built graph is
-    /// byte-identical to [`StratifiedDiskGraph::from_mtree`]'s for every
-    /// thread count.
+    /// `workers` sizes the assembly's row sort, as in
+    /// [`StratifiedDiskGraph::from_dist_edge_slices_checked`] (`0` =
+    /// one per core). The built graph is byte-identical to
+    /// [`StratifiedDiskGraph::from_mtree`]'s for every worker count.
     pub fn from_mtree_checked(
         tree: &MTree<'_>,
         r_max: f64,
-        config: SelfJoinConfig,
+        workers: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<Self, GraphError> {
-        let edges = tree.range_self_join_dist_checked(r_max, config, cancel)?;
-        let (graph, _) = Self::from_dist_edge_slices_checked(
-            tree.len(),
-            r_max,
-            &[&edges],
-            config.threads,
-            cancel,
-        )?;
+        let edges = tree.range_self_join_dist_checked(r_max, cancel)?;
+        let (graph, _) =
+            Self::from_dist_edge_slices_checked(tree.len(), r_max, &[&edges], workers, cancel)?;
         Ok(graph.with_permutation(tree.data().permutation().cloned()))
     }
 
@@ -978,7 +972,7 @@ impl Adjacency for StratifiedView<'_> {
 mod tests {
     use super::*;
     use disc_metric::{Metric, Point};
-    use disc_mtree::{MTreeConfig, SelfJoinConfig};
+    use disc_mtree::MTreeConfig;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -1144,7 +1138,7 @@ mod tests {
         let data = random_data_metric(250, 62, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         for r in [0.0, 0.05, 0.2, 2.0] {
-            let edges = tree.range_self_join_dist_serial(r);
+            let edges = tree.range_self_join_dist(r);
             let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
             for shards in [1, 2, 3, 8] {
                 let sharded =
@@ -1222,10 +1216,7 @@ mod tests {
             let r_view = if metric.is_discrete() { r_view.floor() } else { r_view };
 
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let edges = tree.range_self_join_dist_with(
-                r_max,
-                SelfJoinConfig::with_threads(threads),
-            );
+            let edges = tree.range_self_join_dist(r_max);
             let g = StratifiedDiskGraph::from_dist_edges_sharded(
                 data.len(), r_max, &edges, threads,
             );
@@ -1252,13 +1243,8 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::default());
         let plain = StratifiedDiskGraph::from_mtree(&tree, 0.3);
         for threads in [1, 3] {
-            let checked = StratifiedDiskGraph::from_mtree_checked(
-                &tree,
-                0.3,
-                SelfJoinConfig::with_threads(threads),
-                None,
-            )
-            .expect("uncancelled build succeeds");
+            let checked = StratifiedDiskGraph::from_mtree_checked(&tree, 0.3, threads, None)
+                .expect("uncancelled build succeeds");
             assert_eq!(checked.offsets(), plain.offsets());
             assert_eq!(checked.neighbors_flat(), plain.neighbors_flat());
             assert_eq!(
@@ -1281,13 +1267,7 @@ mod tests {
         let data = random_data_metric(60, 6, Metric::Euclidean);
         let tree = MTree::build(&data, MTreeConfig::default());
         for r in [f64::NAN, -1.0] {
-            let err = StratifiedDiskGraph::from_mtree_checked(
-                &tree,
-                r,
-                SelfJoinConfig::with_threads(1),
-                None,
-            )
-            .unwrap_err();
+            let err = StratifiedDiskGraph::from_mtree_checked(&tree, r, 1, None).unwrap_err();
             assert!(matches!(err, GraphError::InvalidRadius(_)), "r={r}: {err}");
             let err = StratifiedDiskGraph::from_dist_edge_slices_checked(10, r, &[], 1, None)
                 .unwrap_err();
@@ -1302,22 +1282,11 @@ mod tests {
         let full = StratifiedDiskGraph::from_mtree(&tree, 0.3);
         let token = CancelToken::new();
         token.cancel();
-        let err = StratifiedDiskGraph::from_mtree_checked(
-            &tree,
-            0.3,
-            SelfJoinConfig::with_threads(2),
-            Some(&token),
-        )
-        .unwrap_err();
+        let err = StratifiedDiskGraph::from_mtree_checked(&tree, 0.3, 2, Some(&token)).unwrap_err();
         assert_eq!(err, GraphError::Cancelled);
         // Retry without the token reproduces the build byte for byte.
-        let retry = StratifiedDiskGraph::from_mtree_checked(
-            &tree,
-            0.3,
-            SelfJoinConfig::with_threads(2),
-            None,
-        )
-        .expect("retry succeeds");
+        let retry =
+            StratifiedDiskGraph::from_mtree_checked(&tree, 0.3, 2, None).expect("retry succeeds");
         assert_eq!(retry, full);
     }
 

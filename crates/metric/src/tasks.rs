@@ -1,7 +1,7 @@
-//! The one scoped task runner of the workspace: the self-join frontier,
-//! count seeding, the sharded build's join tasks, the CSR fill and row
-//! sort, and the snapshot section checksums all fan out through
-//! [`run_tasks`], sized by [`workers`].
+//! The one scoped task runner of the workspace: count seeding, the
+//! sharded build's join tasks, the CSR fill and row sort, and the
+//! snapshot section checksums all fan out through [`run_tasks`], sized
+//! by [`workers`].
 
 use std::sync::{Mutex, PoisonError};
 

@@ -20,12 +20,11 @@
 //! * **top-down and bottom-up range queries**, the latter with the
 //!   stop-at-grey climb used by the Fast-C heuristic;
 //! * **a batched range self-join** ([`MTree::range_self_join`]) that
-//!   materialises the whole neighbourhood graph `G_{P,r}` in one
+//!   materialises the whole neighbourhood graph `G_{P,r}` in one serial
 //!   dual-tree traversal with node-pair pruning — the bulk counterpart
-//!   of issuing one range query per object. The traversal fans out
-//!   over `disc_metric::tasks::run_tasks` workers with byte-identical
-//!   output and exact counters ([`SelfJoinConfig`] forces the thread
-//!   count in tests);
+//!   of issuing one range query per object. A build parallelises
+//!   across spatial shards (below), one self-join per shard, so the
+//!   traversal itself starts no threads;
 //! * **fat-factor computation** ([`stats`]) for the Figure 10 experiment;
 //! * **sharded-build primitives** — a spatial partitioner with a
 //!   shard-count-independent canonical order ([`ShardPlan`]),
@@ -50,7 +49,7 @@ pub use color::{Color, ColorState};
 pub use error::JoinError;
 pub use node::{LeafEntry, Node, NodeId, NodeKind};
 pub use query::RangeHit;
-pub use selfjoin::{DistEdge, SelfJoinConfig};
+pub use selfjoin::DistEdge;
 pub use shard::ShardPlan;
 pub use split::{PartitionPolicy, PromotePolicy, SplitPolicy};
 pub use stats::TreeStats;

@@ -1,6 +1,5 @@
 //! Batched range self-join: all pairs of indexed objects within `r`, in
-//! one dual-tree traversal — serial or parallel, with byte-identical
-//! output either way.
+//! one serial dual-tree traversal.
 //!
 //! The DisC heuristics are computations over the neighbourhood graph
 //! `G_{P,r}` (paper Section 2.2). Deriving that graph with one range
@@ -9,6 +8,12 @@
 //! pairs* top-down, visiting each unordered pair of subtrees at most
 //! once, and emits every object pair `(i, j)` with `i < j` and
 //! `d(i, j) ≤ r` exactly once — the edge list of `G_{P,r}`.
+//!
+//! The traversal itself is single-threaded. A build parallelises by
+//! splitting the *dataset*: `disc-core`'s sharded build runs one
+//! self-join per spatial shard (plus boundary cross-joins, see
+//! [`crate::xjoin`]) as independent tasks, each charging its own tree's
+//! counters.
 //!
 //! ## Pruning
 //!
@@ -38,8 +43,8 @@
 //!   so the annotated surcharge stays bounded by the edge count).
 //!
 //! None of the bounds is approximate: the emitted edge set is exactly
-//! the O(n²) scan's (the property tests in `disc-graph` and the
-//! workspace concurrency tier pin this on all four metrics).
+//! the O(n²) scan's (the property tests here and in `disc-graph`, and
+//! the workspace concurrency tier, pin this on all four metrics).
 //!
 //! ## Blocked leaf kernels
 //!
@@ -55,28 +60,24 @@
 //! opposing-entry order regardless of whether a pair's distance came
 //! from an inclusion bound or the batch, so the plain and annotated
 //! edge lists stay byte-identical (annotations aside) by construction.
-//! All scratch (survivor lists, gathered lanes, batch outputs, task
-//! stacks) lives in one arena per traversal, or per frontier task on
-//! the parallel path, reused across every node pair it visits.
+//! All scratch (survivor lists, gathered lanes, batch outputs) lives in
+//! one arena per traversal, reused across every node pair it visits.
 //!
 //! ## Plain and distance-annotated output
 //!
 //! The traversal is generic over the edge element it emits:
 //!
-//! * **plain** — `(a, b)` pairs ([`MTree::range_self_join`] and
-//!   friends); inclusion shortcuts (leaf-entry and subtree) emit edges
-//!   distance-free;
+//! * **plain** — `(a, b)` pairs ([`MTree::range_self_join`]); inclusion
+//!   shortcuts (leaf-entry and subtree) emit edges distance-free;
 //! * **annotated** — [`DistEdge`] triples `(a, b, d(a, b))`
-//!   ([`MTree::range_self_join_dist`] and friends); every edge carries
-//!   its *exact* distance, so inclusion-qualified pairs fill their
-//!   distances through the batched kernels instead of skipping the
-//!   computation. Every distance the annotated traversal computes
+//!   ([`MTree::range_self_join_dist`] and its checked form); every edge
+//!   carries its *exact* distance, so inclusion-qualified pairs fill
+//!   their distances through the batched kernels instead of skipping
+//!   the computation. Every distance the annotated traversal computes
 //!   beyond the plain one belongs to an emitted edge, so its counter
 //!   total is bounded by `plain + edges` (`disc-bench`'s `report`
 //!   binary gates this). The emitted edge list — annotations stripped —
-//!   is byte-identical to the plain variant's, and the annotated
-//!   traversal has the same serial/parallel parity guarantees (a test
-//!   pins both).
+//!   is byte-identical to the plain variant's.
 //!
 //! The annotated variant feeds `disc-graph`'s `StratifiedDiskGraph`: one
 //! self-join at the largest radius of interest yields a graph every
@@ -87,97 +88,17 @@
 //! Every edge is emitted as `(a, b)` with `a < b`, and the edge list is
 //! in **task order**: the traversal is a sequence of *node-pair tasks*
 //! ([`Task`] below — a subtree joined with itself, or two disjoint
-//! subtrees joined with a known pivot distance), visited in depth-first
-//! serial order; the output is the concatenation of each leaf-level
-//! task's edges in that order. The serial and parallel drivers produce
-//! the *same byte-identical* `Vec` — order included — so downstream CSR
-//! assembly never needs a sort.
-//!
-//! All `*_into` variants clear the output buffer first, matching the
-//! query `*_into` family in [`crate::query`].
-//!
-//! ## Parallel execution and why it is deterministic
-//!
-//! [`MTree::range_self_join_with`] splits the traversal in two phases:
-//!
-//! 1. **Bounded-depth serial expansion.** Starting from the root task
-//!    `Same(root)`, tasks are repeatedly *expanded one level* — exactly
-//!    the step the serial recursion would take, including every pruning
-//!    bound and every pivot-distance computation — until the work list
-//!    holds at least `threads × TASKS_PER_WORKER` leaf-or-internal
-//!    tasks or no task can expand further. Expansion happens on the
-//!    calling thread in serial traversal order, so the work list is a
-//!    *frontier* of the serial recursion tree: independent tasks whose
-//!    concatenated outputs, in list order, are precisely the serial
-//!    output. Edges are only ever emitted by leaf-level tasks, so
-//!    expansion itself emits nothing.
-//! 2. **Tasks.** The work list runs through
-//!    [`disc_metric::tasks::run_tasks`], each entry into a buffer of
-//!    its own that accumulates its edges and its distance-computation
-//!    and node-access counts. The results come back in work-list
-//!    order: their edges are concatenated in that order and their
-//!    counters added to the tree's global counters in one bulk charge
-//!    each — the totals equal the serial traversal's exactly, because
-//!    the multiset of distances computed is scheduling independent
-//!    (expansion order is fixed, and each task's internal traversal is
-//!    sequential).
-//!
-//! No step of either phase consults thread identity, timing, or
-//! scheduling order for anything except *which worker* runs a task, so
-//! the result is a pure function of `(tree, r, nothing else)` — the
-//! thread count only changes wall-clock time. The workspace
-//! `tests/concurrency.rs` tier pins this across thread counts 1, 2, 3
-//! and 8 on all four metrics.
+//! subtrees joined with a known pivot distance), visited depth first;
+//! the output is the concatenation of each leaf-level task's edges in
+//! that order. The list, order included, and the counters it charges
+//! are a pure function of the tree and `r`.
 
 use disc_metric::cancel::{CancelToken, Cancelled};
-use disc_metric::{tasks, Metric, ObjId};
+use disc_metric::{Metric, ObjId};
 
 use crate::error::JoinError;
 use crate::node::{NodeId, NodeKind};
 use crate::tree::MTree;
-
-/// How many work items the expansion phase aims to produce per worker
-/// thread. More items smooth out load imbalance between cheap and
-/// expensive node pairs; the expansion cost is a handful of tree levels
-/// either way.
-const TASKS_PER_WORKER: usize = 8;
-
-/// Hard bound on expansion passes. Each pass descends at most one tree
-/// level on one side of every task, so `2 × height` passes reach the
-/// leaves; 64 covers any tree this workspace can build while keeping
-/// the expansion provably finite.
-const MAX_EXPANSION_PASSES: usize = 64;
-
-/// Below this many indexed objects the auto-threaded dispatch falls
-/// back to the serial traversal (thread spawn/join dominates).
-const MIN_PARALLEL: usize = 1_024;
-
-/// Tuning knobs for [`MTree::range_self_join_with`].
-///
-/// Primarily a **test override**: the workspace concurrency tier forces
-/// `threads` to 1, 2, 3 and 8 to pin that the parallel traversal is
-/// byte-identical to the serial one regardless of worker count.
-/// Production callers normally use [`MTree::range_self_join`], which
-/// picks the thread count automatically.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SelfJoinConfig {
-    /// Worker thread count. `0` (the default) means one worker per
-    /// available core, falling back to the serial traversal for small
-    /// trees; any explicit value ≥ 2 is honoured exactly, even on small
-    /// inputs (so tests can exercise the parallel machinery on tiny
-    /// trees). An *effective* count of 1 — explicit or auto-detected —
-    /// dispatches straight to the serial traversal: the frontier
-    /// expansion and task merge only pay off with real workers, and the
-    /// output is byte-identical either way (a test pins this).
-    pub threads: usize,
-}
-
-impl SelfJoinConfig {
-    /// Config with an explicit worker count.
-    pub fn with_threads(threads: usize) -> Self {
-        Self { threads }
-    }
-}
 
 /// A distance-annotated self-join edge: `(a, b, dist(a, b))` with
 /// `a < b`. The annotation is the *exact* metric distance (never a
@@ -194,7 +115,7 @@ pub type DistEdge = (ObjId, ObjId, f64);
 /// one — every emitted edge then carries its exact distance. Exclusion
 /// bounds are unaffected, and the emitted edge *list* (ignoring the
 /// annotations) is byte-identical between the two modes.
-trait JoinEdge: Copy + Send {
+trait JoinEdge: Copy {
     /// Whether emission needs the exact pair distance.
     const NEEDS_DIST: bool;
     /// Builds an edge; `d` is the exact distance when `NEEDS_DIST`,
@@ -229,10 +150,9 @@ enum Task {
     Pair(NodeId, NodeId, f64),
 }
 
-/// Reusable scratch arena for the blocked leaf kernels, the subtree
-/// inclusion sweeps and the task stacks. One arena lives per traversal
-/// (serial) or per frontier task (parallel) inside its [`JoinBuf`], so
-/// no leaf pair allocates on its own.
+/// Reusable scratch arena for the blocked leaf kernels and the subtree
+/// inclusion sweeps. One arena lives per traversal inside its
+/// [`JoinBuf`], so no leaf pair allocates on its own.
 #[derive(Default)]
 struct JoinScratch {
     /// Survivors of one left entry's opposing-row filter:
@@ -258,17 +178,13 @@ struct JoinScratch {
     lanes_a: Vec<f64>,
     /// SoA coordinate block matching `ids_b`.
     lanes_b: Vec<f64>,
-    /// Depth-first task stack of `run_task`.
-    stack: Vec<Task>,
-    /// Subtask buffer one `step` writes into.
-    sub: Vec<Task>,
 }
 
-/// Per-task traversal state: the edges found so far, the
-/// distance-computation and node-access counts accrued while finding
-/// them, and the reusable scratch arena. The drivers flush the counters
-/// into the tree's global atomics in a single bulk charge at the end,
-/// so the global totals stay exact without per-distance atomic traffic.
+/// Traversal state: the edges found so far, the distance-computation
+/// and node-access counts accrued while finding them, and the reusable
+/// scratch arena. The driver flushes the counters into the tree's
+/// global atomics in a single bulk charge at the end, so the global
+/// totals stay exact without per-distance atomic traffic.
 struct JoinBuf<E> {
     edges: Vec<E>,
     dist_comps: u64,
@@ -328,15 +244,6 @@ pub(crate) fn within_inclusion(bound: f64, r: f64, dim: usize) -> bool {
 /// false, and then pass an upper bound that the plain edge type
 /// discards).
 #[inline]
-/// Typed radius validation shared by the checked entry points: NaN and
-/// negative radii are rejected before any traversal state is touched.
-fn validate_radius(r: f64) -> Result<(), JoinError> {
-    if r.is_nan() || r < 0.0 {
-        return Err(JoinError::InvalidRadius(r));
-    }
-    Ok(())
-}
-
 fn push_edge_into<E: JoinEdge>(edges: &mut Vec<E>, a: ObjId, b: ObjId, d: f64) {
     if a < b {
         edges.push(E::make(a, b, d));
@@ -438,56 +345,17 @@ impl MTree<'_> {
     /// objects within distance `r`, as `(i, j)` with `i < j`, each pair
     /// exactly once, in the deterministic task order described in the
     /// [module docs](self). This is the edge list of the neighbourhood
-    /// graph `G_{P,r}` materialised in one traversal, on the automatic
-    /// thread count of [`SelfJoinConfig::default`] (byte-identical
-    /// output at every count).
+    /// graph `G_{P,r}` materialised in one traversal.
+    ///
+    /// # Panics
+    ///
+    /// If `r` is NaN or negative; [`MTree::range_self_join_dist_checked`]
+    /// returns a typed error instead.
     pub fn range_self_join(&self, r: f64) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join`] into a reusable edge buffer. The
-    /// buffer is cleared first (like every `*_into` API in this crate)
-    /// and refilled in task order, `(a, b)` with `a < b`.
-    pub fn range_self_join_into(&self, r: f64, out: &mut Vec<(ObjId, ObjId)>) {
-        self.join_with_into(r, SelfJoinConfig::default(), out);
-    }
-
-    /// The single-threaded self-join traversal (always available; the
-    /// reference side of the serial-vs-parallel parity gates).
-    pub fn range_self_join_serial(&self, r: f64) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_serial_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_serial`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_serial_into(&self, r: f64, out: &mut Vec<(ObjId, ObjId)>) {
-        self.join_serial_into(r, out);
-    }
-
-    /// The self-join with an explicit thread count (see
-    /// [`SelfJoinConfig`]). Byte-identical output — edge set *and*
-    /// order — and identical [`MTree::distance_computations`] /
-    /// [`MTree::node_accesses`] totals for every thread count,
-    /// including 1.
-    pub fn range_self_join_with(&self, r: f64, config: SelfJoinConfig) -> Vec<(ObjId, ObjId)> {
-        let mut out = Vec::new();
-        self.range_self_join_with_into(r, config, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_with`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_with_into(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<(ObjId, ObjId)>,
-    ) {
-        self.join_with_into(r, config, out);
+        let Ok(edges) = self.join(r, None) else {
+            unreachable!("cancellation is impossible without a token")
+        };
+        edges
     }
 
     /// The **distance-annotated** range self-join: the same edge list as
@@ -501,60 +369,21 @@ impl MTree<'_> {
     /// [`MTree::distance_computations`] than the plain self-join at the
     /// same radius — the price of exact per-edge distances. Stripped of
     /// the annotations, the output is byte-identical to the plain
-    /// variant's. Like [`MTree::range_self_join`] it runs on the
-    /// automatic thread count, byte-identical — annotations included —
-    /// at every count.
+    /// variant's.
+    ///
+    /// # Panics
+    ///
+    /// If `r` is NaN or negative, as [`MTree::range_self_join`].
     pub fn range_self_join_dist(&self, r: f64) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_into(r, &mut out);
-        out
+        let Ok(edges) = self.join(r, None) else {
+            unreachable!("cancellation is impossible without a token")
+        };
+        edges
     }
 
-    /// [`MTree::range_self_join_dist`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_dist_into(&self, r: f64, out: &mut Vec<DistEdge>) {
-        self.join_with_into(r, SelfJoinConfig::default(), out);
-    }
-
-    /// The single-threaded distance-annotated traversal (always
-    /// available; the reference side of the annotated parity gates).
-    pub fn range_self_join_dist_serial(&self, r: f64) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_serial_into(r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_dist_serial`] into a reusable edge
-    /// buffer (cleared first; same ordering contract).
-    pub fn range_self_join_dist_serial_into(&self, r: f64, out: &mut Vec<DistEdge>) {
-        self.join_serial_into(r, out);
-    }
-
-    /// The distance-annotated self-join with an explicit thread count.
-    /// Byte-identical output — edges, order *and* distance annotations —
-    /// and exact counter parity with
-    /// [`MTree::range_self_join_dist_serial`] for every thread count.
-    pub fn range_self_join_dist_with(&self, r: f64, config: SelfJoinConfig) -> Vec<DistEdge> {
-        let mut out = Vec::new();
-        self.range_self_join_dist_with_into(r, config, &mut out);
-        out
-    }
-
-    /// [`MTree::range_self_join_dist_with`] into a reusable edge buffer
-    /// (cleared first; same ordering contract).
-    pub fn range_self_join_dist_with_into(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<DistEdge>,
-    ) {
-        self.join_with_into(r, config, out);
-    }
-
-    /// The fail-closed self-join entry point: validates the radius with
-    /// a typed error (instead of the panicking contract of
-    /// [`MTree::range_self_join`]) and polls an optional
-    /// [`CancelToken`] at task granularity.
+    /// The fail-closed form of [`MTree::range_self_join_dist`]: validates
+    /// the radius with a typed error instead of panicking, and polls an
+    /// optional [`CancelToken`] once per node-pair task.
     ///
     /// On cancellation the traversal stops cleanly with
     /// [`JoinError::Cancelled`]: no partial edge list escapes, and the
@@ -562,251 +391,54 @@ impl MTree<'_> {
     /// counters reflect exactly the work performed up to the abandoned
     /// task (never more, never less), so a retried run on a fresh
     /// counter baseline is indistinguishable from a never-cancelled one.
-    pub fn range_self_join_checked(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<(ObjId, ObjId)>, JoinError> {
-        validate_radius(r)?;
-        let mut out = Vec::new();
-        self.join_with_core(r, config, &mut out, cancel)?;
-        Ok(out)
-    }
-
-    /// Checked counterpart of [`MTree::range_self_join_dist_with`]: the
-    /// distance-annotated self-join with typed radius validation and
-    /// cooperative cancellation. Same contract as
-    /// [`MTree::range_self_join_checked`].
     pub fn range_self_join_dist_checked(
         &self,
         r: f64,
-        config: SelfJoinConfig,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<DistEdge>, JoinError> {
-        validate_radius(r)?;
-        let mut out = Vec::new();
-        self.join_with_core(r, config, &mut out, cancel)?;
-        Ok(out)
+        // Rejected before any traversal state is touched.
+        if r.is_nan() || r < 0.0 {
+            return Err(JoinError::InvalidRadius(r));
+        }
+        Ok(self.join(r, cancel)?)
     }
 
-    /// Generic serial driver behind both edge types.
-    fn join_serial_into<E: JoinEdge>(&self, r: f64, out: &mut Vec<E>) {
-        let Ok(()) = self.join_serial_core(r, out, None) else {
-            unreachable!("cancellation is impossible without a token")
-        };
-    }
-
-    /// Serial driver core: optionally cancellable. On `Err(Cancelled)`
-    /// the counters are already charged for the work performed and
-    /// `out` is left empty (its allocation is preserved).
-    fn join_serial_core<E: JoinEdge>(
-        &self,
-        r: f64,
-        out: &mut Vec<E>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
+    /// The traversal behind every entry point, for both edge types:
+    /// node-pair tasks depth first from `Same(root)`. The optional
+    /// [`CancelToken`] is polled once per popped task, so a task runs
+    /// whole or not at all, and the counters are bulk-charged with
+    /// exactly the work performed — on the cancelled path too, where
+    /// the partial edge list is dropped.
+    fn join<E: JoinEdge>(&self, r: f64, cancel: Option<&CancelToken>) -> Result<Vec<E>, Cancelled> {
         assert!(r >= 0.0, "radius must be non-negative");
-        out.clear();
-        if self.is_empty() {
-            return Ok(());
+        let mut buf = JoinBuf::default();
+        let mut run = Ok(());
+        let mut stack = Vec::new();
+        if !self.is_empty() {
+            stack.push(Task::Same(self.root()));
         }
-        let mut buf = JoinBuf {
-            edges: std::mem::take(out),
-            ..JoinBuf::default()
-        };
-        let run = self.run_task(Task::Same(self.root()), r, &mut buf, cancel);
-        self.finish(buf, run, out)
-    }
-
-    /// Bulk-charges exactly the work `buf` performed — also on the
-    /// abandoned path, so cancellation never loses or double-counts
-    /// work — and hands its edges to `out`, or an empty list on
-    /// `Err(Cancelled)`.
-    fn finish<E>(
-        &self,
-        mut buf: JoinBuf<E>,
-        run: Result<(), Cancelled>,
-        out: &mut Vec<E>,
-    ) -> Result<(), Cancelled> {
-        self.charge_accesses_bulk(buf.accesses);
-        self.charge_distances_bulk(buf.dist_comps);
-        if run.is_err() {
-            buf.edges.clear();
-        }
-        *out = buf.edges;
-        run
-    }
-
-    /// Generic two-phase parallel driver behind both edge types.
-    fn join_with_into<E: JoinEdge>(&self, r: f64, config: SelfJoinConfig, out: &mut Vec<E>) {
-        let Ok(()) = self.join_with_core(r, config, out, None) else {
-            unreachable!("cancellation is impossible without a token")
-        };
-    }
-
-    /// Parallel driver core behind both edge types (see the module docs
-    /// for the determinism argument, which is edge-type independent),
-    /// optionally cancellable at task granularity. On `Err(Cancelled)`
-    /// counters are charged for exactly the work performed across all
-    /// tasks and `out` is left empty.
-    fn join_with_core<E: JoinEdge>(
-        &self,
-        r: f64,
-        config: SelfJoinConfig,
-        out: &mut Vec<E>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        assert!(r >= 0.0, "radius must be non-negative");
-        let threads = if config.threads == 0 && self.len() < MIN_PARALLEL {
-            1
-        } else {
-            tasks::workers(config.threads)
-        };
-        if threads <= 1 {
-            // One worker degenerates to the serial traversal; skip the
-            // frontier expansion and the merge entirely (they used to
-            // cost ~60% extra wall clock at an effective thread count
-            // of 1). Output and counters are byte-identical either way
-            // — the traversal order never depended on the phase split.
-            return self.join_serial_core(r, out, cancel);
-        }
-        out.clear();
-        if self.is_empty() {
-            return Ok(());
-        }
-
-        // Phase 1: bounded-depth serial expansion of the task frontier
-        // (charges the expansion-level pivot distances and accesses on
-        // this thread, exactly as the serial recursion would).
-        let mut expand_buf = JoinBuf {
-            edges: std::mem::take(out),
-            ..JoinBuf::default()
-        };
-        let target = threads * TASKS_PER_WORKER;
-        let mut frontier = vec![Task::Same(self.root())];
-        for _ in 0..MAX_EXPANSION_PASSES {
-            if let Some(c) = cancel {
-                if let Err(e) = c.checkpoint() {
-                    // Charge the expansion work already performed and
-                    // surface the cancellation with an empty buffer.
-                    return self.finish(expand_buf, Err(e), out);
-                }
-            }
-            if frontier.len() >= target || frontier.iter().all(|&t| self.is_terminal(t, r)) {
+        let mut sub = Vec::new();
+        while let Some(t) = stack.pop() {
+            run = cancel.map_or(Ok(()), CancelToken::checkpoint);
+            if run.is_err() {
                 break;
             }
-            let mut next = Vec::with_capacity(frontier.len() * 4);
-            for &t in &frontier {
-                if self.is_terminal(t, r) {
-                    next.push(t);
-                } else {
-                    let done = self.step(t, r, &mut expand_buf, &mut next);
-                    debug_assert!(!done, "internal tasks expand, they never emit");
-                }
-            }
-            frontier = next;
-        }
-        debug_assert!(
-            expand_buf.edges.is_empty(),
-            "expansion visits only internal node pairs and emits no edges"
-        );
-
-        // Phase 2: the frontier runs through the task runner, each task
-        // into a buffer of its own. Concatenated in frontier order, the
-        // edges equal the serial traversal's byte for byte; every
-        // task's counters are folded in, so a cancelled run still
-        // charges exactly the work performed.
-        let results = tasks::run_tasks(frontier, threads, |t| {
-            let mut buf = JoinBuf::default();
-            let run = self.run_task(t, r, &mut buf, cancel);
-            (run, buf)
-        });
-        let mut run = Ok(());
-        expand_buf
-            .edges
-            .reserve(results.iter().map(|(_, buf)| buf.edges.len()).sum());
-        for (task_run, buf) in results {
-            expand_buf.dist_comps += buf.dist_comps;
-            expand_buf.accesses += buf.accesses;
-            run = run.and(task_run);
-            if run.is_ok() {
-                expand_buf.edges.extend_from_slice(&buf.edges);
-            }
-        }
-        self.finish(expand_buf, run, out)
-    }
-
-    /// Whether a task runs to completion in one `step` (emitting its
-    /// edges) as opposed to expanding into subtasks: leaf-level tasks,
-    /// and tasks caught by the subtree inclusion bounds (all pairs
-    /// provably within `r`). The expansion phase must agree with
-    /// [`MTree::step`] on this, so the frontier never emits.
-    fn is_terminal(&self, task: Task, r: f64) -> bool {
-        match task {
-            Task::Same(n) => {
-                let nd = self.node(n);
-                nd.is_leaf()
-                    || (nd.pivot.is_some()
-                        && within_inclusion(2.0 * nd.radius, r, self.data().dim()))
-            }
-            Task::Pair(a, b, d) => {
-                let na = self.node(a);
-                let nb = self.node(b);
-                (na.is_leaf() && nb.is_leaf())
-                    || within_inclusion(d + na.radius + nb.radius, r, self.data().dim())
-            }
-        }
-    }
-
-    /// Runs a task to completion, depth-first, emitting its edges into
-    /// `buf` in serial traversal order. The task stack and subtask
-    /// buffer live in the buf's scratch arena, reused across tasks.
-    ///
-    /// The optional [`CancelToken`] is polled once per popped task — a
-    /// task either runs whole or not at all, so the counters charged
-    /// from `buf` always account for completed work exactly. On
-    /// `Err(Cancelled)` the buffer may hold a partial edge list; the
-    /// drivers discard it before surfacing the error.
-    fn run_task<E: JoinEdge>(
-        &self,
-        task: Task,
-        r: f64,
-        buf: &mut JoinBuf<E>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        let mut stack = std::mem::take(&mut buf.scratch.stack);
-        let mut sub = std::mem::take(&mut buf.scratch.sub);
-        stack.clear();
-        sub.clear();
-        stack.push(task);
-        let mut result = Ok(());
-        while let Some(t) = stack.pop() {
-            if let Some(c) = cancel {
-                if let Err(e) = c.checkpoint() {
-                    result = Err(e);
-                    break;
-                }
-            }
-            if !self.step(t, r, buf, &mut sub) {
-                // Subtasks were produced in serial order; the stack pops
-                // in reverse, so push them reversed.
+            if !self.step(t, r, &mut buf, &mut sub) {
+                // Subtasks were produced in traversal order; the stack
+                // pops in reverse, so push them reversed.
                 stack.extend(sub.drain(..).rev());
             }
         }
-        stack.clear();
-        sub.clear();
-        buf.scratch.stack = stack;
-        buf.scratch.sub = sub;
-        result
+        self.charge_accesses_bulk(buf.accesses);
+        self.charge_distances_bulk(buf.dist_comps);
+        run.map(|()| buf.edges)
     }
 
     /// Executes one level of the traversal. Leaf-level tasks run to
     /// completion (edges into `buf`) and return `true`; internal tasks
-    /// push their surviving subtasks onto `out` *in serial traversal
-    /// order* and return `false`. All pruning bounds and all counter
-    /// charges happen here, identically for the serial recursion and
-    /// the parallel expansion.
+    /// push their surviving subtasks onto `out` *in traversal order*
+    /// and return `false`. All pruning bounds and all counter charges
+    /// happen here.
     fn step<E: JoinEdge>(
         &self,
         task: Task,
@@ -1302,6 +934,7 @@ mod tests {
     use disc_metric::{Dataset, Metric, Point};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
+    use std::sync::Barrier;
 
     fn random_data(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1327,6 +960,31 @@ mod tests {
     fn sorted(mut edges: Vec<(ObjId, ObjId)>) -> Vec<(ObjId, ObjId)> {
         edges.sort_unstable();
         edges
+    }
+
+    fn strip(edges: &[DistEdge]) -> Vec<(ObjId, ObjId)> {
+        edges.iter().map(|&(a, b, _)| (a, b)).collect()
+    }
+
+    /// Runs `join` on `threads` scoped threads that a barrier releases
+    /// together, as the sharded build's tasks share trees and one
+    /// cancel token, and returns every thread's output.
+    fn concurrently<T: Send>(threads: usize, join: impl Fn() -> T + Sync) -> Vec<T> {
+        let barrier = Barrier::new(threads);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        join()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join thread panicked"))
+                .collect()
+        })
     }
 
     #[test]
@@ -1393,9 +1051,7 @@ mod tests {
         let one = Dataset::new("one", Metric::Euclidean, vec![Point::new2(0.5, 0.5)]);
         let tree = MTree::build(&one, MTreeConfig::default());
         assert!(tree.range_self_join(10.0).is_empty());
-        assert!(tree
-            .range_self_join_with(10.0, SelfJoinConfig::with_threads(4))
-            .is_empty());
+        assert!(tree.range_self_join_dist(10.0).is_empty());
 
         let two = Dataset::new(
             "two",
@@ -1437,13 +1093,9 @@ mod tests {
         let want = scan_edges(&data, 0.0);
         assert_eq!(want.len(), n * (n - 1) / 2);
         assert_eq!(sorted(tree.range_self_join(0.0)), want);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                sorted(tree.range_self_join_with(0.0, SelfJoinConfig::with_threads(threads))),
-                want,
-                "threads={threads}"
-            );
-        }
+        let annotated = tree.range_self_join_dist(0.0);
+        assert_eq!(sorted(strip(&annotated)), want);
+        assert!(annotated.iter().all(|&(_, _, d)| d == 0.0));
     }
 
     #[test]
@@ -1453,34 +1105,15 @@ mod tests {
         // The unit square's diameter is √2 < 2.0.
         let edges = tree.range_self_join(2.0);
         assert_eq!(edges.len(), 80 * 79 / 2);
-        assert_eq!(
-            tree.range_self_join_with(2.0, SelfJoinConfig::with_threads(3)),
-            edges
-        );
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical_to_serial() {
-        // Not just the same set: the same Vec, order included, for
-        // every forced thread count (including degenerate counts larger
-        // than the task frontier).
-        let data = random_data(350, 37);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
-        for r in [0.0, 0.05, 0.2, 2.0] {
-            let serial = tree.range_self_join_serial(r);
-            for threads in [1, 2, 3, 8, 64] {
-                let par = tree.range_self_join_with(r, SelfJoinConfig::with_threads(threads));
-                assert_eq!(par, serial, "threads={threads} r={r}");
-            }
-        }
+        assert_eq!(strip(&tree.range_self_join_dist(2.0)), edges);
     }
 
     #[test]
     fn parallel_charges_exactly_the_serial_counters() {
-        // Fixed-seed workload: every thread count charges the same
-        // distance-computation and node-access totals as the serial
-        // traversal (lost or double-counted per-worker counters would
-        // show up here).
+        // Joins running at once on one shared tree (the sharded build's
+        // boundary joins share trees the same way) each return the lone
+        // join's edge list, and the tree's counters add up to exactly
+        // `threads` lone joins: no bulk charge is lost or doubled.
         let data = random_data(500, 38);
         for parent_pruning in [true, false] {
             let tree = MTree::build(
@@ -1489,43 +1122,26 @@ mod tests {
             );
             tree.reset_distance_computations();
             tree.reset_node_accesses();
-            let serial = tree.range_self_join_serial(0.08);
-            let serial_dc = tree.reset_distance_computations();
-            let serial_acc = tree.reset_node_accesses();
-            assert!(serial_dc > 0);
-            for threads in [1, 2, 3, 8] {
-                let par = tree.range_self_join_with(0.08, SelfJoinConfig::with_threads(threads));
-                let par_dc = tree.reset_distance_computations();
-                let par_acc = tree.reset_node_accesses();
-                assert_eq!(par, serial, "threads={threads}");
-                assert_eq!(par_dc, serial_dc, "distance comps, threads={threads}");
-                assert_eq!(par_acc, serial_acc, "node accesses, threads={threads}");
+            let lone = tree.range_self_join(0.08);
+            let lone_dc = tree.reset_distance_computations();
+            let lone_acc = tree.reset_node_accesses();
+            assert!(lone_dc > 0);
+            for threads in [2, 3, 8] {
+                for edges in concurrently(threads, || tree.range_self_join(0.08)) {
+                    assert_eq!(edges, lone, "threads={threads}");
+                }
+                let k = threads as u64;
+                assert_eq!(
+                    tree.reset_distance_computations(),
+                    k * lone_dc,
+                    "distance comps, threads={threads}"
+                );
+                assert_eq!(
+                    tree.reset_node_accesses(),
+                    k * lone_acc,
+                    "node accesses, threads={threads}"
+                );
             }
-        }
-    }
-
-    #[test]
-    fn forced_single_thread_dispatches_to_serial_byte_identically() {
-        // The single-core pessimization fix: an effective thread count
-        // of 1 must take the serial path (no frontier expansion + slot
-        // merge) while producing byte-identical output — edges, order,
-        // annotations — and charging the exact serial counters.
-        let data = random_data(900, 40);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(12));
-        for r in [0.0, 0.04, 0.15, 2.0] {
-            tree.reset_distance_computations();
-            tree.reset_node_accesses();
-            let serial = tree.range_self_join_serial(r);
-            let serial_dc = tree.reset_distance_computations();
-            let serial_acc = tree.reset_node_accesses();
-            let one = tree.range_self_join_with(r, SelfJoinConfig::with_threads(1));
-            assert_eq!(one, serial, "plain threads=1 r={r}");
-            assert_eq!(tree.reset_distance_computations(), serial_dc, "dc r={r}");
-            assert_eq!(tree.reset_node_accesses(), serial_acc, "accesses r={r}");
-
-            let serial_d = tree.range_self_join_dist_serial(r);
-            let one_d = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(1));
-            assert_eq!(one_d, serial_d, "annotated threads=1 r={r}");
         }
     }
 
@@ -1550,39 +1166,14 @@ mod tests {
         // Radii chosen so whole-cluster (0.05), cross-cluster (0.5) and
         // everything (2.0) trigger the inclusion shortcuts.
         for r in [0.05, 0.5, 2.0] {
-            assert_eq!(
-                sorted(tree.range_self_join(r)),
-                scan_edges(&data, r),
-                "r={r}"
-            );
-            for (a, b, d) in tree.range_self_join_dist_serial(r) {
+            let plain = tree.range_self_join(r);
+            assert_eq!(sorted(plain.clone()), scan_edges(&data, r), "r={r}");
+            let annotated = tree.range_self_join_dist(r);
+            for &(a, b, d) in &annotated {
                 assert_eq!(d.to_bits(), data.dist(a, b).to_bits(), "({a}, {b}) r={r}");
             }
-            let serial = tree.range_self_join_dist_serial(r);
-            for threads in [2, 3, 8] {
-                assert_eq!(
-                    tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads)),
-                    serial,
-                    "threads={threads} r={r}"
-                );
-            }
+            assert_eq!(strip(&annotated), plain, "r={r}");
         }
-    }
-
-    #[test]
-    fn into_variants_clear_the_buffer() {
-        let data = random_data(60, 39);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
-        let mut buf = vec![(7usize, 9usize); 4]; // stale content
-        tree.range_self_join_into(0.1, &mut buf);
-        let fresh = tree.range_self_join(0.1);
-        assert_eq!(buf, fresh, "range_self_join_into must clear first");
-        buf.push((1, 2));
-        tree.range_self_join_serial_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((3, 4));
-        tree.range_self_join_with_into(0.1, SelfJoinConfig::with_threads(2), &mut buf);
-        assert_eq!(buf, fresh);
     }
 
     #[test]
@@ -1597,11 +1188,9 @@ mod tests {
                 MTreeConfig::with_capacity(7).with_parent_pruning(parent_pruning),
             );
             for r in [0.0, 0.05, 0.2, 2.0] {
-                let plain = tree.range_self_join_serial(r);
-                let annotated = tree.range_self_join_dist_serial(r);
-                let stripped: Vec<(ObjId, ObjId)> =
-                    annotated.iter().map(|&(a, b, _)| (a, b)).collect();
-                assert_eq!(stripped, plain, "lemma={parent_pruning} r={r}");
+                let plain = tree.range_self_join(r);
+                let annotated = tree.range_self_join_dist(r);
+                assert_eq!(strip(&annotated), plain, "lemma={parent_pruning} r={r}");
             }
         }
     }
@@ -1630,9 +1219,9 @@ mod tests {
         let data = random_data(600, 52);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(16));
         tree.reset_distance_computations();
-        let plain = tree.range_self_join_serial(0.05);
+        let plain = tree.range_self_join(0.05);
         let plain_dc = tree.reset_distance_computations();
-        let annotated = tree.range_self_join_dist_serial(0.05);
+        let annotated = tree.range_self_join_dist(0.05);
         let annotated_dc = tree.reset_distance_computations();
         assert_eq!(plain.len(), annotated.len());
         assert!(annotated_dc >= plain_dc);
@@ -1642,40 +1231,35 @@ mod tests {
 
     #[test]
     fn parallel_dist_join_is_byte_identical_with_exact_counters() {
+        // The annotated counterpart of
+        // `parallel_charges_exactly_the_serial_counters`: concurrent
+        // joins on one tree return the lone join's list, f64
+        // annotations included, and charge exactly `threads` lone joins.
         let data = random_data(400, 53);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(9));
         for r in [0.0, 0.08, 2.0] {
             tree.reset_distance_computations();
             tree.reset_node_accesses();
-            let serial = tree.range_self_join_dist_serial(r);
-            let serial_dc = tree.reset_distance_computations();
-            let serial_acc = tree.reset_node_accesses();
-            for threads in [1, 2, 3, 8] {
-                let par = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads));
-                let par_dc = tree.reset_distance_computations();
-                let par_acc = tree.reset_node_accesses();
-                // Byte-identical includes the f64 annotations.
-                assert_eq!(par, serial, "threads={threads} r={r}");
-                assert_eq!(par_dc, serial_dc, "dc threads={threads} r={r}");
-                assert_eq!(par_acc, serial_acc, "accesses threads={threads} r={r}");
+            let lone = tree.range_self_join_dist(r);
+            let lone_dc = tree.reset_distance_computations();
+            let lone_acc = tree.reset_node_accesses();
+            for threads in [2, 3, 8] {
+                for edges in concurrently(threads, || tree.range_self_join_dist(r)) {
+                    assert_eq!(edges, lone, "threads={threads} r={r}");
+                }
+                let k = threads as u64;
+                assert_eq!(
+                    tree.reset_distance_computations(),
+                    k * lone_dc,
+                    "dc threads={threads} r={r}"
+                );
+                assert_eq!(
+                    tree.reset_node_accesses(),
+                    k * lone_acc,
+                    "accesses threads={threads} r={r}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn dist_into_variants_clear_the_buffer() {
-        let data = random_data(60, 54);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
-        let fresh = tree.range_self_join_dist(0.1);
-        let mut buf = vec![(7usize, 9usize, 0.5f64); 4];
-        tree.range_self_join_dist_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((1, 2, 0.3));
-        tree.range_self_join_dist_serial_into(0.1, &mut buf);
-        assert_eq!(buf, fresh);
-        buf.push((3, 4, 0.1));
-        tree.range_self_join_dist_with_into(0.1, SelfJoinConfig::with_threads(2), &mut buf);
-        assert_eq!(buf, fresh);
     }
 
     proptest! {
@@ -1696,48 +1280,26 @@ mod tests {
             prop_assert_eq!(&sorted(plain.range_self_join(r)), &want);
         }
 
-        /// The parallel traversal is byte-identical to the serial one
-        /// for arbitrary data, radii, capacities and thread counts.
-        #[test]
-        fn parallel_self_join_is_serial(
-            seed in 0u64..1000,
-            r in 0.0..0.5f64,
-            cap in 2usize..12,
-            threads in 1usize..9,
-        ) {
-            let data = random_data(100, seed);
-            let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let serial = tree.range_self_join_serial(r);
-            let par = tree.range_self_join_with(r, SelfJoinConfig::with_threads(threads));
-            prop_assert_eq!(par, serial);
-        }
-
         /// The annotated traversal emits the plain edge list (stripped)
-        /// with exact distances, serial or parallel, for arbitrary
-        /// inputs.
+        /// with exact distances for arbitrary inputs.
         #[test]
         fn dist_self_join_is_exact(
             seed in 0u64..1000,
             r in 0.0..0.5f64,
             cap in 2usize..12,
-            threads in 1usize..9,
         ) {
             let data = random_data(100, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
-            let serial = tree.range_self_join_dist_serial(r);
-            let stripped: Vec<(ObjId, ObjId)> =
-                serial.iter().map(|&(a, b, _)| (a, b)).collect();
-            prop_assert_eq!(&stripped, &tree.range_self_join_serial(r));
-            for &(a, b, d) in &serial {
+            let annotated = tree.range_self_join_dist(r);
+            prop_assert_eq!(&strip(&annotated), &tree.range_self_join(r));
+            for &(a, b, d) in &annotated {
                 prop_assert_eq!(d.to_bits(), data.dist(a, b).to_bits());
             }
-            let par = tree.range_self_join_dist_with(r, SelfJoinConfig::with_threads(threads));
-            prop_assert_eq!(par, serial);
         }
     }
 
     // ------------------------------------------------------------------
-    // Checked entry points: typed radius validation and cancellation
+    // Checked entry point: typed radius validation and cancellation
     // ------------------------------------------------------------------
 
     #[test]
@@ -1746,13 +1308,7 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::default());
         tree.reset_distance_computations();
         for r in [f64::NAN, -0.5, f64::NEG_INFINITY] {
-            let err = tree
-                .range_self_join_checked(r, SelfJoinConfig::default(), None)
-                .unwrap_err();
-            assert!(matches!(err, JoinError::InvalidRadius(_)), "r={r}: {err}");
-            let err = tree
-                .range_self_join_dist_checked(r, SelfJoinConfig::default(), None)
-                .unwrap_err();
+            let err = tree.range_self_join_dist_checked(r, None).unwrap_err();
             assert!(matches!(err, JoinError::InvalidRadius(_)), "r={r}: {err}");
         }
         // Rejection happens before any traversal state is touched.
@@ -1763,18 +1319,17 @@ mod tests {
     fn checked_without_token_matches_the_plain_join() {
         let data = random_data(200, 7);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let plain = tree.range_self_join_serial(0.3);
-        for threads in [1, 3] {
-            let checked = tree
-                .range_self_join_checked(0.3, SelfJoinConfig::with_threads(threads), None)
-                .expect("uncancelled join succeeds");
-            assert_eq!(checked, plain);
-        }
-        let dist = tree.range_self_join_dist_serial(0.3);
+        tree.reset_distance_computations();
+        tree.reset_node_accesses();
+        let plain = tree.range_self_join_dist(0.3);
+        let plain_dc = tree.reset_distance_computations();
+        let plain_acc = tree.reset_node_accesses();
         let checked = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(3), None)
+            .range_self_join_dist_checked(0.3, None)
             .expect("uncancelled join succeeds");
-        assert_eq!(checked, dist);
+        assert_eq!(checked, plain);
+        assert_eq!(tree.reset_distance_computations(), plain_dc);
+        assert_eq!(tree.reset_node_accesses(), plain_acc);
     }
 
     #[test]
@@ -1785,12 +1340,10 @@ mod tests {
         tree.reset_node_accesses();
         let token = CancelToken::new();
         token.cancel();
-        for threads in [1, 4] {
-            let err = tree
-                .range_self_join_checked(0.3, SelfJoinConfig::with_threads(threads), Some(&token))
-                .unwrap_err();
-            assert_eq!(err, JoinError::Cancelled);
-        }
+        let err = tree
+            .range_self_join_dist_checked(0.3, Some(&token))
+            .unwrap_err();
+        assert_eq!(err, JoinError::Cancelled);
         assert_eq!(tree.distance_computations(), 0);
         assert_eq!(tree.node_accesses(), 0);
     }
@@ -1800,11 +1353,11 @@ mod tests {
         let data = random_data(300, 11);
         let tree = MTree::build(&data, MTreeConfig::default());
 
-        // Reference: the full serial run's exact counters and output.
+        // Reference: the full run's exact counters and output.
         tree.reset_distance_computations();
         tree.reset_node_accesses();
         let full = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), None)
+            .range_self_join_dist_checked(0.3, None)
             .expect("uncancelled join succeeds");
         let full_dc = tree.reset_distance_computations();
         let full_na = tree.reset_node_accesses();
@@ -1814,7 +1367,7 @@ mod tests {
         // after a handful of tasks, long before the join completes.
         let token = CancelToken::with_check_budget(5);
         let err = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), Some(&token))
+            .range_self_join_dist_checked(0.3, Some(&token))
             .unwrap_err();
         assert_eq!(err, JoinError::Cancelled);
         let cancelled_dc = tree.reset_distance_computations();
@@ -1826,7 +1379,7 @@ mod tests {
         // No poisoned state: a retry on the same tree reproduces the
         // full run byte-for-byte with the exact reference counters.
         let retry = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(1), None)
+            .range_self_join_dist_checked(0.3, None)
             .expect("retry after cancellation succeeds");
         assert_eq!(retry, full);
         assert_eq!(tree.reset_distance_computations(), full_dc);
@@ -1835,25 +1388,31 @@ mod tests {
 
     #[test]
     fn parallel_cancellation_leaves_no_partial_state() {
+        // Joins sharing one token, as the sharded build's tasks do: a
+        // budget that trips mid-traversal stops every one of them with
+        // `Cancelled`, each charges less than a full run, and a retry on
+        // the same tree is byte-identical to an uncancelled join.
         let data = random_data(400, 13);
         let tree = MTree::build(&data, MTreeConfig::default());
-        let full = tree.range_self_join_dist_with(0.3, SelfJoinConfig::with_threads(4));
         tree.reset_distance_computations();
-        tree.reset_node_accesses();
+        let full = tree.range_self_join_dist(0.3);
+        let full_dc = tree.reset_distance_computations();
 
+        let threads = 4;
         let token = CancelToken::with_check_budget(10);
-        let err = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(4), Some(&token))
-            .unwrap_err();
-        assert_eq!(err, JoinError::Cancelled);
-        tree.reset_distance_computations();
-        tree.reset_node_accesses();
+        for result in concurrently(threads, || {
+            tree.range_self_join_dist_checked(0.3, Some(&token))
+        }) {
+            assert_eq!(result, Err(JoinError::Cancelled));
+        }
+        let cancelled_dc = tree.reset_distance_computations();
+        assert!(cancelled_dc < full_dc, "{cancelled_dc} vs {full_dc}");
 
-        // The retry is byte-identical to the uncancelled parallel run.
         let retry = tree
-            .range_self_join_dist_checked(0.3, SelfJoinConfig::with_threads(4), None)
+            .range_self_join_dist_checked(0.3, None)
             .expect("retry after cancellation succeeds");
         assert_eq!(retry, full);
+        assert_eq!(tree.reset_distance_computations(), full_dc);
     }
 
     #[test]
@@ -1862,7 +1421,7 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::default());
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         let err = tree
-            .range_self_join_checked(0.3, SelfJoinConfig::with_threads(2), Some(&token))
+            .range_self_join_dist_checked(0.3, Some(&token))
             .unwrap_err();
         assert_eq!(err, JoinError::Cancelled);
     }

@@ -925,10 +925,8 @@ mod tests {
             out.sort_unstable();
             out
         };
-        let want = relabel(tree.range_self_join_dist_serial(0.1), &|o| o);
-        let got = relabel(tree2.range_self_join_dist_serial(0.1), &|o| {
-            data2.external_id(o)
-        });
+        let want = relabel(tree.range_self_join_dist(0.1), &|o| o);
+        let got = relabel(tree2.range_self_join_dist(0.1), &|o| data2.external_id(o));
         assert_eq!(got, want);
     }
 

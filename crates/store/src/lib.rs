@@ -110,7 +110,7 @@
 //! | stored coordinates invalid as a dataset        | [`StoreError::InvalidDataset`]            |
 //! | stored CSR invalid as a graph (offsets, order) | [`StoreError::InvalidGraph`]              |
 //!
-//! //! # Typical use
+//! # Typical use
 //!
 //! ```
 //! use disc_metric::{Dataset, Metric, Point};

@@ -1,41 +1,45 @@
-//! Concurrency test tier: the parallel self-join and sharded CSR
-//! assembly are pinned **deterministic** — byte-identical to their
-//! serial counterparts and to the O(n²) reference — across metrics,
-//! thread/shard counts and degenerate inputs.
+//! Concurrency test tier: the build's one parallel path — the sharded
+//! build's join tasks, CSR fill and row sort on the task runner — is
+//! pinned **deterministic**: byte-identical to one serial self-join
+//! over the whole tree and to the O(n²) reference, across metrics,
+//! worker/shard counts and degenerate inputs.
 //!
-//! PR 2 made the graph-resident runners byte-identical to the exact
+//! The graph-resident runners are pinned byte-identical to the exact
 //! tree-backed variants; that pin is only as strong as the graph build
-//! feeding them. This tier therefore checks, for thread/shard counts
-//! 1, 2, 3 and 8 (forced via [`SelfJoinConfig`] and the explicit shard
-//! parameter of [`UnitDiskGraph::from_edges_sharded`], independent of
-//! the host's core count):
+//! feeding them. This tier therefore checks, for worker and shard
+//! counts 1, 2, 3 and 8 (forced through `ShardedBuildConfig::threads`
+//! and the explicit shard parameters of `build_sharded_with` and
+//! [`UnitDiskGraph::from_edges_sharded`], independent of the host's
+//! core count):
 //!
-//! * parallel self-join edge list ≡ serial self-join ≡ O(n²) scan, on
-//!   all four metrics — as *ordered* lists, not just sets;
-//! * CSR byte-equality (`offsets` and `neighbors`) between the serial
-//!   and sharded assemblies, and for `from_mtree` against the scan
+//! * serial self-join ≡ O(n²) scan on all four metrics, and the graph
+//!   of the sharded build's parallel per-shard joins ≡ the graph of one
+//!   serial self-join over the whole tree;
+//! * CSR byte-equality (`offsets` and `neighbors`) between the one-worker
+//!   and multi-worker assemblies, and for `from_mtree` against the scan
 //!   reference;
-//! * exact `distance_computations()` parity between the parallel and
-//!   serial traversals (lost or double-counted per-worker counters
-//!   would break every future hot-path claim pinned on the counter);
-//! * the same three guarantees for the **distance-annotated** pipeline
-//!   (`range_self_join_dist*` → [`StratifiedDiskGraph`]): edge lists
-//!   byte-identical *including the f64 annotations*, stratified CSR
-//!   byte-identical (`offsets`, `neighbors` **and** `dists`), exact
-//!   counter parity, and thread-count-independent graph-resident
-//!   zooming on top;
+//! * exact counters: the build's per-shard join and tree counters fold
+//!   into its stats as exactly the sum of lone runs over the same shard
+//!   trees, at every worker count (lost or double-counted per-task
+//!   counters would break every hot-path claim pinned on the counter);
+//! * the same guarantees for the **distance-annotated** pipeline
+//!   (`range_self_join_dist` → [`StratifiedDiskGraph`]): stratified CSR
+//!   byte-identical (`offsets`, `neighbors` **and** `dists`) at every
+//!   assembly worker count, exact counters for a one-shard build, and
+//!   worker-count-independent graph-resident zooming on top;
 //! * degenerate inputs: single object, all-duplicate points, r = 0 and
 //!   r ≥ diameter.
 
+use disc_diversity::core::{build_sharded_with, ShardedBuildConfig};
 use disc_diversity::graph::{StratifiedDiskGraph, UnitDiskGraph};
 use disc_diversity::metric::{Dataset, Metric, ObjId, Point};
-use disc_diversity::mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_diversity::mtree::{MTree, MTreeConfig, ShardPlan};
 use disc_diversity::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
-/// Thread/shard counts every assertion runs under (1 pins the
-/// single-worker path through the parallel machinery; 8 exceeds the
-/// dev container's core count).
+/// Worker/shard counts every assertion runs under (1 pins the
+/// single-worker path through the task runner; 8 exceeds the dev
+/// container's core count).
 const COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 const ALL_METRICS: [Metric; 4] = [
@@ -92,22 +96,39 @@ fn radii_for(metric: Metric) -> Vec<f64> {
     }
 }
 
+/// A sharded build on `threads` workers, with a partition stop small
+/// enough that these fixtures split into real shards.
+fn build_config(threads: usize) -> ShardedBuildConfig {
+    ShardedBuildConfig {
+        threads,
+        stop: 16,
+        ..ShardedBuildConfig::default()
+    }
+}
+
 #[test]
 fn parallel_self_join_equals_serial_equals_scan_on_all_metrics() {
     for metric in ALL_METRICS {
         let data = random_data_metric(160, 41, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         for r in radii_for(metric) {
-            let serial = tree.range_self_join_serial(r);
             assert_eq!(
-                sorted(serial.clone()),
+                sorted(tree.range_self_join(r)),
                 scan_edges(&data, r),
                 "{metric:?} r={r}: serial self-join vs O(n²) scan"
             );
+            // The build's per-shard joins run as tasks on `threads`
+            // workers; its graph must equal one serial self-join over
+            // the whole renumbered dataset, byte for byte.
+            let mut whole: Option<StratifiedDiskGraph> = None;
             for threads in COUNTS {
-                let par = tree.range_self_join_with(r, SelfJoinConfig { threads });
-                // Byte-identical: same edges in the same order.
-                assert_eq!(par, serial, "{metric:?} r={r} threads={threads}");
+                let built = build_sharded_with(&data, r, 4, build_config(threads), None)
+                    .expect("clean build");
+                let want = whole.get_or_insert_with(|| {
+                    let tree = MTree::build(&built.data, MTreeConfig::with_capacity(6));
+                    StratifiedDiskGraph::from_mtree(&tree, r)
+                });
+                assert_eq!(&built.graph, want, "{metric:?} r={r} threads={threads}");
             }
         }
     }
@@ -122,7 +143,7 @@ fn csr_is_byte_identical_across_shard_counts_on_all_metrics() {
             let reference = UnitDiskGraph::build(&data, r);
             let from_tree = UnitDiskGraph::from_mtree(&tree, r);
             assert_eq!(from_tree, reference, "{metric:?} r={r}: from_mtree");
-            let edges = tree.range_self_join_serial(r);
+            let edges = tree.range_self_join(r);
             let serial = UnitDiskGraph::from_edges(data.len(), r, &edges);
             for shards in COUNTS {
                 let sharded = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, shards);
@@ -141,34 +162,47 @@ fn csr_is_byte_identical_across_shard_counts_on_all_metrics() {
     }
 }
 
+/// Distance computations of building, then self-joining, one tree per
+/// non-empty shard of the plan a build with `config` makes: what the
+/// build's `tree_dc` and `intra_join_dc` must fold to.
+fn lone_shard_counters(
+    data: &Dataset,
+    r: f64,
+    shards: usize,
+    config: ShardedBuildConfig,
+) -> (u64, u64) {
+    let plan = ShardPlan::with_stop(data, shards, config.stop);
+    let renumbered = data.renumbered(plan.order());
+    let (mut tree_dc, mut join_dc) = (0, 0);
+    for range in plan.ranges().iter().filter(|r| !r.is_empty()) {
+        let tree = MTree::build_range(&renumbered, config.tree, range.clone());
+        tree_dc += tree.reset_distance_computations();
+        let _ = tree.range_self_join_dist(r);
+        join_dc += tree.reset_distance_computations();
+    }
+    (tree_dc, join_dc)
+}
+
 #[test]
 fn parallel_self_join_charges_exact_distance_computations() {
-    // Fixed-seed workload; each metric and thread count must charge
-    // exactly the serial traversal's totals.
+    // The build's intra-join tasks run in parallel, each charging its
+    // own shard tree; the folded totals must equal lone runs over the
+    // same shard trees, on every metric and at every worker count.
     for metric in ALL_METRICS {
         let data = random_data_metric(220, 43, metric);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         let r = if metric == Metric::Hamming { 2.0 } else { 0.1 };
-
-        tree.reset_distance_computations();
-        tree.reset_node_accesses();
-        let serial = tree.range_self_join_serial(r);
-        let serial_dc = tree.reset_distance_computations();
-        let serial_acc = tree.reset_node_accesses();
-        assert!(serial_dc > 0, "{metric:?}: self-join computed no distances");
-
+        let (tree_dc, join_dc) = lone_shard_counters(&data, r, 4, build_config(1));
+        assert!(join_dc > 0, "{metric:?}: self-joins computed no distances");
         for threads in COUNTS {
-            let par = tree.range_self_join_with(r, SelfJoinConfig { threads });
-            let par_dc = tree.reset_distance_computations();
-            let par_acc = tree.reset_node_accesses();
-            assert_eq!(par, serial, "{metric:?} threads={threads}");
+            let built =
+                build_sharded_with(&data, r, 4, build_config(threads), None).expect("clean build");
             assert_eq!(
-                par_dc, serial_dc,
-                "{metric:?} threads={threads}: distance computations"
+                built.stats.tree_dc, tree_dc,
+                "{metric:?} threads={threads}: tree distance computations"
             );
             assert_eq!(
-                par_acc, serial_acc,
-                "{metric:?} threads={threads}: node accesses"
+                built.stats.intra_join_dc, join_dc,
+                "{metric:?} threads={threads}: join distance computations"
             );
         }
     }
@@ -176,42 +210,44 @@ fn parallel_self_join_charges_exact_distance_computations() {
 
 #[test]
 fn degenerate_inputs_are_deterministic_across_thread_counts() {
-    // Single object: no edges, whatever the radius or thread count.
+    // Single object: no edges, whatever the radius, worker or shard
+    // count.
     let one = Dataset::new("one", Metric::Euclidean, vec![Point::new2(0.5, 0.5)]);
     let tree = MTree::build(&one, MTreeConfig::default());
+    assert!(tree.range_self_join(10.0).is_empty());
     for threads in COUNTS {
-        assert!(tree
-            .range_self_join_with(10.0, SelfJoinConfig { threads })
-            .is_empty());
+        let built = build_sharded_with(&one, 10.0, threads, build_config(threads), None)
+            .expect("one-object build");
+        assert_eq!(built.graph.edge_count(), 0, "threads={threads}");
     }
 
     // All-duplicate points: complete graph even at r = 0.
     let n = 30;
     let dups = Dataset::new("dups", Metric::Euclidean, vec![Point::new2(0.2, 0.8); n]);
     let tree = MTree::build(&dups, MTreeConfig::with_capacity(3));
-    let serial = tree.range_self_join_serial(0.0);
+    let serial = tree.range_self_join(0.0);
     assert_eq!(serial.len(), n * (n - 1) / 2);
     for threads in COUNTS {
-        assert_eq!(
-            tree.range_self_join_with(0.0, SelfJoinConfig { threads }),
-            serial
-        );
         assert_eq!(
             UnitDiskGraph::from_edges_sharded(n, 0.0, &serial, threads),
             UnitDiskGraph::build(&dups, 0.0)
         );
+        let built = build_sharded_with(&dups, 0.0, threads, build_config(threads), None)
+            .expect("duplicate build");
+        assert_eq!(built.graph.edge_count(), serial.len(), "threads={threads}");
     }
 
     // r = 0 on distinct points: no edges; r ≥ diameter: complete graph.
     let data = random_data_metric(90, 44, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(5));
     for (r, want_edges) in [(0.0, 0), (2.0, 90 * 89 / 2)] {
-        let serial = tree.range_self_join_serial(r);
-        assert_eq!(serial.len(), want_edges, "r={r}");
+        assert_eq!(tree.range_self_join(r).len(), want_edges, "r={r}");
         for threads in COUNTS {
+            let built = build_sharded_with(&data, r, threads, build_config(threads), None)
+                .expect("clean build");
             assert_eq!(
-                tree.range_self_join_with(r, SelfJoinConfig { threads }),
-                serial,
+                built.graph.edge_count(),
+                want_edges,
                 "r={r} threads={threads}"
             );
         }
@@ -228,29 +264,17 @@ fn degenerate_inputs_are_deterministic_across_thread_counts() {
 fn stratified_csr_is_byte_identical_across_thread_and_shard_counts() {
     // The distance-annotated pipeline (annotated self-join → stratified
     // CSR with distance-sorted rows) is deterministic too: for every
-    // forced thread/shard count, edges (annotations included), offsets,
-    // neighbors *and* dists arrays equal the serial build's, on all four
-    // metrics.
+    // forced assembly worker count, offsets, neighbors *and* dists
+    // arrays equal the one-worker build's, on all four metrics.
     for metric in ALL_METRICS {
         let data = random_data_metric(140, 46, metric);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         for r in radii_for(metric) {
-            let serial_edges = tree.range_self_join_dist_serial(r);
-            let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &serial_edges);
+            let edges = tree.range_self_join_dist(r);
+            let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
             for threads in COUNTS {
-                let par_edges = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
-                // Byte-identical: same edges, same order, same f64
-                // distance annotations.
-                assert_eq!(
-                    par_edges, serial_edges,
-                    "{metric:?} r={r} threads={threads}"
-                );
-                let sharded = StratifiedDiskGraph::from_dist_edges_sharded(
-                    data.len(),
-                    r,
-                    &par_edges,
-                    threads,
-                );
+                let sharded =
+                    StratifiedDiskGraph::from_dist_edges_sharded(data.len(), r, &edges, threads);
                 assert_eq!(
                     sharded.offsets(),
                     serial.offsets(),
@@ -286,7 +310,7 @@ fn stratified_csr_byte_identical_on_duplicate_heavy_rows() {
     let data = Dataset::new("grid", Metric::Euclidean, pts);
     let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
     for r in [0.1, 0.3, 2.0] {
-        let edges = tree.range_self_join_dist_serial(r);
+        let edges = tree.range_self_join_dist(r);
         let serial = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
         // Rows must be strictly (dist, id)-sorted despite the ties.
         for v in 0..data.len() {
@@ -318,35 +342,37 @@ fn stratified_csr_byte_identical_on_duplicate_heavy_rows() {
 
 #[test]
 fn annotated_self_join_charges_exact_counters_across_thread_counts() {
-    // Counter exactness for the annotated traversal: every forced
-    // thread count charges exactly the serial annotated traversal's
-    // distance computations and node accesses.
+    // A build whose data falls in one shard runs one serial annotated
+    // join over the whole tree: at every worker count its distance and
+    // node counters equal a lone tree's build plus join.
     for metric in ALL_METRICS {
         let data = random_data_metric(200, 47, metric);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         let r = if metric == Metric::Hamming { 2.0 } else { 0.1 };
-
-        tree.reset_distance_computations();
-        tree.reset_node_accesses();
-        let serial = tree.range_self_join_dist_serial(r);
-        let serial_dc = tree.reset_distance_computations();
-        let serial_acc = tree.reset_node_accesses();
+        let config = ShardedBuildConfig::default();
+        let plan = ShardPlan::with_stop(&data, 1, config.stop);
+        let renumbered = data.renumbered(plan.order());
+        let tree = MTree::build_range(&renumbered, config.tree, 0..data.len());
+        let tree_dc = tree.reset_distance_computations();
+        let edges = tree.range_self_join_dist(r);
+        let join_dc = tree.reset_distance_computations();
+        let accesses = tree.node_accesses();
         assert!(
-            serial_dc > 0,
+            join_dc > 0,
             "{metric:?}: annotated join computed no distances"
         );
 
         for threads in COUNTS {
-            let par = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
-            let par_dc = tree.reset_distance_computations();
-            let par_acc = tree.reset_node_accesses();
-            assert_eq!(par, serial, "{metric:?} threads={threads}");
+            let config = ShardedBuildConfig { threads, ..config };
+            let built = build_sharded_with(&data, r, 1, config, None).expect("clean build");
+            let s = built.stats;
+            assert_eq!(s.edges, edges.len(), "{metric:?} threads={threads}");
             assert_eq!(
-                par_dc, serial_dc,
+                (s.tree_dc, s.intra_join_dc, s.boundary_join_dc),
+                (tree_dc, join_dc, 0),
                 "{metric:?} threads={threads}: distance computations"
             );
             assert_eq!(
-                par_acc, serial_acc,
+                s.node_accesses, accesses,
                 "{metric:?} threads={threads}: node accesses"
             );
         }
@@ -355,14 +381,14 @@ fn annotated_self_join_charges_exact_counters_across_thread_counts() {
 
 #[test]
 fn stratified_zooming_is_thread_count_independent() {
-    // End-to-end: stratified graphs assembled at every thread/shard
-    // count feed the graph-resident zoom runners identically, and the
+    // End-to-end: stratified graphs assembled at every worker count
+    // feed the graph-resident zoom runners identically, and the
     // solutions match the tree-backed operators.
     let data = random_data_metric(220, 48, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
     let (r, r_new) = (0.12, 0.06);
-    let serial_edges = tree.range_self_join_dist_serial(r);
-    let serial_graph = StratifiedDiskGraph::from_dist_edges(data.len(), r, &serial_edges);
+    let edges = tree.range_self_join_dist(r);
+    let serial_graph = StratifiedDiskGraph::from_dist_edges(data.len(), r, &edges);
     let prev = greedy_disc(&tree, r, GreedyVariant::Grey, true);
     let want = greedy_zoom_in(&tree, &prev, r_new).result.solution;
     assert_eq!(
@@ -372,7 +398,6 @@ fn stratified_zooming_is_thread_count_independent() {
         want
     );
     for threads in COUNTS {
-        let edges = tree.range_self_join_dist_with(r, SelfJoinConfig { threads });
         let graph = StratifiedDiskGraph::from_dist_edges_sharded(data.len(), r, &edges, threads);
         assert_eq!(
             greedy_zoom_in_graph(&graph, &prev, r_new).result.solution,
@@ -384,13 +409,15 @@ fn stratified_zooming_is_thread_count_independent() {
 
 #[test]
 fn graph_resident_solutions_are_thread_count_independent() {
-    // End-to-end: the full graph pipeline (parallel self-join → sharded
-    // CSR → graph-resident selection) picks the same solutions as the
-    // serial pipeline and the tree-backed exact runners.
+    // End-to-end: the graph pipeline (self-join → CSR assembled on
+    // every worker count → graph-resident selection) picks the same
+    // solutions as the one-worker pipeline and the tree-backed exact
+    // runners.
     let data = random_data_metric(250, 45, Metric::Euclidean);
     let tree = MTree::build(&data, MTreeConfig::default());
     let r = 0.1;
-    let serial_graph = UnitDiskGraph::from_edges(data.len(), r, &tree.range_self_join_serial(r));
+    let edges = tree.range_self_join(r);
+    let serial_graph = UnitDiskGraph::from_edges(data.len(), r, &edges);
     let want_disc = greedy_disc_graph(&serial_graph).solution;
     let want_c = greedy_c_graph(&serial_graph).solution;
     assert_eq!(
@@ -398,7 +425,6 @@ fn graph_resident_solutions_are_thread_count_independent() {
         greedy_disc(&tree, r, GreedyVariant::Grey, true).solution
     );
     for threads in COUNTS {
-        let edges = tree.range_self_join_with(r, SelfJoinConfig { threads });
         let graph = UnitDiskGraph::from_edges_sharded(data.len(), r, &edges, threads);
         assert_eq!(
             greedy_disc_graph(&graph).solution,

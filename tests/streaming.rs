@@ -4,9 +4,10 @@
 //! * **Interleaving property** — a random interleaving of inserts and
 //!   deletes followed by `zoom` produces byte-identical solutions
 //!   (compared in external ids) to a from-scratch build over the final
-//!   object set, through the production M-tree self-join pipeline. CI
-//!   runs this suite under the `SELF_JOIN_THREADS` matrix (1/2/3/8), so
-//!   the equality holds for every worker/shard count.
+//!   object set, through the M-tree self-join and CSR assembly. CI runs
+//!   this suite under the `SELF_JOIN_THREADS` matrix (1/2/3/8), which
+//!   sizes the rebuild's row sort, so the equality holds for every
+//!   worker count.
 //! * **All-duplicates tie-breaking** — with every object at pairwise
 //!   distance zero, every count in the greedy heap ties; the
 //!   `LazyMaxHeap` external-rank tie-break (and its push-once,
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use disc_diversity::core::{greedy_disc_graph, greedy_zoom_in_graph, RepairableSolution};
 use disc_diversity::graph::{StratifiedDiskGraph, StreamingCatalog};
 use disc_diversity::metric::{Dataset, IdPermutation, Metric, Point};
-use disc_diversity::mtree::{MTree, MTreeConfig, SelfJoinConfig};
+use disc_diversity::mtree::{MTree, MTreeConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -67,7 +68,9 @@ fn seed_catalog(metric: Metric, n: usize, r_max: f64, rng: &mut StdRng) -> Strea
     StreamingCatalog::try_new(data, graph).expect("fresh pair is consistent")
 }
 
-fn self_join_threads() -> usize {
+/// The build's worker count, `SELF_JOIN_THREADS` as `disc build` reads
+/// it (0 = one per core).
+fn build_workers() -> usize {
     std::env::var("SELF_JOIN_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -88,13 +91,8 @@ fn rebuild_from_scratch(cat: &StreamingCatalog) -> StratifiedDiskGraph {
     )
     .with_permutation(Some(Arc::new(perm)));
     let tree = MTree::build(&data, MTreeConfig::default());
-    StratifiedDiskGraph::from_mtree_checked(
-        &tree,
-        cat.graph().radius(),
-        SelfJoinConfig::with_threads(self_join_threads()),
-        None,
-    )
-    .expect("self-join over a clean dataset")
+    StratifiedDiskGraph::from_mtree_checked(&tree, cat.graph().radius(), build_workers(), None)
+        .expect("self-join over a clean dataset")
 }
 
 fn check_interleaving(metric: Metric, seed: u64, ops: &[u8]) {
@@ -147,7 +145,7 @@ proptest! {
     /// A random interleaving of N inserts/deletes followed by `zoom`
     /// equals a from-scratch build on the final object set, in external
     /// ids, across all four metrics (and, via CI's `SELF_JOIN_THREADS`
-    /// matrix, thread/shard counts 1/2/3/8).
+    /// matrix, assembly worker counts 1/2/3/8).
     #[test]
     fn interleaved_mutations_match_a_from_scratch_rebuild(
         seed in 0u64..10_000,
