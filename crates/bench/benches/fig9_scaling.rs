@@ -58,7 +58,7 @@ fn seeding(c: &mut Criterion) {
     let data = clustered(4_000, 2, 8, BENCH_SEED);
     let tree = bench_tree(&data);
     let per_id = |id, scratch: &mut Vec<usize>| {
-        tree.range_query_objs_into(id, 0.04, scratch);
+        tree.range_query(data.row(id), 0.04, None, scratch);
         (scratch.len() - 1) as u32
     };
     let mut group = c.benchmark_group("fig9_count_seeding");

@@ -254,7 +254,7 @@ fn record_pruning(r: &mut Report, tree: &MTree<'_>) {
         ("count_seeding", |t| {
             // Object-only queries, exactly as the heuristics seed.
             par::seed_counts_serial(t.len(), |id, scratch: &mut Vec<usize>| {
-                t.range_query_objs_into(id, RADIUS, scratch);
+                t.range_query(t.data().row(id), RADIUS, None, scratch);
                 (scratch.len() - 1) as u32
             });
         }),

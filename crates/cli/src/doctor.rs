@@ -3,13 +3,13 @@
 //!
 //! The triage itself lives in [`disc_store::inspect`] — same layout
 //! knowledge as the loader, no fail-fast, verdict pinned to
-//! [`disc_store::load`]. This module only formats: one line per
-//! checksummed region using the store's canonical section names
-//! (`header`, `section table`, `meta`, `coords`, `offsets`,
-//! `neighbors`, `dists`, `ext ids`, `name`), the header diagnosis —
-//! its `version:` line marks 4 supported, 2 and 3 supported legacy,
-//! anything else unsupported — and a final `verdict:` line a script
-//! can grep.
+//! [`disc_store::decode_stream`], the serving open. This module only
+//! formats: one line per checksummed region using the store's
+//! canonical section names (`header`, `section table`, `meta`,
+//! `coords`, `offsets`, `neighbors`, `dists`, `ext ids`, `name`), the
+//! header diagnosis — its `version:` line marks 4 supported, 2 and 3
+//! supported legacy, anything else unsupported — and a final
+//! `verdict:` line a script can grep.
 
 use disc_store::{
     SectionCheck, SnapshotReport, DENSE_VERSION, ENDIAN_MARKER, STREAM_VERSION, VERSION,

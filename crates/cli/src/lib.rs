@@ -111,7 +111,8 @@
 //! `MISSING`, and a final `verdict: clean` or
 //! `verdict: REJECTED: <reason>` line that always matches what
 //! `disc serve` would do with the file, because the verdict *is*
-//! [`disc_store::load`]'s.
+//! [`disc_store::decode_stream`]'s, the open `disc serve` and
+//! `disc zoom` run.
 
 #![warn(missing_docs)]
 

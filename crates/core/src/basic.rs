@@ -9,7 +9,7 @@
 //! pass skips leaves that have become entirely grey (the Pruning Rule);
 //! the paper reports savings of up to 50% at small radii.
 
-use disc_mtree::{Color, ColorState, MTree};
+use disc_mtree::{Color, ColorState, MTree, RangeHit};
 
 use crate::result::DiscResult;
 
@@ -79,11 +79,13 @@ fn process(
         return;
     }
     colors.set_color(tree, object, Color::Black);
-    let hits = if pruned {
-        tree.range_query_obj_pruned(object, r, colors)
-    } else {
-        tree.range_query_obj(object, r)
-    };
+    let mut hits: Vec<RangeHit> = Vec::new();
+    tree.range_query(
+        tree.data().row(object),
+        r,
+        pruned.then_some(&*colors),
+        &mut hits,
+    );
     for h in hits {
         if colors.is_white(h.object) {
             colors.set_color(tree, h.object, Color::Grey);

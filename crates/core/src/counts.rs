@@ -32,7 +32,7 @@ pub fn init_all_white(tree: &MTree<'_>, r: f64) -> (Vec<u32>, LazyMaxHeap) {
         // Hits include the object itself; the paper's |N^W_r| excludes it.
         // Object-only query: counting needs no distances, which unlocks
         // the index's inclusion shortcuts.
-        tree.range_query_objs_into(id, r, scratch);
+        tree.range_query(tree.data().row(id), r, None, scratch);
         (scratch.len() - 1) as u32
     });
     let mut heap = LazyMaxHeap::with_capacity(n);
@@ -51,7 +51,7 @@ pub fn init_white_subset(tree: &MTree<'_>, r: f64, colors: &ColorState) -> (Vec<
         if !colors.is_white(id) {
             return 0;
         }
-        tree.range_query_objs_pruned_into(id, r, colors, scratch);
+        tree.range_query(tree.data().row(id), r, Some(colors), scratch);
         let white_hits = scratch.iter().filter(|&&o| colors.is_white(o)).count();
         (white_hits - 1) as u32 // exclude the object itself
     });
@@ -89,30 +89,10 @@ pub fn grey_out_white_hits(
 /// Grey-Greedy-DisC and `r/2` for the Lazy variant (which deliberately
 /// leaves distant counts stale). `exact` marks the full-radius case:
 /// decrements saturate at zero either way, and debug builds assert the
-/// exact path never actually saturates.
+/// exact path never actually saturates. The range queries write into
+/// the caller's `scratch`, so per-selection update rounds share one
+/// allocation.
 pub fn grey_update(
-    tree: &MTree<'_>,
-    colors: &ColorState,
-    counts: &mut [u32],
-    newly_grey: &[ObjId],
-    update_radius: f64,
-    exact: bool,
-) {
-    let mut scratch: Vec<ObjId> = Vec::new();
-    grey_update_with_scratch(
-        tree,
-        colors,
-        counts,
-        newly_grey,
-        update_radius,
-        exact,
-        &mut scratch,
-    );
-}
-
-/// [`grey_update`] writing its range queries into a caller-owned scratch
-/// buffer, so per-selection update rounds share one allocation.
-pub fn grey_update_with_scratch(
     tree: &MTree<'_>,
     colors: &ColorState,
     counts: &mut [u32],
@@ -122,7 +102,7 @@ pub fn grey_update_with_scratch(
     scratch: &mut Vec<ObjId>,
 ) {
     for &pj in newly_grey {
-        tree.range_query_objs_pruned_into(pj, update_radius, colors, scratch);
+        tree.range_query(tree.data().row(pj), update_radius, Some(colors), scratch);
         for &o in scratch.iter() {
             if colors.is_white(o) {
                 debug_assert!(
@@ -175,9 +155,9 @@ pub fn greedy_white_pass_checked(
             None => unreachable!("white objects remain, so the heap holds a candidate"),
         };
         colors.set_color(tree, picked, Color::Black);
-        tree.range_query_objs_pruned_into(picked, r, colors, &mut sel_scratch);
+        tree.range_query(tree.data().row(picked), r, Some(&*colors), &mut sel_scratch);
         let newly_grey = grey_out_white_hits(tree, colors, picked, &sel_scratch);
-        grey_update_with_scratch(tree, colors, counts, &newly_grey, r, true, &mut upd_scratch);
+        grey_update(tree, colors, counts, &newly_grey, r, true, &mut upd_scratch);
         solution.push(picked);
     }
     Ok(())

@@ -57,7 +57,11 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
     // range query per object (exact: nothing is grey yet). The queries
     // are independent, so the pass fans out across threads.
     let mut counts = par::seed_counts(n, |id, scratch: &mut Vec<ObjId>| {
-        query_into(tree, id, r, fast, &colors, scratch);
+        if fast {
+            tree.range_query_bottom_up(id, r, Some(&colors), true, scratch);
+        } else {
+            tree.range_query(tree.data().row(id), r, None, scratch);
+        }
         (scratch.len() - 1) as u32
     });
     let mut heap = LazyMaxHeap::with_capacity(n);
@@ -89,7 +93,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
         let picked = if fast {
             let mut selected = None;
             while let Some(cand) = heap.pop_valid(|id| key_of(id, &colors, &counts)) {
-                query_into(tree, cand, r, true, &colors, &mut sel_scratch);
+                tree.range_query_bottom_up(cand, r, Some(&colors), true, &mut sel_scratch);
                 let fresh = sel_scratch
                     .iter()
                     .filter(|&&o| o != cand && colors.is_white(o))
@@ -115,7 +119,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
                 Some(c) => c,
                 None => unreachable!("white objects remain, so candidates exist"),
             };
-            query_into(tree, cand, r, false, &colors, &mut sel_scratch);
+            tree.range_query(tree.data().row(cand), r, None, &mut sel_scratch);
             cand
         };
         let picked_hits = &sel_scratch;
@@ -145,7 +149,7 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
             // Greedy-C: exact refresh — one query per newly grey object,
             // decrementing everything that lost a white neighbour.
             for &pj in &newly_grey {
-                query_into(tree, pj, r, false, &colors, &mut upd_scratch);
+                tree.range_query(tree.data().row(pj), r, None, &mut upd_scratch);
                 for &o in upd_scratch.iter() {
                     if o != pj && colors.color(o) != Color::Black {
                         counts[o] = counts[o].saturating_sub(1);
@@ -179,21 +183,6 @@ fn run_cover(tree: &MTree<'_>, r: f64, fast: bool) -> DiscResult {
         heuristic: if fast { "Fast-C".into() } else { "G-C".into() },
         solution,
         node_accesses: tree.node_accesses() - start,
-    }
-}
-
-fn query_into(
-    tree: &MTree<'_>,
-    center: ObjId,
-    r: f64,
-    fast: bool,
-    colors: &ColorState,
-    hits: &mut Vec<ObjId>,
-) {
-    if fast {
-        tree.range_query_objs_bottom_up_into(center, r, Some(colors), true, hits);
-    } else {
-        tree.range_query_objs_into(center, r, hits);
     }
 }
 

@@ -26,7 +26,7 @@
 use disc_metric::ObjId;
 use disc_mtree::{Color, ColorState, MTree};
 
-use crate::counts::{grey_out_white_hits, grey_update_with_scratch, init_all_white};
+use crate::counts::{grey_out_white_hits, grey_update, init_all_white};
 use crate::result::DiscResult;
 
 /// Count-update strategy for Greedy-DisC.
@@ -122,7 +122,12 @@ fn run_greedy(
             None => unreachable!("white objects remain, so the heap holds a candidate"),
         };
         colors.set_color(tree, picked, Color::Black);
-        query_into(tree, picked, r, pruned, &colors, &mut sel_scratch);
+        tree.range_query(
+            tree.data().row(picked),
+            r,
+            pruned.then_some(&colors),
+            &mut sel_scratch,
+        );
         let newly_grey = grey_out_white_hits(tree, &mut colors, picked, &sel_scratch);
 
         match variant {
@@ -130,7 +135,7 @@ fn run_greedy(
                 // Exact when the update queries run at the full radius;
                 // lazy radii leave counts stale (too high, never low).
                 let exact = update_radius >= r;
-                grey_update_with_scratch(
+                grey_update(
                     tree,
                     &colors,
                     &mut counts,
@@ -167,21 +172,6 @@ fn run_greedy(
     }
 }
 
-fn query_into(
-    tree: &MTree<'_>,
-    center: ObjId,
-    r: f64,
-    pruned: bool,
-    colors: &ColorState,
-    hits: &mut Vec<ObjId>,
-) {
-    if pruned {
-        tree.range_query_objs_pruned_into(center, r, colors, hits);
-    } else {
-        tree.range_query_objs_into(center, r, hits);
-    }
-}
-
 /// The White-Greedy update: one range query `Q(picked, update_radius)`
 /// retrieves candidate white objects; each one's count is decremented by
 /// the number of newly greyed objects within `r`, computed with local
@@ -208,7 +198,12 @@ fn white_update(
         return;
     }
     let data = tree.data();
-    query_into(tree, picked, update_radius, pruned, colors, scratch);
+    tree.range_query(
+        data.row(picked),
+        update_radius,
+        pruned.then_some(colors),
+        scratch,
+    );
     for &o in scratch.iter() {
         if !colors.is_white(o) {
             continue;

@@ -18,7 +18,7 @@
 //! explicitly asked for a different granularity *inside* the region).
 
 use disc_metric::ObjId;
-use disc_mtree::{MTree, MTreeConfig};
+use disc_mtree::{MTree, MTreeConfig, RangeHit};
 
 use crate::result::DiscResult;
 use crate::zoom_in::greedy_zoom_in;
@@ -61,11 +61,9 @@ pub fn local_zoom(
 
     // 1. The input of the local operation: N_r(center) including the
     //    centre itself.
-    let mut ids: Vec<ObjId> = tree
-        .range_query_obj(center, prev.radius)
-        .into_iter()
-        .map(|h| h.object)
-        .collect();
+    let mut hits: Vec<RangeHit> = Vec::new();
+    tree.range_query(data.row(center), prev.radius, None, &mut hits);
+    let mut ids: Vec<ObjId> = hits.into_iter().map(|h| h.object).collect();
     ids.sort_unstable();
     let main_accesses = tree.node_accesses() - start;
 

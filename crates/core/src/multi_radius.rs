@@ -200,7 +200,12 @@ fn neighbors_of(
     colors: &ColorState,
 ) -> Vec<(ObjId, f64)> {
     let mut hits: Vec<RangeHit> = Vec::new();
-    query_into(tree, p, radii, pruned, colors, &mut hits);
+    tree.range_query(
+        tree.data().row(p),
+        radii[p],
+        pruned.then_some(colors),
+        &mut hits,
+    );
     hits.into_iter()
         .filter(|h| h.object != p && h.dist <= radii[p].min(radii[h.object]))
         .map(|h| (h.object, h.dist))
@@ -217,27 +222,16 @@ fn count_neighbors_into(
     colors: &ColorState,
     scratch: &mut Vec<RangeHit>,
 ) -> u32 {
-    query_into(tree, p, radii, pruned, colors, scratch);
+    tree.range_query(
+        tree.data().row(p),
+        radii[p],
+        pruned.then_some(colors),
+        scratch,
+    );
     scratch
         .iter()
         .filter(|h| h.object != p && h.dist <= radii[p].min(radii[h.object]))
         .count() as u32
-}
-
-/// `Q(p, r(p))`, optionally colour-pruned, into a scratch buffer.
-fn query_into(
-    tree: &MTree<'_>,
-    p: ObjId,
-    radii: &[f64],
-    pruned: bool,
-    colors: &ColorState,
-    hits: &mut Vec<RangeHit>,
-) {
-    if pruned {
-        tree.range_query_obj_pruned_into(p, radii[p], colors, hits);
-    } else {
-        tree.range_query_obj_into(p, radii[p], hits);
-    }
 }
 
 /// Validates a radius assignment against an object count (shared with

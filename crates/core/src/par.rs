@@ -5,9 +5,10 @@
 //! read-only (`&MTree`) and the M-tree's cost counters are atomic, so
 //! the loop parallelises embarrassingly: split the id space into one
 //! contiguous chunk per worker, give each chunk its own scratch
-//! [`RangeHit`](disc_mtree::RangeHit) buffer, and map the chunks
-//! through [`disc_metric::tasks::run_tasks`]. The counts are per-object
-//! deterministic, and callers push heap entries in id order afterwards.
+//! [`RangeSink`](disc_mtree::query::RangeSink) collector, and map the
+//! chunks through [`disc_metric::tasks::run_tasks`]. The counts are
+//! per-object deterministic, and callers push heap entries in id order
+//! afterwards.
 
 use disc_metric::tasks;
 

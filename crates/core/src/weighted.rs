@@ -19,7 +19,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use disc_metric::ObjId;
-use disc_mtree::{Color, ColorState, MTree};
+use disc_mtree::{Color, ColorState, MTree, RangeHit};
 
 use crate::result::DiscResult;
 
@@ -53,11 +53,13 @@ pub fn weighted_disc(tree: &MTree<'_>, r: f64, weights: &[f64], pruned: bool) ->
             continue;
         }
         colors.set_color(tree, picked, Color::Black);
-        let hits = if pruned {
-            tree.range_query_obj_pruned(picked, r, &colors)
-        } else {
-            tree.range_query_obj(picked, r)
-        };
+        let mut hits: Vec<RangeHit> = Vec::new();
+        tree.range_query(
+            tree.data().row(picked),
+            r,
+            pruned.then_some(&colors),
+            &mut hits,
+        );
         for h in hits {
             if colors.is_white(h.object) {
                 colors.set_color(tree, h.object, Color::Grey);

@@ -25,7 +25,7 @@
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
-use disc_mtree::{Color, ColorState, MTree};
+use disc_mtree::{Color, ColorState, MTree, RangeHit};
 
 use crate::counts::{greedy_white_pass_checked, init_white_subset};
 use crate::result::{DiscResult, ZoomResult};
@@ -42,10 +42,12 @@ pub(crate) fn closest_black_distances(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, Cancelled> {
     let mut dist = vec![f64::INFINITY; tree.len()];
+    let mut hits: Vec<RangeHit> = Vec::new();
     for &b in blacks {
         checkpoint(cancel)?;
         dist[b] = 0.0;
-        for h in tree.range_query_obj(b, r) {
+        tree.range_query(tree.data().row(b), r, None, &mut hits);
+        for h in &hits {
             if h.object != b && h.dist < dist[h.object] {
                 dist[h.object] = h.dist;
             }
@@ -108,6 +110,7 @@ pub fn zoom_in_checked(
     let start = tree.node_accesses();
     let mut colors = recolor_for_zoom_in(tree, prev, &closest_black, r_new);
     let mut solution = prev.solution.clone();
+    let mut hits: Vec<RangeHit> = Vec::new();
     for leaf in tree.leaves().collect::<Vec<_>>() {
         tree.charge_access();
         let members: Vec<ObjId> = tree
@@ -124,7 +127,8 @@ pub fn zoom_in_checked(
             colors.set_color(tree, object, Color::Black);
             // Locate the objects for which `object` is now the closest
             // black neighbour and cover them.
-            for h in tree.range_query_obj(object, r_new) {
+            tree.range_query(tree.data().row(object), r_new, None, &mut hits);
+            for h in &hits {
                 if colors.is_white(h.object) {
                     colors.set_color(tree, h.object, Color::Grey);
                 }

@@ -26,7 +26,7 @@
 
 use disc_metric::cancel::{CancelToken, Cancelled};
 use disc_metric::ObjId;
-use disc_mtree::{Color, ColorState, MTree};
+use disc_mtree::{Color, ColorState, MTree, RangeHit};
 
 use crate::counts::{greedy_white_pass_checked, init_white_subset};
 use crate::result::{DiscResult, ZoomResult};
@@ -113,13 +113,14 @@ fn run_zoom_out(
             .solution
             .iter()
             .map(|&red| {
-                let hits = tree
-                    .range_query_obj(red, r_new)
-                    .into_iter()
+                let mut hits: Vec<RangeHit> = Vec::new();
+                tree.range_query(tree.data().row(red), r_new, None, &mut hits);
+                let nb = hits
+                    .iter()
                     .map(|h| h.object)
                     .filter(|&o| o != red)
                     .collect();
-                (red, hits)
+                (red, nb)
             })
             .collect(),
         _ => Vec::new(),
@@ -179,11 +180,9 @@ fn run_zoom_out(
                 let best = reds
                     .iter()
                     .map(|&red| {
-                        let white_nb = tree
-                            .range_query_obj_pruned(red, r_new, &colors)
-                            .iter()
-                            .filter(|h| colors.is_white(h.object))
-                            .count();
+                        let mut hits: Vec<RangeHit> = Vec::new();
+                        tree.range_query(tree.data().row(red), r_new, Some(&colors), &mut hits);
+                        let white_nb = hits.iter().filter(|h| colors.is_white(h.object)).count();
                         (red, white_nb)
                     })
                     .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
@@ -257,7 +256,9 @@ fn select_and_cover(
     solution: &mut Vec<ObjId>,
 ) {
     colors.set_color(tree, picked, Color::Black);
-    for h in tree.range_query_obj(picked, r_new) {
+    let mut hits: Vec<RangeHit> = Vec::new();
+    tree.range_query(tree.data().row(picked), r_new, None, &mut hits);
+    for h in hits {
         if h.object != picked && colors.color(h.object) != Color::Black {
             colors.set_color(tree, h.object, Color::Grey);
         }

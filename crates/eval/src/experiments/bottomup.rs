@@ -4,6 +4,7 @@
 //! object in both modes and compares the totals.
 
 use disc_datasets::Workload;
+use disc_mtree::RangeHit;
 
 use crate::scale::Scale;
 use crate::table::{fmt_f64, Table};
@@ -33,14 +34,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
                     "difference %".into(),
                 ],
             );
+            let mut hits: Vec<RangeHit> = Vec::new();
             for &r in &radii {
                 tree.reset_node_accesses();
                 for id in 0..data.len() {
-                    let _ = tree.range_query_obj(id, r);
+                    tree.range_query(data.row(id), r, None, &mut hits);
                 }
                 let td = tree.reset_node_accesses();
                 for id in 0..data.len() {
-                    let _ = tree.range_query_bottom_up(id, r, None, false);
+                    tree.range_query_bottom_up(id, r, None, false, &mut hits);
                 }
                 let bu = tree.reset_node_accesses();
                 let diff = 100.0 * (bu as f64 - td as f64) / td as f64;

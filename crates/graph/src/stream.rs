@@ -500,7 +500,7 @@ impl StreamingCatalog {
 mod tests {
     use super::*;
     use disc_metric::{Metric, Point};
-    use disc_mtree::{MTree, MTreeConfig};
+    use disc_mtree::{MTree, MTreeConfig, RangeHit};
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
     fn random_data(n: usize, seed: u64) -> Dataset {
@@ -529,9 +529,10 @@ mod tests {
             let q = Point::new2(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0));
             let tree_data = cat.data().clone();
             let tree = MTree::build(&tree_data, MTreeConfig::default());
-            let mut hits: Vec<(ObjId, f64)> = tree
-                .range_query(&q, r_max)
-                .into_iter()
+            let mut tree_hits: Vec<RangeHit> = Vec::new();
+            tree.range_query(q.coords(), r_max, None, &mut tree_hits);
+            let mut hits: Vec<(ObjId, f64)> = tree_hits
+                .iter()
                 .map(|h| (tree_data.external_id(h.object), h.dist))
                 .collect();
             hits.sort_unstable_by_key(|&(id, d)| (d.to_bits(), id));

@@ -7,8 +7,9 @@
 //! provides exactly the features the paper's algorithms rely on:
 //!
 //! * **node-access accounting** — the paper's computational cost metric;
-//!   every node touched by an insert, range query, point query or leaf
-//!   traversal bumps a counter readable via [`MTree::node_accesses`];
+//!   every node touched by an insert, range query or point query bumps a
+//!   counter readable via [`MTree::node_accesses`], and an algorithm that
+//!   reads a leaf page itself charges it with [`MTree::charge_access`];
 //! * **configurable splitting policies** ([`SplitPolicy`]) — including the
 //!   paper's "MinOverlap" policy and the higher-fat-factor alternatives
 //!   used in the Figure 10 experiment;
@@ -17,8 +18,11 @@
 //! * **colour-aware pruning** ([`ColorState`]) — the paper's Pruning Rule:
 //!   subtrees that contain no white object are *grey* and range queries may
 //!   skip them;
-//! * **top-down and bottom-up range queries**, the latter with the
-//!   stop-at-grey climb used by the Fast-C heuristic;
+//! * **two range queries**: top-down [`MTree::range_query`] and
+//!   bottom-up [`MTree::range_query_bottom_up`], the latter with the
+//!   stop-at-grey climb used by the Fast-C heuristic. Both clear and fill
+//!   a caller's [`RangeSink`](query::RangeSink) (hits with distances, or
+//!   objects only) and take optional [`ColorState`] pruning;
 //! * **a batched range self-join** ([`MTree::range_self_join`]) that
 //!   materialises the whole neighbourhood graph `G_{P,r}` in one serial
 //!   dual-tree traversal with node-pair pruning — the bulk counterpart

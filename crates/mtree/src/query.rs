@@ -2,10 +2,10 @@
 //! distance-computation accounting and the paper's colour-based pruning.
 //!
 //! * [`MTree::range_query`] — top-down `Q(q, r)`: every object within
-//!   distance `r` of `q`.
-//! * [`MTree::range_query_pruned`] — same, but skips *grey* subtrees (the
-//!   Pruning Rule of Section 5: a subtree with no white objects cannot
-//!   contribute anything a colouring pass still needs).
+//!   distance `r` of the query coordinates `q`. With `colors`, it skips
+//!   *grey* subtrees (the Pruning Rule of Section 5: a subtree with no
+//!   white objects cannot contribute anything a colouring pass still
+//!   needs).
 //! * [`MTree::range_query_bottom_up`] — starts at the leaf holding the
 //!   query object and climbs towards the root, exploring intersecting
 //!   sibling subtrees on the way. With `stop_at_grey`, the climb aborts at
@@ -29,12 +29,11 @@
 //!
 //! ## Scratch buffers
 //!
-//! Every query has a `*_into` variant that clears and fills a
-//! caller-owned `Vec<RangeHit>`. The DisC seeding loops issue one range
-//! query per object; reusing one buffer across the whole loop removes the
-//! per-query allocation.
+//! Both queries clear and fill a caller-owned [`RangeSink`]. The DisC
+//! seeding loops issue one range query per object; reusing one buffer
+//! across the whole loop removes the per-query allocation.
 
-use disc_metric::{ObjId, Point};
+use disc_metric::ObjId;
 
 use crate::color::ColorState;
 use crate::node::{NodeId, NodeKind};
@@ -65,6 +64,9 @@ pub trait RangeSink {
     /// Accepts one in-ball object. `dist` is exact when
     /// [`RangeSink::NEEDS_DIST`] is true, otherwise an upper bound.
     fn accept(&mut self, object: ObjId, dist: f64);
+
+    /// Empties the collector; every query calls it first.
+    fn clear(&mut self);
 }
 
 impl RangeSink for Vec<RangeHit> {
@@ -73,6 +75,10 @@ impl RangeSink for Vec<RangeHit> {
     #[inline]
     fn accept(&mut self, object: ObjId, dist: f64) {
         self.push(RangeHit { object, dist });
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
     }
 }
 
@@ -83,170 +89,47 @@ impl RangeSink for Vec<ObjId> {
     fn accept(&mut self, object: ObjId, _dist: f64) {
         self.push(object);
     }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
 }
 
 impl MTree<'_> {
-    /// Top-down range query: all objects within distance `r` of `q`,
-    /// including the query object itself if it is indexed. Results are in
-    /// tree order (deterministic for a given tree).
-    pub fn range_query(&self, q: &Point, r: f64) -> Vec<RangeHit> {
-        let mut hits = Vec::new();
-        self.range_query_into(q, r, &mut hits);
-        hits
-    }
-
-    /// [`MTree::range_query`] into a reusable scratch buffer (cleared
-    /// first).
-    pub fn range_query_into(&self, q: &Point, r: f64, hits: &mut Vec<RangeHit>) {
-        hits.clear();
-        self.range_query_coords_into(q.coords(), r, None, hits);
-    }
-
-    /// Top-down range query around an indexed object.
-    pub fn range_query_obj(&self, center: ObjId, r: f64) -> Vec<RangeHit> {
-        let mut hits = Vec::new();
-        self.range_query_obj_into(center, r, &mut hits);
-        hits
-    }
-
-    /// [`MTree::range_query_obj`] into a reusable scratch buffer (cleared
-    /// first).
-    pub fn range_query_obj_into(&self, center: ObjId, r: f64, hits: &mut Vec<RangeHit>) {
-        hits.clear();
-        self.range_query_coords_into(self.data().row(center), r, None, hits);
-    }
-
-    /// Top-down range query that skips grey subtrees (no white objects).
-    /// Objects inside visited leaves are returned regardless of their own
-    /// colour; only whole-subtree pruning applies, exactly as in the
-    /// paper's Pruning Rule.
-    pub fn range_query_pruned(&self, q: &Point, r: f64, colors: &ColorState) -> Vec<RangeHit> {
-        let mut hits = Vec::new();
-        self.range_query_coords_into(q.coords(), r, Some(colors), &mut hits);
-        hits
-    }
-
-    /// Pruned top-down range query around an indexed object.
-    pub fn range_query_obj_pruned(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: &ColorState,
-    ) -> Vec<RangeHit> {
-        let mut hits = Vec::new();
-        self.range_query_obj_pruned_into(center, r, colors, &mut hits);
-        hits
-    }
-
-    /// [`MTree::range_query_obj_pruned`] into a reusable scratch buffer
-    /// (cleared first).
-    pub fn range_query_obj_pruned_into(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: &ColorState,
-        hits: &mut Vec<RangeHit>,
-    ) {
-        hits.clear();
-        self.range_query_coords_into(self.data().row(center), r, Some(colors), hits);
-    }
-
-    /// Core top-down range query over raw query coordinates, generic
-    /// over the result collector (see [`RangeSink`]).
-    pub fn range_query_coords_into<S: RangeSink>(
+    /// Top-down range query `Q(q, r)`: clears `hits`, then deposits
+    /// every indexed object within distance `r` of the query
+    /// coordinates `q`, in tree order (deterministic for a given tree).
+    /// Pass `self.data().row(id)` to query around an indexed object; the
+    /// object itself is then a hit.
+    ///
+    /// With `colors`, grey subtrees (no white objects) are skipped: the
+    /// paper's Pruning Rule. Objects inside visited leaves are returned
+    /// regardless of their own colour; only whole-subtree pruning
+    /// applies.
+    pub fn range_query<S: RangeSink>(
         &self,
         q: &[f64],
         r: f64,
         colors: Option<&ColorState>,
         hits: &mut S,
     ) {
+        hits.clear();
         // The root has no pivot, so no query-to-pivot distance is known
         // on entry.
         self.search_subtree(self.root(), q, r, None, colors, hits);
     }
 
-    /// Object-only top-down range query around an indexed object: same
-    /// hit set as [`MTree::range_query_obj`], minus the distances —
-    /// which lets the scan accept provably-inside entries and wholly
-    /// covered subtrees without computing their distances.
-    pub fn range_query_objs(&self, center: ObjId, r: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
-        self.range_query_objs_into(center, r, &mut out);
-        out
-    }
-
-    /// [`MTree::range_query_objs`] into a reusable scratch buffer
-    /// (cleared first).
-    pub fn range_query_objs_into(&self, center: ObjId, r: f64, out: &mut Vec<ObjId>) {
-        out.clear();
-        self.range_query_coords_into(self.data().row(center), r, None, out);
-    }
-
-    /// Object-only colour-pruned range query (see
-    /// [`MTree::range_query_obj_pruned`]).
-    pub fn range_query_objs_pruned_into(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: &ColorState,
-        out: &mut Vec<ObjId>,
-    ) {
-        out.clear();
-        self.range_query_coords_into(self.data().row(center), r, Some(colors), out);
-    }
-
-    /// Object-only bottom-up range query (see
-    /// [`MTree::range_query_bottom_up`]).
-    pub fn range_query_objs_bottom_up_into(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: Option<&ColorState>,
-        stop_at_grey: bool,
-        out: &mut Vec<ObjId>,
-    ) {
-        out.clear();
-        self.bottom_up_generic(center, r, colors, stop_at_grey, out);
-    }
-
-    /// Bottom-up range query around the indexed object `center`.
-    ///
-    /// Starts at the leaf holding `center`, then climbs ancestor by
-    /// ancestor, searching every sibling subtree whose ball intersects the
-    /// query ball. Visits the same objects as the top-down query.
+    /// Bottom-up range query around the indexed object `center`: clears
+    /// `hits`, then starts at the leaf holding `center` and climbs
+    /// ancestor by ancestor, searching every sibling subtree whose ball
+    /// intersects the query ball. Visits the same objects as the
+    /// top-down query.
     ///
     /// * `colors` + grey subtrees are skipped when `colors` is `Some`.
     /// * `stop_at_grey` aborts the climb at the first grey ancestor (the
     ///   Fast-C rule); this can miss neighbours whose leaves are only
     ///   reachable through that ancestor.
-    pub fn range_query_bottom_up(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: Option<&ColorState>,
-        stop_at_grey: bool,
-    ) -> Vec<RangeHit> {
-        let mut hits = Vec::new();
-        self.range_query_bottom_up_into(center, r, colors, stop_at_grey, &mut hits);
-        hits
-    }
-
-    /// [`MTree::range_query_bottom_up`] into a reusable scratch buffer
-    /// (cleared first).
-    pub fn range_query_bottom_up_into(
-        &self,
-        center: ObjId,
-        r: f64,
-        colors: Option<&ColorState>,
-        stop_at_grey: bool,
-        hits: &mut Vec<RangeHit>,
-    ) {
-        hits.clear();
-        self.bottom_up_generic(center, r, colors, stop_at_grey, hits);
-    }
-
-    /// Shared bottom-up climb, generic over the result collector.
-    fn bottom_up_generic<S: RangeSink>(
+    pub fn range_query_bottom_up<S: RangeSink>(
         &self,
         center: ObjId,
         r: f64,
@@ -254,6 +137,7 @@ impl MTree<'_> {
         stop_at_grey: bool,
         hits: &mut S,
     ) {
+        hits.clear();
         let q = self.data().row(center);
         let leaf = self.leaf_of(center);
         self.touch();
@@ -525,7 +409,7 @@ mod tests {
     use super::*;
     use crate::color::{Color, ColorState};
     use crate::tree::MTreeConfig;
-    use disc_metric::{neighbors, Dataset, Metric};
+    use disc_metric::{neighbors, Dataset, Metric, Point};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -558,10 +442,55 @@ mod tests {
         Dataset::new("random", metric, pts)
     }
 
-    fn sorted_ids(hits: &[RangeHit]) -> Vec<ObjId> {
-        let mut ids: Vec<ObjId> = hits.iter().map(|h| h.object).collect();
-        ids.sort_unstable();
-        ids
+    /// Top-down `Q(center, r)` around an indexed object, into a fresh
+    /// collector.
+    fn top_down<S: RangeSink + Default>(
+        tree: &MTree<'_>,
+        center: ObjId,
+        r: f64,
+        colors: Option<&ColorState>,
+    ) -> S {
+        let mut hits = S::default();
+        tree.range_query(tree.data().row(center), r, colors, &mut hits);
+        hits
+    }
+
+    /// Bottom-up `Q(center, r)` into a fresh collector.
+    fn bottom_up<S: RangeSink + Default>(
+        tree: &MTree<'_>,
+        center: ObjId,
+        r: f64,
+        colors: Option<&ColorState>,
+        stop_at_grey: bool,
+    ) -> S {
+        let mut hits = S::default();
+        tree.range_query_bottom_up(center, r, colors, stop_at_grey, &mut hits);
+        hits
+    }
+
+    /// Sorted hit ids of either collector.
+    trait SortedIds {
+        fn sorted_ids(&self) -> Vec<ObjId>;
+    }
+
+    impl SortedIds for Vec<RangeHit> {
+        fn sorted_ids(&self) -> Vec<ObjId> {
+            let mut ids: Vec<ObjId> = self.iter().map(|h| h.object).collect();
+            ids.sort_unstable();
+            ids
+        }
+    }
+
+    impl SortedIds for Vec<ObjId> {
+        fn sorted_ids(&self) -> Vec<ObjId> {
+            let mut ids = self.clone();
+            ids.sort_unstable();
+            ids
+        }
+    }
+
+    fn hits(tree: &MTree<'_>, center: ObjId, r: f64) -> Vec<RangeHit> {
+        top_down(tree, center, r, None)
     }
 
     #[test]
@@ -570,7 +499,7 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         for center in [0usize, 17, 120, 249] {
             for r in [0.05, 0.1, 0.3] {
-                let got = sorted_ids(&tree.range_query_obj(center, r));
+                let got = hits(&tree, center, r).sorted_ids();
                 let mut want = neighbors::closed_neighbors(&data, center, r);
                 want.sort_unstable();
                 assert_eq!(got, want, "center {center} r {r}");
@@ -582,7 +511,7 @@ mod tests {
     fn range_query_includes_center_itself() {
         let data = random_data(50, 11);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(4));
-        let hits = tree.range_query_obj(25, 0.2);
+        let hits = hits(&tree, 25, 0.2);
         assert!(hits.iter().any(|h| h.object == 25 && h.dist == 0.0));
     }
 
@@ -592,8 +521,8 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         for center in [3usize, 99, 250] {
             for r in [0.02, 0.15, 0.5] {
-                let td = sorted_ids(&tree.range_query_obj(center, r));
-                let bu = sorted_ids(&tree.range_query_bottom_up(center, r, None, false));
+                let td = hits(&tree, center, r).sorted_ids();
+                let bu = bottom_up::<Vec<RangeHit>>(&tree, center, r, None, false).sorted_ids();
                 assert_eq!(td, bu, "center {center} r {r}");
             }
         }
@@ -604,10 +533,10 @@ mod tests {
         let data = random_data(200, 13);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         tree.reset_node_accesses();
-        let _ = tree.range_query_obj(0, 0.1);
+        let _ = hits(&tree, 0, 0.1);
         let td = tree.reset_node_accesses();
         assert!(td >= 2, "root plus at least one leaf, got {td}");
-        let _ = tree.range_query_bottom_up(0, 0.1, None, false);
+        let _ = bottom_up::<Vec<RangeHit>>(&tree, 0, 0.1, None, false);
         let bu = tree.reset_node_accesses();
         assert!(bu >= 2);
     }
@@ -618,7 +547,7 @@ mod tests {
         let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
         assert!(tree.distance_computations() > 0, "build computes distances");
         tree.reset_distance_computations();
-        let hits = tree.range_query_obj(0, 0.1);
+        let hits = hits(&tree, 0, 0.1);
         let dc = tree.reset_distance_computations();
         assert!(
             dc as usize >= hits.len(),
@@ -642,10 +571,10 @@ mod tests {
         for center in [0usize, 57, 200, 399] {
             for r in [0.01, 0.05, 0.2, 0.6] {
                 pruned_tree.reset_distance_computations();
-                let with = sorted_ids(&pruned_tree.range_query_obj(center, r));
+                let with = hits(&pruned_tree, center, r).sorted_ids();
                 total_with += pruned_tree.reset_distance_computations();
                 plain_tree.reset_distance_computations();
-                let without = sorted_ids(&plain_tree.range_query_obj(center, r));
+                let without = hits(&plain_tree, center, r).sorted_ids();
                 total_without += plain_tree.reset_distance_computations();
                 assert_eq!(with, without, "center {center} r {r}");
             }
@@ -665,36 +594,28 @@ mod tests {
         let data = random_data(400, 23);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(6));
         let colors = ColorState::new(&tree);
-        let mut objs: Vec<ObjId> = Vec::new();
         let mut saved = false;
         for center in [0usize, 99, 250, 399] {
             for r in [0.0, 0.05, 0.2, 0.5, 1.5] {
                 tree.reset_distance_computations();
-                let hits = sorted_ids(&tree.range_query_obj(center, r));
+                let hit_ids = hits(&tree, center, r).sorted_ids();
                 let hit_dc = tree.reset_distance_computations();
-                tree.range_query_objs_into(center, r, &mut objs);
+                let got = top_down::<Vec<ObjId>>(&tree, center, r, None).sorted_ids();
                 let obj_dc = tree.reset_distance_computations();
-                let mut got = objs.clone();
-                got.sort_unstable();
-                assert_eq!(got, hits, "top-down center {center} r {r}");
+                assert_eq!(got, hit_ids, "top-down center {center} r {r}");
                 assert!(obj_dc <= hit_dc, "object query may only be cheaper");
                 saved |= obj_dc < hit_dc;
 
-                tree.range_query_objs_pruned_into(center, r, &colors, &mut objs);
-                let mut got = objs.clone();
-                got.sort_unstable();
+                let pruned = Some(&colors);
                 assert_eq!(
-                    got,
-                    sorted_ids(&tree.range_query_obj_pruned(center, r, &colors)),
+                    top_down::<Vec<ObjId>>(&tree, center, r, pruned).sorted_ids(),
+                    top_down::<Vec<RangeHit>>(&tree, center, r, pruned).sorted_ids(),
                     "pruned center {center} r {r}"
                 );
 
-                tree.range_query_objs_bottom_up_into(center, r, None, false, &mut objs);
-                let mut got = objs.clone();
-                got.sort_unstable();
                 assert_eq!(
-                    got,
-                    sorted_ids(&tree.range_query_bottom_up(center, r, None, false)),
+                    bottom_up::<Vec<ObjId>>(&tree, center, r, None, false).sorted_ids(),
+                    bottom_up::<Vec<RangeHit>>(&tree, center, r, None, false).sorted_ids(),
                     "bottom-up center {center} r {r}"
                 );
             }
@@ -704,18 +625,32 @@ mod tests {
 
     #[test]
     fn scratch_buffer_queries_match_allocating_queries() {
+        // Both calls clear their collector first: a reused buffer still
+        // holding an earlier query's hits returns exactly what a fresh
+        // one does, for both collectors.
         let data = random_data(300, 22);
         let tree = MTree::build(&data, MTreeConfig::with_capacity(7));
         let colors = ColorState::new(&tree);
-        let mut scratch = Vec::new();
+        let mut hit_scratch: Vec<RangeHit> = hits(&tree, 0, 0.5);
+        let mut obj_scratch: Vec<ObjId> = top_down(&tree, 0, 0.5, None);
         for center in [5usize, 150, 299] {
             for r in [0.05, 0.25] {
-                tree.range_query_obj_into(center, r, &mut scratch);
-                assert_eq!(scratch, tree.range_query_obj(center, r));
-                tree.range_query_obj_pruned_into(center, r, &colors, &mut scratch);
-                assert_eq!(scratch, tree.range_query_obj_pruned(center, r, &colors));
-                tree.range_query_bottom_up_into(center, r, None, false, &mut scratch);
-                assert_eq!(scratch, tree.range_query_bottom_up(center, r, None, false));
+                for colors in [None, Some(&colors)] {
+                    assert!(!hit_scratch.is_empty() && !obj_scratch.is_empty());
+                    let q = data.row(center);
+                    let fresh: Vec<RangeHit> = top_down(&tree, center, r, colors);
+                    tree.range_query(q, r, colors, &mut hit_scratch);
+                    assert_eq!(hit_scratch, fresh);
+                    let fresh: Vec<ObjId> = top_down(&tree, center, r, colors);
+                    tree.range_query(q, r, colors, &mut obj_scratch);
+                    assert_eq!(obj_scratch, fresh);
+                    let fresh: Vec<RangeHit> = bottom_up(&tree, center, r, colors, false);
+                    tree.range_query_bottom_up(center, r, colors, false, &mut hit_scratch);
+                    assert_eq!(hit_scratch, fresh);
+                    let fresh: Vec<ObjId> = bottom_up(&tree, center, r, colors, false);
+                    tree.range_query_bottom_up(center, r, colors, false, &mut obj_scratch);
+                    assert_eq!(obj_scratch, fresh);
+                }
             }
         }
     }
@@ -732,9 +667,9 @@ mod tests {
             }
         }
         tree.reset_node_accesses();
-        let full = tree.range_query_obj(200, 0.4).len();
+        let full = hits(&tree, 200, 0.4).len();
         let full_cost = tree.reset_node_accesses();
-        let pruned = tree.range_query_obj_pruned(200, 0.4, &colors).len();
+        let pruned = top_down::<Vec<RangeHit>>(&tree, 200, 0.4, Some(&colors)).len();
         let pruned_cost = tree.reset_node_accesses();
         // Pruning may only drop objects that live in all-grey subtrees.
         assert!(pruned <= full);
@@ -754,11 +689,7 @@ mod tests {
         }
         for center in [10usize, 150, 299] {
             let r = 0.25;
-            let pruned: Vec<ObjId> = tree
-                .range_query_obj_pruned(center, r, &colors)
-                .iter()
-                .map(|h| h.object)
-                .collect();
+            let pruned: Vec<ObjId> = top_down(&tree, center, r, Some(&colors));
             let mut expected_white: Vec<ObjId> = neighbors::closed_neighbors(&data, center, r)
                 .into_iter()
                 .filter(|&o| colors.color(o) == Color::White)
@@ -780,9 +711,9 @@ mod tests {
             colors.set_color(&tree, id, Color::Grey);
         }
         tree.reset_node_accesses();
-        let full = tree.range_query_bottom_up(200, 0.3, Some(&colors), false);
+        let full: Vec<RangeHit> = bottom_up(&tree, 200, 0.3, Some(&colors), false);
         let full_cost = tree.reset_node_accesses();
-        let fast = tree.range_query_bottom_up(200, 0.3, Some(&colors), true);
+        let fast: Vec<RangeHit> = bottom_up(&tree, 200, 0.3, Some(&colors), true);
         let fast_cost = tree.reset_node_accesses();
         assert!(fast.len() <= full.len());
         assert!(fast_cost <= full_cost);
@@ -814,6 +745,36 @@ mod tests {
         }
     }
 
+    /// Sorted hit ids of the four calls one colouring admits: both
+    /// collectors, top-down and bottom-up (the climb stops at grey
+    /// whenever colours are given).
+    fn every_call(
+        tree: &MTree<'_>,
+        center: ObjId,
+        r: f64,
+        colors: Option<&ColorState>,
+    ) -> [(&'static str, Vec<ObjId>); 4] {
+        let stop = colors.is_some();
+        [
+            (
+                "hits, top-down",
+                top_down::<Vec<RangeHit>>(tree, center, r, colors).sorted_ids(),
+            ),
+            (
+                "objects, top-down",
+                top_down::<Vec<ObjId>>(tree, center, r, colors).sorted_ids(),
+            ),
+            (
+                "hits, bottom-up",
+                bottom_up::<Vec<RangeHit>>(tree, center, r, colors, stop).sorted_ids(),
+            ),
+            (
+                "objects, bottom-up",
+                bottom_up::<Vec<ObjId>>(tree, center, r, colors, stop).sorted_ids(),
+            ),
+        ]
+    }
+
     const ALL_METRICS: [Metric; 4] = [
         Metric::Euclidean,
         Metric::Manhattan,
@@ -830,7 +791,7 @@ mod tests {
             let data = random_data(120, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
             let center = (seed as usize) % data.len();
-            let got = sorted_ids(&tree.range_query_obj(center, r));
+            let got = hits(&tree, center, r).sorted_ids();
             let mut want = neighbors::closed_neighbors(&data, center, r);
             want.sort_unstable();
             prop_assert_eq!(got, want);
@@ -842,16 +803,18 @@ mod tests {
             let data = random_data(100, seed);
             let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
             let center = (seed as usize) % data.len();
-            let td = sorted_ids(&tree.range_query_obj(center, r));
-            let bu = sorted_ids(&tree.range_query_bottom_up(center, r, None, false));
+            let td = hits(&tree, center, r).sorted_ids();
+            let bu = bottom_up::<Vec<RangeHit>>(&tree, center, r, None, false).sorted_ids();
             prop_assert_eq!(td, bu);
         }
 
-        /// Every query variant — top-down with and without the
-        /// parent-distance lemma, fully-white colour-pruned, and
-        /// bottom-up — returns exactly the brute-force linear-scan hit
-        /// set, on all four metrics, with radii spanning empty to full
-        /// neighbourhoods (`frac` scales the metric's maximum range).
+        /// Every argument combination of the two calls — {`RangeHit`,
+        /// `ObjId`} collector × {no colours, all white} × {top-down,
+        /// bottom-up} × {parent-distance lemma on, off}, the bottom-up
+        /// climb stopping at grey whenever colours are given — returns
+        /// exactly the brute-force linear-scan hit set, on all four
+        /// metrics, with radii spanning empty to full neighbourhoods
+        /// (`frac` scales the metric's maximum range).
         #[test]
         fn all_variants_match_linear_scan_on_every_metric(
             seed in 0u64..500,
@@ -868,33 +831,23 @@ mod tests {
                 &data,
                 MTreeConfig::with_capacity(cap).with_parent_pruning(false),
             );
-            let all_white = ColorState::new(&lemma);
             let center = (seed as usize) % data.len();
             let mut want = neighbors::closed_neighbors(&data, center, r);
             want.sort_unstable();
-            prop_assert_eq!(
-                &sorted_ids(&lemma.range_query_obj(center, r)), &want,
-                "top-down + lemma, {:?}", metric
-            );
-            prop_assert_eq!(
-                &sorted_ids(&plain.range_query_obj(center, r)), &want,
-                "top-down no lemma, {:?}", metric
-            );
-            prop_assert_eq!(
-                &sorted_ids(&lemma.range_query_obj_pruned(center, r, &all_white)), &want,
-                "colour-pruned (all white), {:?}", metric
-            );
-            prop_assert_eq!(
-                &sorted_ids(&lemma.range_query_bottom_up(center, r, None, false)), &want,
-                "bottom-up + lemma, {:?}", metric
-            );
-            prop_assert_eq!(
-                &sorted_ids(&plain.range_query_bottom_up(center, r, None, false)), &want,
-                "bottom-up no lemma, {:?}", metric
-            );
-            let mut objs = lemma.range_query_objs(center, r);
-            objs.sort_unstable();
-            prop_assert_eq!(&objs, &want, "object-only + lemma, {:?}", metric);
+            let mut checked = 0;
+            for (tree, lemma_label) in [(&lemma, "lemma on"), (&plain, "lemma off")] {
+                let all_white = ColorState::new(tree);
+                for colors in [None, Some(&all_white)] {
+                    for (label, ids) in every_call(tree, center, r, colors) {
+                        prop_assert_eq!(
+                            &ids, &want,
+                            "{}, {}, colours {}, {:?}", label, lemma_label, colors.is_some(), metric
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(checked, 16);
         }
     }
 }

@@ -81,13 +81,12 @@ pub struct MTree<'a> {
     nodes: Vec<Node>,
     root: NodeId,
     height: usize,
-    first_leaf: NodeId,
     /// Leaf currently holding each object, indexed by object id. For
     /// range-built trees ([`MTree::build_range`]) slots below the range
     /// start stay unused.
     obj_leaf: Vec<NodeId>,
-    /// Number of objects actually indexed (`obj_leaf.len()` for prefix
-    /// and full builds; `range.len()` for range builds).
+    /// Number of objects actually indexed (`range.len()` of the
+    /// build).
     indexed: usize,
     /// Node accesses (the paper's cost metric). Atomic (relaxed) so
     /// read-only queries can account their cost, including from the
@@ -106,21 +105,7 @@ pub struct MTree<'a> {
 impl<'a> MTree<'a> {
     /// Builds a tree by inserting every object of `data` in id order.
     pub fn build(data: &'a Dataset, config: MTreeConfig) -> Self {
-        Self::build_prefix(data, config, data.len())
-    }
-
-    /// Builds a tree over only the first `prefix` objects of `data` —
-    /// the streaming entry point: later objects (already present in the
-    /// dataset's buffer) are added one at a time with
-    /// [`MTree::insert_object`], producing the same tree `build` would,
-    /// since `build` is itself insertion in id order.
-    pub fn build_prefix(data: &'a Dataset, config: MTreeConfig, prefix: usize) -> Self {
-        assert!(
-            (1..=data.len()).contains(&prefix),
-            "prefix {prefix} outside 1..={}",
-            data.len()
-        );
-        Self::build_range(data, config, 0..prefix)
+        Self::build_range(data, config, 0..data.len())
     }
 
     /// Builds a tree over only the contiguous id range `range` of
@@ -130,8 +115,7 @@ impl<'a> MTree<'a> {
     /// objects under their *global* ids, so intra-shard self-joins and
     /// cross-shard joins emit edges directly in the global numbering
     /// (and all cross-tree distances read the one shared dataset).
-    /// Objects are inserted in id order, so `build_range(data, c, 0..n)`
-    /// is byte-identical to `build(data, c)`.
+    /// Objects are inserted in id order.
     pub fn build_range(
         data: &'a Dataset,
         config: MTreeConfig,
@@ -150,7 +134,6 @@ impl<'a> MTree<'a> {
             nodes: vec![Node::new_leaf(None, None)],
             root,
             height: 1,
-            first_leaf: root,
             obj_leaf: vec![usize::MAX; range.end],
             indexed: range.len(),
             accesses: PaddedCounter::default(),
@@ -161,38 +144,6 @@ impl<'a> MTree<'a> {
             tree.insert(id);
         }
         tree
-    }
-
-    /// Inserts the next dataset object into the tree — the streaming
-    /// leaf insert. `object` must be exactly [`MTree::len`] (streaming
-    /// ids are append-only; the dataset appends new points at the end of
-    /// its buffer, with any fresh *external* id appended to its
-    /// [`disc_metric::IdPermutation`]). The target leaf's entry list,
-    /// cached reference distances and blocked SoA coordinate lanes are
-    /// all refreshed (see [`MTree::build`]'s insertion path — this is
-    /// the same code), and splits propagate as during the build, so the
-    /// resulting tree is byte-identical to one built over the longer
-    /// prefix from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `object` is not the dataset row right after the
-    /// currently indexed prefix.
-    pub fn insert_object(&mut self, object: ObjId) {
-        assert!(
-            object < self.data.len(),
-            "object {object} is not in the dataset (len {})",
-            self.data.len()
-        );
-        assert_eq!(
-            object,
-            self.obj_leaf.len(),
-            "streaming inserts are append-only: expected object {}",
-            self.obj_leaf.len()
-        );
-        self.obj_leaf.push(usize::MAX);
-        self.indexed += 1;
-        self.insert(object);
     }
 
     /// The dataset this tree indexes.
@@ -229,11 +180,6 @@ impl<'a> MTree<'a> {
     /// Root node id.
     pub fn root(&self) -> NodeId {
         self.root
-    }
-
-    /// First leaf of the left-to-right chain.
-    pub fn first_leaf(&self) -> NodeId {
-        self.first_leaf
     }
 
     /// The node with the given id.
@@ -312,26 +258,14 @@ impl<'a> MTree<'a> {
         self.dist_comps.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Iterator over leaf node ids in chain order.
+    /// Iterator over leaf node ids in chain order. Node 0, the build's
+    /// first leaf, heads the chain for good: a split keeps the left half
+    /// in the split node and links the new leaf after it.
     pub fn leaves(&self) -> LeafIter<'_, 'a> {
         LeafIter {
             tree: self,
-            next: Some(self.first_leaf),
+            next: Some(0),
         }
-    }
-
-    /// Iterator over all objects in leaf-chain order, charging one node
-    /// access per visited leaf (this is the "single left-to-right
-    /// traversal" of Basic-DisC).
-    pub fn objects_in_leaf_order(&self) -> impl Iterator<Item = ObjId> + '_ {
-        self.leaves().flat_map(move |leaf| {
-            self.touch();
-            self.nodes[leaf]
-                .leaf_entries()
-                .iter()
-                .map(|e| e.object)
-                .collect::<Vec<_>>()
-        })
     }
 
     /// Objects in leaf order without charging node accesses (for tests and
@@ -418,7 +352,6 @@ impl<'a> MTree<'a> {
             nodes,
             root: self.root,
             height: self.height,
-            first_leaf: self.first_leaf,
             obj_leaf,
             indexed: self.indexed,
             accesses: PaddedCounter(AtomicU64::new(self.node_accesses())),
@@ -844,18 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn leaf_order_traversal_charges_leaf_accesses() {
-        let data = random_points(100, 4);
-        let tree = MTree::build(&data, MTreeConfig::with_capacity(8));
-        tree.reset_node_accesses();
-        let n_leaves = tree.leaves().count();
-        tree.reset_node_accesses();
-        let objs: Vec<ObjId> = tree.objects_in_leaf_order().collect();
-        assert_eq!(objs.len(), 100);
-        assert_eq!(tree.node_accesses(), n_leaves as u64);
-    }
-
-    #[test]
     fn all_split_policies_build_valid_trees() {
         let data = random_points(200, 5);
         for (name, policy) in SplitPolicy::figure10_policies() {
@@ -928,69 +849,6 @@ mod tests {
         let want = relabel(tree.range_self_join_dist(0.1), &|o| o);
         let got = relabel(tree2.range_self_join_dist(0.1), &|o| data2.external_id(o));
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn streaming_inserts_reproduce_the_batch_build() {
-        // `build` is insertion in id order, so a prefix build plus
-        // streaming inserts must yield the same tree — structure, cached
-        // distances, SoA lanes and obj→leaf mapping alike.
-        let data = random_points(200, 10);
-        let batch = MTree::build(&data, MTreeConfig::with_capacity(6));
-        let mut streamed = MTree::build_prefix(&data, MTreeConfig::with_capacity(6), 120);
-        assert_eq!(streamed.len(), 120);
-        for id in 120..200 {
-            streamed.insert_object(id);
-        }
-        assert_eq!(streamed.len(), batch.len());
-        assert_eq!(streamed.node_count(), batch.node_count());
-        assert_eq!(streamed.height(), batch.height());
-        assert_eq!(
-            streamed.objects_in_leaf_order_uncounted(),
-            batch.objects_in_leaf_order_uncounted()
-        );
-        for id in 0..batch.node_count() {
-            let (a, b) = (streamed.node(id), batch.node(id));
-            assert_eq!(a.pivot, b.pivot, "node {id}");
-            assert_eq!(a.radius.to_bits(), b.radius.to_bits(), "node {id}");
-            assert_eq!(a.lanes, b.lanes, "node {id} SoA lanes");
-        }
-        for id in data.ids() {
-            assert_eq!(streamed.leaf_of(id), batch.leaf_of(id), "object {id}");
-        }
-        check_invariants(&streamed).unwrap();
-    }
-
-    #[test]
-    fn streaming_insert_keeps_the_id_bijection_consistent() {
-        // A renumbered dataset extended with a fresh external id: the
-        // tree indexes internal ids, the dataset's permutation carries
-        // the appended external id, and range queries stay correct.
-        let base = random_points(60, 11);
-        let order: Vec<ObjId> = (0..60).rev().collect();
-        let mut data = base.renumbered(&order);
-        let appended_internal = data
-            .push_point_external(&[0.5, 0.5], 77)
-            .expect("fresh external id");
-        assert_eq!(appended_internal, 60);
-        let mut tree = MTree::build_prefix(&data, MTreeConfig::with_capacity(6), 60);
-        tree.insert_object(appended_internal);
-        assert_eq!(tree.len(), 61);
-        assert_eq!(data.external_id(appended_internal), 77);
-        check_invariants(&tree).unwrap();
-        let hits = tree.range_query(&Point::new2(0.5, 0.5), 0.0);
-        assert!(
-            hits.iter().any(|h| h.object == appended_internal),
-            "the appended object is indexed and findable"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "append-only")]
-    fn streaming_insert_rejects_id_gaps() {
-        let data = random_points(10, 12);
-        let mut tree = MTree::build_prefix(&data, MTreeConfig::default(), 5);
-        tree.insert_object(7); // 5 is next; 7 leaves a gap
     }
 
     #[test]

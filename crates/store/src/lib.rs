@@ -143,7 +143,7 @@
 //! [`report`] module the non-fail-fast triage ([`inspect`]) behind the
 //! `disc doctor` operator tool — same layout knowledge, but it reports
 //! *every* determinable problem instead of stopping at the first, with
-//! a verdict pinned to [`load`]'s.
+//! a verdict pinned to [`decode_stream`]'s, the serving open.
 
 mod cast;
 mod checksum;

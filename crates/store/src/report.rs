@@ -8,22 +8,27 @@
 //! if the buffer is shorter than the header promises, and a
 //! stored-vs-computed checksum line for every checksummed region that
 //! is present (header, section table, and each of the seven payload
-//! sections). Payload sections are checksummed the way [`load`] does
-//! for the stamped version: FNV-1a for versions 2 and 3, the word
-//! checksum for any other, so a resealed skew to an unknown version
-//! reads as a version problem, not as damage.
+//! sections). Payload sections are checksummed the way
+//! [`load`](crate::load) does for the stamped version: FNV-1a for
+//! versions 2 and 3, the word checksum for any other, so a resealed
+//! skew to an unknown version reads as a version problem, not as
+//! damage.
 //!
 //! The [`SnapshotReport::verdict`] field is computed by calling
-//! [`load`](crate::load) on the same bytes, so a doctor report can
-//! never disagree with what a serving process would accept or reject —
-//! the triage detail is additive, not a second opinion.
+//! [`decode_stream`] on the same bytes: the serving open, which runs
+//! [`load`](crate::load) and then rebuilds and re-validates the
+//! dataset, graph and catalog. So a doctor report can never disagree
+//! with what a serving process would accept or reject; the triage
+//! detail is additive, not a second opinion. The price is memory: the
+//! verdict materialises the catalog, so doctor peaks about where the
+//! serving open does.
 
 use crate::checksum::fnv1a_64;
 use crate::error::{SectionId, StoreError};
 use crate::snapshot::{
-    is_supported, load, read_u32, read_u64, section_checksum, ENDIAN_MARKER, HEADER_LEN, MAGIC,
-    OFF_FILE_LEN, OFF_HEADER_CHECKSUM, OFF_TABLE_CHECKSUM, SECTION_COUNT, SECTION_ORDER, TABLE_END,
-    TABLE_ENTRY_LEN,
+    decode_stream, is_supported, read_u32, read_u64, section_checksum, ENDIAN_MARKER, HEADER_LEN,
+    MAGIC, OFF_FILE_LEN, OFF_HEADER_CHECKSUM, OFF_TABLE_CHECKSUM, SECTION_COUNT, SECTION_ORDER,
+    TABLE_END, TABLE_ENTRY_LEN,
 };
 
 const OFF_ENDIAN: usize = 12;
@@ -76,13 +81,13 @@ pub struct SnapshotReport {
     /// and section table first, then the seven payload sections in file
     /// order (payload lines require a readable section table).
     pub checks: Vec<SectionCheck>,
-    /// The fail-fast [`load`](crate::load) outcome on the same bytes —
+    /// The fail-fast [`decode_stream`] outcome on the same bytes —
     /// exactly what a serving process would do with this file.
     pub verdict: Result<(), StoreError>,
 }
 
 impl SnapshotReport {
-    /// Whether the snapshot is fully healthy (the load verdict accepted
+    /// Whether the snapshot is fully healthy (the serving open accepted
     /// it).
     pub fn is_clean(&self) -> bool {
         self.verdict.is_ok()
@@ -187,7 +192,7 @@ pub fn inspect(bytes: &[u8]) -> SnapshotReport {
         declared_len,
         truncated_to,
         checks,
-        verdict: load(bytes).map(|_| ()),
+        verdict: decode_stream(bytes).map(|_| ()),
     }
 }
 
@@ -195,7 +200,7 @@ pub fn inspect(bytes: &[u8]) -> SnapshotReport {
 mod tests {
     use super::*;
     use crate::fault::{corrupt, Fault};
-    use crate::{encode, AlignedBytes};
+    use crate::{encode, load, AlignedBytes};
     use disc_graph::StratifiedDiskGraph;
     use disc_metric::{Dataset, Metric, Point};
 
@@ -309,6 +314,8 @@ mod tests {
 
     #[test]
     fn verdict_always_equals_load() {
+        // Damage `load` catches stops the serving open at the same
+        // error, so the verdict is load's.
         let bytes = snapshot();
         let faults = [
             Fault::BitFlip { offset: 10, bit: 0 },

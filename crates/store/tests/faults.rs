@@ -10,9 +10,9 @@ use disc_metric::{Dataset, Metric, Point};
 use disc_mtree::{MTree, MTreeConfig};
 use disc_store::fault::{corrupt, stored_checksum};
 use disc_store::{
-    decode, decode_stream, encode, encode_parts, fnv1a_64, load, word_checksum, write_snapshot,
-    AlignedBytes, Fault, SectionId, SnapshotParts, StoreError, DENSE_VERSION, STREAM_VERSION,
-    VERSION,
+    decode, decode_stream, encode, encode_parts, fnv1a_64, inspect, load, word_checksum,
+    write_snapshot, AlignedBytes, Fault, SectionId, SnapshotParts, StoreError, DENSE_VERSION,
+    STREAM_VERSION, VERSION,
 };
 use rand::{rngs::StdRng, RngExt as _, SeedableRng};
 
@@ -444,6 +444,78 @@ fn crafted_semantic_damage_is_rejected_with_typed_errors() {
             detail: "neighbor padding is not zero"
         }
     );
+}
+
+#[test]
+fn doctor_verdict_is_the_serving_open_verdict() {
+    // Sealed damage that only materialisation catches: every checksum
+    // is valid and `load` accepts each file, but the serving open
+    // (`decode_stream`) builds the dataset, graph and catalog and
+    // rejects it. `inspect`'s verdict must be that rejection.
+    let coords = [0.0, 0.0, 0.1, 0.0, 0.3, 0.0];
+    let neighbors = [1, 2, 0, 2, 1, 0];
+    let dists = [0.1, 0.3, 0.1, 0.2, 0.2, 0.3];
+    let snapshot = |coords: &[f64], neighbors: &[usize], dists: &[f64]| {
+        encode_parts(&SnapshotParts {
+            name: "verdict",
+            metric: Metric::Euclidean,
+            dim: 2,
+            coords,
+            radius: 0.5,
+            offsets: &[0, 2, 4, 6],
+            neighbors,
+            dists,
+            ext_ids: None,
+        })
+        .expect("structurally consistent parts encode")
+    };
+    let intact = AlignedBytes::copy_from(&snapshot(&coords, &neighbors, &dists));
+    assert_eq!(inspect(intact.as_bytes()).verdict, Ok(()));
+
+    let mut nan = coords;
+    nan[2] = f64::NAN;
+    let (mut unsorted, mut unsorted_dists) = (neighbors, dists);
+    unsorted.swap(0, 1);
+    unsorted_dists.swap(0, 1);
+    let mut out_of_range = neighbors;
+    out_of_range[3] = 3;
+    let mut self_loop = neighbors;
+    self_loop[0] = 0;
+    let mut too_far = dists;
+    too_far[1] = 0.9;
+    // Each case names the open's error by its Debug prefix.
+    let cases = [
+        (
+            "InvalidDataset(NonFinite { id: 1",
+            snapshot(&nan, &neighbors, &dists),
+        ),
+        (
+            "InvalidGraph(RowNotSorted { row: 0",
+            snapshot(&coords, &unsorted, &unsorted_dists),
+        ),
+        (
+            "InvalidGraph(NeighborOutOfRange { row: 1, index: 3, id: 3",
+            snapshot(&coords, &out_of_range, &dists),
+        ),
+        (
+            "InvalidGraph(SelfLoop { row: 0",
+            snapshot(&coords, &self_loop, &dists),
+        ),
+        (
+            "InvalidGraph(DistanceOutOfRange { row: 0, index: 1",
+            snapshot(&coords, &neighbors, &too_far),
+        ),
+    ];
+    for (expected, bytes) in cases {
+        let holder = AlignedBytes::copy_from(&bytes);
+        let bytes = holder.as_bytes();
+        assert!(load(bytes).is_ok(), "{expected}: checksummed layout intact");
+        let open = format!("{:?}", decode_stream(bytes).map(|_| ()));
+        assert!(open.starts_with(&format!("Err({expected}")), "{open}");
+        // Compared in Debug form: the NaN case's error holds a NaN,
+        // which is not equal to itself.
+        assert_eq!(format!("{:?}", inspect(bytes).verdict), open);
+    }
 }
 
 #[test]

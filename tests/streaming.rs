@@ -4,10 +4,7 @@
 //! * **Interleaving property** — a random interleaving of inserts and
 //!   deletes followed by `zoom` produces byte-identical solutions
 //!   (compared in external ids) to a from-scratch build over the final
-//!   object set, through the M-tree self-join and CSR assembly. CI runs
-//!   this suite under the `SELF_JOIN_THREADS` matrix (1/2/3/8), which
-//!   sizes the rebuild's row sort, so the equality holds for every
-//!   worker count.
+//!   object set, through the M-tree self-join and CSR assembly.
 //! * **All-duplicates tie-breaking** — with every object at pairwise
 //!   distance zero, every count in the greedy heap ties; the
 //!   `LazyMaxHeap` external-rank tie-break (and its push-once,
@@ -68,15 +65,6 @@ fn seed_catalog(metric: Metric, n: usize, r_max: f64, rng: &mut StdRng) -> Strea
     StreamingCatalog::try_new(data, graph).expect("fresh pair is consistent")
 }
 
-/// The build's worker count, `SELF_JOIN_THREADS` as `disc build` reads
-/// it (0 = one per core).
-fn build_workers() -> usize {
-    std::env::var("SELF_JOIN_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// From-scratch rebuild over the catalog's current object set through
 /// the production pipeline: the live external ids ride in as a sparse
 /// permutation, so the rebuilt graph ranks greedy candidates by the
@@ -91,7 +79,7 @@ fn rebuild_from_scratch(cat: &StreamingCatalog) -> StratifiedDiskGraph {
     )
     .with_permutation(Some(Arc::new(perm)));
     let tree = MTree::build(&data, MTreeConfig::default());
-    StratifiedDiskGraph::from_mtree_checked(&tree, cat.graph().radius(), build_workers(), None)
+    StratifiedDiskGraph::from_mtree_checked(&tree, cat.graph().radius(), 0, None)
         .expect("self-join over a clean dataset")
 }
 
