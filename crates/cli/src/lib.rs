@@ -75,6 +75,13 @@
 //! quit
 //! ```
 //!
+//! A request line holds at most [`serve::MAX_LINE_BYTES`] bytes
+//! (64 KiB, newline not counted), and a sweep names at most
+//! [`serve::MAX_SWEEP_RADII`] radii (64): each radius is a full solve.
+//! A longer line or sweep gets a `{"op":"parse","status":"error",…}`
+//! reply; the rest of an over-long line is skipped up to its newline
+//! without being buffered, and serving goes on.
+//!
 //! Replies carry the solution **hash** (FNV-1a 64 over the selected
 //! ids, little-endian), not the id list; `disc zoom` prints the same
 //! hash for the same snapshot and radius because both paths call the

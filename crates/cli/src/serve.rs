@@ -31,7 +31,7 @@
 //! degraded), take the catalog write lock inside a worker, and
 //! invalidate only the cache radii whose cover they broke.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -42,6 +42,14 @@ use crate::cache::SolutionCache;
 use crate::error::CliError;
 use crate::state::ServeState;
 use crate::worker::{execute, Op, Outcome, Reply, Request};
+
+/// The longest request line [`run_lines`] reads, in bytes, not
+/// counting its newline. A longer line is answered with a parse error
+/// and skipped up to its newline without being buffered.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The most radii one `sweep` request may name: each is a full solve.
+pub const MAX_SWEEP_RADII: usize = 64;
 
 /// Pool sizing for one serving process.
 #[derive(Debug, Clone, Copy)]
@@ -493,6 +501,8 @@ fn parse_f64(key: &str, value: &str) -> Result<f64, String> {
 /// id=<u64> insert coords=<f64,...>  [deadline_ms=<u64>]
 /// id=<u64> delete ext=<u64>         [deadline_ms=<u64>]
 /// ```
+///
+/// A sweep names at most [`MAX_SWEEP_RADII`] radii.
 pub fn parse_line(line: &str) -> Result<LineCmd, String> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     match tokens.as_slice() {
@@ -519,6 +529,9 @@ pub fn parse_line(line: &str) -> Result<LineCmd, String> {
                 match key {
                     "r" => radius = Some(parse_f64("r", value)?),
                     "radii" => {
+                        if value.split(',').count() > MAX_SWEEP_RADII {
+                            return Err(format!("radii takes at most {MAX_SWEEP_RADII} radii"));
+                        }
                         let parsed: Result<Vec<f64>, String> = value
                             .split(',')
                             .map(|part| parse_f64("radii", part))
@@ -563,13 +576,35 @@ pub fn parse_line(line: &str) -> Result<LineCmd, String> {
     }
 }
 
+/// Reads one line into `buf`, newline excluded, buffering at most one
+/// byte over [`MAX_LINE_BYTES`]; the rest of a longer line is skipped
+/// up to its newline. Returns `None` at end of input, else whether the
+/// line fit.
+fn read_line_capped(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    buf.clear();
+    // The cap plus one byte: room for the newline of a line that fits.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        buf.clear();
+        input.skip_until(b'\n')?;
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// Runs the full serve loop over a line stream: banner, submit loop,
 /// drain, final stats. This is `disc serve` minus the arg parsing —
-/// tests drive it with in-memory readers and writers.
+/// tests drive it with in-memory readers and writers. A line longer
+/// than [`MAX_LINE_BYTES`] is answered with a parse error and skipped.
 pub fn run_lines(
     state: Arc<ServeState>,
     config: ServeConfig,
-    input: impl BufRead,
+    mut input: impl BufRead,
     sink: Arc<dyn Sink>,
 ) -> Result<CounterSnapshot, CliError> {
     sink.info(&format!(
@@ -583,12 +618,19 @@ pub fn run_lines(
         config.cache,
     ));
     let server = Server::start(state, config, Arc::clone(&sink));
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_line(&line) {
+    let mut buf = Vec::new();
+    while let Some(fits) = read_line_capped(&mut input, &mut buf)? {
+        let cmd = if fits {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            parse_line(line)
+        } else {
+            Err(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        };
+        match cmd {
             Ok(LineCmd::Request(req)) => server.submit(req),
             Ok(LineCmd::Stats) => sink.info(&render_stats(&server.counters())),
             Ok(LineCmd::Quit) => break,
@@ -602,4 +644,55 @@ pub fn run_lines(
     let snap = server.shutdown();
     sink.info(&render_stats(&snap));
     Ok(snap)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufReader, Cursor, Read};
+
+    #[test]
+    fn capped_reader_keeps_at_most_the_cap_and_resyncs_at_the_newline() {
+        let mut text = vec![b'a'; 3 * MAX_LINE_BYTES];
+        text.extend_from_slice(b"\nstats\n");
+        text.extend_from_slice(&vec![b' '; MAX_LINE_BYTES]);
+        let mut input = BufReader::with_capacity(1000, Cursor::new(text));
+        let mut buf = Vec::new();
+        assert_eq!(read_line_capped(&mut input, &mut buf).unwrap(), Some(false));
+        assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+        assert_eq!(read_line_capped(&mut input, &mut buf).unwrap(), Some(true));
+        assert_eq!(buf, b"stats");
+        // A last line without a newline fits at exactly the cap.
+        assert_eq!(read_line_capped(&mut input, &mut buf).unwrap(), Some(true));
+        assert_eq!(buf.len(), MAX_LINE_BYTES);
+        assert_eq!(read_line_capped(&mut input, &mut buf).unwrap(), None);
+
+        let mut endless = BufReader::new(io::repeat(b'a').take(5 * MAX_LINE_BYTES as u64));
+        assert_eq!(
+            read_line_capped(&mut endless, &mut buf).unwrap(),
+            Some(false)
+        );
+        assert!(buf.capacity() <= 2 * MAX_LINE_BYTES, "{}", buf.capacity());
+        assert_eq!(read_line_capped(&mut endless, &mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn sweeps_take_at_most_the_radii_cap() {
+        let radii = |k: usize| {
+            (1..=k)
+                .map(|i| format!("{}", 1.0 / i as f64))
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let at_cap = format!("id=1 sweep radii={}", radii(MAX_SWEEP_RADII));
+        match parse_line(&at_cap) {
+            Ok(LineCmd::Request(Request {
+                op: Op::Sweep { radii },
+                ..
+            })) => assert_eq!(radii.len(), MAX_SWEEP_RADII),
+            other => panic!("{other:?}"),
+        }
+        let over = format!("id=1 sweep radii={}", radii(MAX_SWEEP_RADII + 1));
+        assert!(parse_line(&over).is_err());
+    }
 }

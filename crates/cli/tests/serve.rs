@@ -12,14 +12,18 @@
 //!   from cache when the radius was answered before;
 //! - served solutions are byte-identical to the in-process
 //!   graph-resident runners at every radius, including through the
-//!   stdin/stdout line protocol.
+//!   stdin/stdout line protocol;
+//! - an over-long request line or an over-long sweep is a parse error
+//!   reply, and the loop keeps serving.
 
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Read};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use disc_cli::error::CliError;
-use disc_cli::serve::{parse_line, run_lines, LineCmd, ServeConfig, Server, Sink};
+use disc_cli::serve::{
+    parse_line, run_lines, LineCmd, ServeConfig, Server, Sink, MAX_LINE_BYTES, MAX_SWEEP_RADII,
+};
 use disc_cli::state::ServeState;
 use disc_cli::worker::{solution_hash, Op, Outcome, Reply, Request};
 use disc_core::{greedy_disc_graph, greedy_zoom_in_graph};
@@ -1037,4 +1041,77 @@ fn stats_report_the_overlay_and_its_compaction() {
     );
     assert!(disc_cli::serve::render_stats(&snap).contains("\"compactions\":1}"));
     assert_eq!(state.n(), 103);
+}
+
+// ------------------------------------------------------------------
+// Bounded request lines and sweeps.
+// ------------------------------------------------------------------
+
+/// Runs the line loop on one worker over `input` and returns the final
+/// counters and every output line.
+fn serve_lines(tag: &str, input: impl BufRead) -> (disc_cli::CounterSnapshot, String) {
+    let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::new(disc_cli::serve::JsonSink::new(Arc::clone(&out)));
+    let config = ServeConfig {
+        workers: 1,
+        queue: 8,
+        cache: 8,
+    };
+    let snap = run_lines(open(tag), config, input, sink).expect("serve loop runs");
+    let text = String::from_utf8(out.lock().expect("out lock").clone()).expect("utf8");
+    (snap, text)
+}
+
+fn parse_errors(text: &str) -> usize {
+    text.matches("\"op\":\"parse\",\"status\":\"error\"")
+        .count()
+}
+
+#[test]
+fn over_long_line_is_one_parse_error_then_serving_continues() {
+    // A zoom padded to exactly the cap is served; one byte more is not.
+    let pad = |line: &str, len: usize| format!("{line}{}", " ".repeat(len - line.len()));
+    let at_cap = pad("id=1 zoom r=0.1", MAX_LINE_BYTES);
+    let over = pad("id=2 zoom r=0.1", MAX_LINE_BYTES + 1);
+    let text = format!("{at_cap}\n{over}\nid=3 zoom r=0.1\nquit\n");
+    // Small reads, so the long lines span many buffer fills.
+    let (snap, out) = serve_lines(
+        "long-line",
+        BufReader::with_capacity(1000, Cursor::new(text)),
+    );
+    assert_eq!(parse_errors(&out), 1, "{out}");
+    assert!(
+        out.contains(&format!("request line longer than {MAX_LINE_BYTES} bytes")),
+        "{out}"
+    );
+    assert_eq!((snap.submitted, snap.completed), (2, 2));
+    assert!(
+        out.contains("{\"id\":1,") && out.contains("{\"id\":3,"),
+        "{out}"
+    );
+    assert!(!out.contains("{\"id\":2,"), "{out}");
+    assert!(snap.is_consistent(), "{snap:?}");
+}
+
+#[test]
+fn endless_line_without_newline_ends_the_run_with_one_parse_error() {
+    let endless = BufReader::new(std::io::repeat(b'a').take(8 * MAX_LINE_BYTES as u64));
+    let (snap, out) = serve_lines("endless-line", endless);
+    assert_eq!(parse_errors(&out), 1, "{out}");
+    assert_eq!(snap.submitted, 0);
+}
+
+#[test]
+fn sweep_over_the_radii_cap_is_a_parse_error() {
+    let radii: Vec<String> = (1..=MAX_SWEEP_RADII + 1)
+        .map(|i| format!("{}", R_MAX / i as f64))
+        .collect();
+    let text = format!("id=1 sweep radii={}\nquit\n", radii.join(","));
+    let (snap, out) = serve_lines("radii-cap", Cursor::new(text));
+    assert_eq!(parse_errors(&out), 1, "{out}");
+    assert!(
+        out.contains(&format!("radii takes at most {MAX_SWEEP_RADII} radii")),
+        "{out}"
+    );
+    assert_eq!(snap.submitted, 0);
 }

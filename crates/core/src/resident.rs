@@ -41,19 +41,20 @@
 //! tie-breaking (largest count first, smallest id on ties), so
 //! [`greedy_disc_graph`] is pinned **byte-identical** to the exact
 //! tree-backed Greedy-DisC variants and [`greedy_c_graph`] to
-//! Greedy-C. [`fast_c_graph`] keeps Fast-C's lazy-update strategy
-//! (no per-grey cascades, pop-time revalidation) but — because CSR
-//! adjacency is exact where Fast-C's truncated climbs are not — its
-//! solutions also coincide with Greedy-C's.
+//! Greedy-C. [`fast_c_graph`] is Fast-C's lazy-update strategy (no
+//! per-grey cascades, pop-time revalidation); because CSR adjacency is
+//! exact where Fast-C's truncated climbs are not, it is the same run
+//! as [`greedy_c_graph`] under its own label.
 //!
-//! Every candidate enters the heap once, at seeding. The exact runners
-//! then only decrement a `counts` array — one branch-free
-//! `counts[w] -= u32::from(…)` per adjacency entry, since a colour
-//! branch mispredicts on `(distance, id)`-ordered view rows — and the
-//! heap's [`LazyMaxHeap::pop_valid`] re-queues any entry whose stored
-//! key has fallen behind its count, so each pop is still the exact
-//! (count desc, external rank asc) maximum. Fast-C keeps no counts at
-//! all: its pop-time key is a scan of the candidate's row.
+//! No runner keeps white counts. Every candidate enters the heap once,
+//! keyed by its row length — an upper bound on its white neighbours,
+//! read without a scan — and its key is counted from its row when it
+//! reaches the top. [`LazyMaxHeap::pop_valid`] re-queues it while that
+//! count falls short of the stored key, so each pop is still the exact
+//! (count desc, external rank asc) maximum, and the pop sequence is the
+//! one exact counts would give. Greedy-DisC, both greedy zoom-ins, the
+//! greedy zoom-out second pass, multi-radius greedy selection and the
+//! repair re-cover of [`crate::stream`] all run one such white pass.
 //!
 //! ## The id-set runners take any [`Adjacency`]
 //!
@@ -85,8 +86,8 @@
 //!   distance filter over the prefix at `r(p)`.
 //!
 //! All of them are pinned byte-identical (same solutions, in order) to
-//! their tree-backed counterparts in [`crate::zoom_in`],
-//! [`crate::zoom_out`] and [`crate::multi_radius`]; the leaf-order
+//! their tree-backed counterparts in [`crate::zoom_in()`],
+//! [`crate::zoom_out()`] and [`crate::multi_radius`]; the leaf-order
 //! variants take the `&MTree` as well, but consult it **only** for the
 //! leaf-chain iteration order — never for queries — and charge zero
 //! node accesses.
@@ -95,7 +96,7 @@
 //!
 //! A graph built from a leaf-order-renumbered dataset (see
 //! [`disc_metric::Dataset::renumbered`]) carries the internal↔external
-//! bijection. The runners here scan adjacency, colours and counts in
+//! bijection. The runners here scan adjacency and colours in
 //! *internal* ids (contiguous CSR rows, warm cache lines) and translate
 //! exactly once at the API boundary: every id **entering** a runner
 //! (`prev.solution`, per-object `radii`) is in external numbering and is
@@ -142,49 +143,9 @@ pub fn greedy_disc_graph_checked(
     g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
-    let n = g.len();
-    let mut color = vec![Color::White; n];
-    // counts[v] = |N_r(v) ∩ white|, exact throughout.
-    let mut counts: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
-    let mut white = n - take_out_absent(g, &mut color, &mut counts, Color::Grey);
-    let mut heap = LazyMaxHeap::with_capacity(white);
-    for (id, &c) in counts.iter().enumerate() {
-        if color[id] == Color::White {
-            heap.push_ranked(id, g.external_id(id), c);
-        }
-    }
-    let mut newly_grey: Vec<ObjId> = Vec::new();
+    let mut color = colors_without_absent(g, Color::Grey);
     let mut solution = Vec::new();
-    while white > 0 {
-        checkpoint(cancel)?;
-        let picked = match heap.pop_valid(|id| (color[id] == Color::White).then(|| counts[id])) {
-            Some(p) => p,
-            None => unreachable!("white objects remain, so the heap holds a candidate"),
-        };
-        color[picked] = Color::Black;
-        white -= 1;
-        newly_grey.clear();
-        for part in row(g, picked) {
-            newly_grey.extend(part.iter().copied().filter(|&u| color[u] == Color::White));
-        }
-        for &u in &newly_grey {
-            color[u] = Color::Grey;
-            white -= 1;
-        }
-        // No heap push: `pop_valid` catches up with the fallen counts.
-        for &u in &newly_grey {
-            for part in row(g, u) {
-                for &w in part {
-                    debug_assert!(
-                        color[w] != Color::White || counts[w] > 0,
-                        "exact counts cannot underflow"
-                    );
-                    counts[w] -= u32::from(color[w] == Color::White);
-                }
-            }
-        }
-        solution.push(g.external_id(picked));
-    }
+    greedy_white_pass_adj(g, &mut color, &mut solution, cancel)?;
     Ok(DiscResult {
         radius: g.radius(),
         heuristic: "G-DisC (Graph)".into(),
@@ -193,55 +154,50 @@ pub fn greedy_disc_graph_checked(
     })
 }
 
-/// `v`'s row in an [`Adjacency`]: the laid-out part and the appended
-/// part, each read as a plain slice so the hot loops stay two tight
-/// loops.
+/// `v`'s row in an [`Adjacency`]: the laid-out part, then the appended
+/// part. Its folds (`count`, `for_each`, `any`) run the two parts as
+/// two plain loops.
 #[inline]
-pub(crate) fn row<G: Adjacency>(g: &G, v: ObjId) -> [&[ObjId]; 2] {
-    [g.neighbors(v), g.appended(v)]
+pub(crate) fn row<G: Adjacency>(g: &G, v: ObjId) -> impl Iterator<Item = ObjId> + '_ {
+    g.neighbors(v).iter().chain(g.appended(v)).copied()
 }
 
-/// Takes [`Adjacency::absent`] vertices out before seeding: each is
-/// coloured `fill` — a colour the runner never picks and never counts
-/// as white — and the white-neighbour count of each of its neighbours
-/// that is still white drops by one. Returns how many were taken out.
-fn take_out_absent<G: Adjacency>(
-    g: &G,
-    color: &mut [Color],
-    counts: &mut [u32],
-    fill: Color,
-) -> usize {
-    let absent = g.absent();
-    for &a in absent {
+/// An all-white colouring of `g` with its [`Adjacency::absent`]
+/// vertices coloured `fill`: a colour the runner never picks and never
+/// counts as white.
+fn colors_without_absent<G: Adjacency>(g: &G, fill: Color) -> Vec<Color> {
+    let mut color = vec![Color::White; g.len()];
+    for &a in g.absent() {
         color[a] = fill;
     }
-    for &a in absent {
-        for part in row(g, a) {
-            for &w in part {
-                counts[w] -= u32::from(color[w] == Color::White);
-            }
-        }
-    }
-    absent.len()
+    color
 }
 
-/// Selection key of the coverage heuristics: white neighbours plus one
-/// while the candidate itself is still uncovered.
+/// How many of `ids` are white: the key a runner computes at pop.
 #[inline]
-fn cover_key(color: &[Color], counts: &[u32], id: ObjId) -> Option<u32> {
-    match color[id] {
-        Color::Black => None,
-        Color::White => Some(counts[id] + 1),
-        _ => Some(counts[id]),
-    }
+fn white_count(ids: impl Iterator<Item = ObjId>, color: &[Color]) -> u32 {
+    ids.filter(|&q| color[q] == Color::White).count() as u32
+}
+
+/// Greys every white object of `ids`; returns how many turned grey.
+#[inline]
+fn grey_whites(ids: impl Iterator<Item = ObjId>, color: &mut [Color]) -> usize {
+    let mut greyed = 0;
+    ids.for_each(|u| {
+        if color[u] == Color::White {
+            color[u] = Color::Grey;
+            greyed += 1;
+        }
+    });
+    greyed
 }
 
 /// Greedy-C (Section 2.3) over any [`Adjacency`]: candidates include
-/// grey objects, counts maintained exactly. Identical solutions to the
-/// tree-backed [`crate::greedy_c`] and to
-/// [`disc_graph::reference::greedy_c_ref`]; no node accesses.
+/// grey objects. Identical solutions to the tree-backed
+/// [`crate::greedy_c`] and to [`disc_graph::reference::greedy_c_ref`];
+/// no node accesses.
 pub fn greedy_c_graph(g: &impl Adjacency) -> DiscResult {
-    never_cancelled(run_cover_graph(g, false, None))
+    never_cancelled(run_cover_graph(g, "G-C (Graph)", None))
 }
 
 /// [`greedy_c_graph`] polling a [`CancelToken`] once per selection
@@ -250,7 +206,7 @@ pub fn greedy_c_graph_checked(
     g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
-    run_cover_graph(g, false, cancel)
+    run_cover_graph(g, "G-C (Graph)", cancel)
 }
 
 /// Fast-C over any [`Adjacency`]: the lazy-update strategy (no count
@@ -258,10 +214,10 @@ pub fn greedy_c_graph_checked(
 /// popped candidate, and [`LazyMaxHeap::pop_valid`] re-queues it if
 /// that key dropped). With exact CSR adjacency the revalidated keys are
 /// exact, so — unlike the tree-backed [`crate::fast_c`], whose truncated
-/// bottom-up climbs can leave counts stale — the solutions coincide
-/// with Greedy-C's.
+/// bottom-up climbs can leave counts stale — it is the same run as
+/// [`greedy_c_graph`] under its own label.
 pub fn fast_c_graph(g: &impl Adjacency) -> DiscResult {
-    never_cancelled(run_cover_graph(g, true, None))
+    never_cancelled(run_cover_graph(g, "Fast-C (Graph)", None))
 }
 
 /// [`fast_c_graph`] polling a [`CancelToken`] once per selection round;
@@ -270,99 +226,46 @@ pub fn fast_c_graph_checked(
     g: &impl Adjacency,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
-    run_cover_graph(g, true, cancel)
+    run_cover_graph(g, "Fast-C (Graph)", cancel)
 }
 
+/// The one body of [`greedy_c_graph`] and [`fast_c_graph`], reporting
+/// `heuristic` as its label.
 fn run_cover_graph(
     g: &impl Adjacency,
-    lazy: bool,
+    heuristic: &str,
     cancel: Option<&CancelToken>,
 ) -> Result<DiscResult, Cancelled> {
-    let n = g.len();
-    let mut color = vec![Color::White; n];
-    let mut counts: Vec<u32> = (0..n).map(|v| g.degree(v) as u32).collect();
     // Absent vertices go black: grey ones are candidates here. They
     // never reach the solution, which lists picks, not the black class.
-    let mut white = n - take_out_absent(g, &mut color, &mut counts, Color::Black);
+    let mut color = colors_without_absent(g, Color::Black);
+    let mut white = g.len() - g.absent().len();
     let mut heap = LazyMaxHeap::with_capacity(white);
-    for (id, &c) in counts.iter().enumerate() {
-        if color[id] == Color::White {
-            heap.push_ranked(id, g.external_id(id), c + 1); // all white: self-term applies
-        }
+    for (id, _) in color.iter().enumerate().filter(|(_, &c)| c == Color::White) {
+        // Row length plus the self-term bounds the key from above.
+        heap.push_ranked(id, g.external_id(id), g.degree(id) as u32 + 1);
     }
-    let mut newly_grey: Vec<ObjId> = Vec::new();
     let mut solution = Vec::new();
     while white > 0 {
         checkpoint(cancel)?;
-        // Greedy-C reads its exact counts; Fast-C keeps none and rescans
-        // the popped candidate's row (white neighbours plus the
-        // self-term), which `pop_valid` re-queues while it falls short
-        // of the stored key.
-        let picked = if lazy {
-            heap.pop_valid(|id| {
-                (color[id] != Color::Black).then(|| {
-                    row(g, id)
-                        .iter()
-                        .map(|part| part.iter().filter(|&&u| color[u] == Color::White).count())
-                        .sum::<usize>() as u32
-                        + u32::from(color[id] == Color::White)
-                })
-            })
-        } else {
-            heap.pop_valid(|id| cover_key(&color, &counts, id))
-        };
+        // The key — white neighbours plus one while the candidate is
+        // itself uncovered — is counted at pop; `pop_valid` re-queues a
+        // candidate while it falls short of the stored key.
+        let picked = heap.pop_valid(|id| {
+            (color[id] != Color::Black)
+                .then(|| white_count(row(g, id), &color) + u32::from(color[id] == Color::White))
+        });
         let Some(picked) = picked else {
             unreachable!("white objects remain, so candidates exist")
         };
-
-        let was_white = color[picked] == Color::White;
+        white -= usize::from(color[picked] == Color::White);
         color[picked] = Color::Black;
-        if was_white {
-            white -= 1;
-            if !lazy {
-                // `picked` left the white set: every non-black
-                // neighbour's count drops.
-                for part in row(g, picked) {
-                    for &u in part {
-                        debug_assert!(
-                            color[u] == Color::Black || counts[u] > 0,
-                            "exact counts cannot underflow"
-                        );
-                        counts[u] -= u32::from(color[u] != Color::Black);
-                    }
-                }
-            }
-        }
-        newly_grey.clear();
-        for part in row(g, picked) {
-            newly_grey.extend(part.iter().copied().filter(|&u| color[u] == Color::White));
-        }
-        for &u in &newly_grey {
-            color[u] = Color::Grey;
-            white -= 1;
-        }
-        if !lazy {
-            for &u in &newly_grey {
-                for part in row(g, u) {
-                    for &w in part {
-                        debug_assert!(
-                            color[w] == Color::Black || counts[w] > 0,
-                            "exact counts cannot underflow"
-                        );
-                        counts[w] -= u32::from(color[w] != Color::Black);
-                    }
-                }
-            }
-        }
+        white -= grey_whites(row(g, picked), &mut color);
         solution.push(g.external_id(picked));
     }
     Ok(DiscResult {
         radius: g.radius(),
-        heuristic: if lazy {
-            "Fast-C (Graph)".into()
-        } else {
-            "G-C (Graph)".into()
-        },
+        heuristic: heuristic.into(),
         solution,
         node_accesses: 0,
     })
@@ -395,16 +298,21 @@ fn select_and_cover_strat(
 
 /// A greedy selection pass over the remaining white objects, generic
 /// over the neighbour source, mirroring
-/// [`crate::counts::greedy_white_pass`] (same counts, same
+/// [`crate::counts::greedy_white_pass`] (same picks, same
 /// [`LazyMaxHeap`] tie-breaking) with adjacency reads instead of range
-/// queries. One instantiation per neighbour shape: the rows of an
-/// [`Adjacency`] at a fixed radius (zooming, repairs) and the
-/// `min(r(p), r(q))`-filtered prefix (multi-radius). `external` maps an
-/// internal id to its external one — it ranks the heap's tie-breaks and
-/// translates each selection before it is appended to `solution`.
-fn greedy_white_pass_over<N, F, E>(
-    n: usize,
+/// queries. It keeps no counts: each white object enters the heap once,
+/// keyed by `row_len` — its row's length, an upper bound on its white
+/// neighbours — and its key is counted at pop, where
+/// [`LazyMaxHeap::pop_valid`] re-queues it while the count falls short
+/// of the stored key. One instantiation per neighbour shape: the rows
+/// of an [`Adjacency`] at a fixed radius (Greedy-DisC, zooming,
+/// repairs) and the `min(r(p), r(q))`-filtered prefix (multi-radius).
+/// `external` maps an internal id to its external one — it ranks the
+/// heap's tie-breaks and translates each selection before it is
+/// appended to `solution`.
+fn greedy_white_pass_over<N, F, L, E>(
     neighbors_of: F,
+    row_len: L,
     external: E,
     color: &mut [Color],
     solution: &mut Vec<ObjId>,
@@ -413,53 +321,34 @@ fn greedy_white_pass_over<N, F, E>(
 where
     F: Fn(ObjId) -> N,
     N: Iterator<Item = ObjId>,
+    L: Fn(ObjId) -> usize,
     E: Fn(ObjId) -> ObjId,
 {
     let mut white = color.iter().filter(|&&c| c == Color::White).count();
-    let mut counts = vec![0u32; n];
     let mut heap = LazyMaxHeap::with_capacity(white);
-    for id in 0..n {
-        if color[id] == Color::White {
-            counts[id] = neighbors_of(id)
-                .filter(|&q| color[q] == Color::White)
-                .count() as u32;
-            heap.push_ranked(id, external(id), counts[id]);
-        }
+    for (id, _) in color.iter().enumerate().filter(|(_, &c)| c == Color::White) {
+        heap.push_ranked(id, external(id), row_len(id) as u32);
     }
-    let mut newly_grey: Vec<ObjId> = Vec::new();
     while white > 0 {
         checkpoint(cancel)?;
-        let picked = match heap.pop_valid(|id| (color[id] == Color::White).then(|| counts[id])) {
-            Some(p) => p,
-            None => unreachable!("white objects remain, so the heap holds a candidate"),
+        let picked = heap.pop_valid(|id| {
+            (color[id] == Color::White).then(|| white_count(neighbors_of(id), color))
+        });
+        let Some(picked) = picked else {
+            unreachable!("white objects remain, so the heap holds a candidate")
         };
         color[picked] = Color::Black;
-        white -= 1;
-        newly_grey.clear();
-        newly_grey.extend(neighbors_of(picked).filter(|&u| color[u] == Color::White));
-        for &u in &newly_grey {
-            color[u] = Color::Grey;
-            white -= 1;
-        }
-        for &u in &newly_grey {
-            // `for_each` folds a chained row as two plain loops.
-            neighbors_of(u).for_each(|w| {
-                debug_assert!(
-                    color[w] != Color::White || counts[w] > 0,
-                    "exact counts cannot underflow"
-                );
-                counts[w] -= u32::from(color[w] == Color::White);
-            });
-        }
+        white -= 1 + grey_whites(neighbors_of(picked), color);
         solution.push(external(picked));
     }
     Ok(())
 }
 
 /// [`greedy_white_pass_over`] on any [`Adjacency`] — both parts of
-/// every row. The caller colours [`Adjacency::absent`] vertices
-/// non-white first. The second pass of [`greedy_zoom_in_graph`] and
-/// [`greedy_zoom_in_live`], and the re-cover pass of
+/// every row, seeded with [`Adjacency::degree`]. The caller colours
+/// [`Adjacency::absent`] vertices non-white first. Greedy-DisC, the
+/// second pass of [`greedy_zoom_in_graph`], [`greedy_zoom_in_live`] and
+/// the greedy [`zoom_out_graph`] variants, and the re-cover pass of
 /// [`crate::stream::RepairableSolution`].
 pub(crate) fn greedy_white_pass_adj<G: Adjacency>(
     g: &G,
@@ -468,8 +357,8 @@ pub(crate) fn greedy_white_pass_adj<G: Adjacency>(
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
     greedy_white_pass_over(
-        g.len(),
-        |v| g.neighbors(v).iter().chain(g.appended(v)).copied(),
+        |v| row(g, v),
+        |v| g.degree(v),
         |v| g.external_id(v),
         color,
         solution,
@@ -526,11 +415,7 @@ pub fn zoom_in_graph_checked(
         }
         checkpoint(cancel)?;
         color[object] = Color::Black;
-        for &q in view.neighbors(object) {
-            if color[q] == Color::White {
-                color[q] = Color::Grey;
-            }
-        }
+        grey_whites(row(&view, object), &mut color);
         solution.push(g.external_id(object));
     }
     debug_assert!(color.iter().all(|&c| c != Color::White));
@@ -621,22 +506,17 @@ fn zoom_in_colors<G: Adjacency>(
     blacks: &[ObjId],
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<Color>, Cancelled> {
-    let mut color = vec![Color::White; g.len()];
-    for &a in g.absent() {
-        color[a] = Color::Grey;
-    }
+    let mut color = colors_without_absent(g, Color::Grey);
     for &b in blacks {
         color[b] = Color::Black;
     }
     for &b in blacks {
         checkpoint(cancel)?;
-        for part in row(g, b) {
-            for &q in part {
-                if color[q] != Color::Black {
-                    color[q] = Color::Grey;
-                }
+        row(g, b).for_each(|q| {
+            if color[q] != Color::Black {
+                color[q] = Color::Grey;
             }
-        }
+        });
     }
     Ok(color)
 }
@@ -862,8 +742,8 @@ pub fn multi_radius_graph_checked(
 
     if greedy {
         greedy_white_pass_over(
-            n,
             min_neighbors,
+            |p| g.cutoff(p, radii[p]),
             |v| g.external_id(v),
             &mut color,
             &mut solution,
@@ -876,11 +756,7 @@ pub fn multi_radius_graph_checked(
             }
             checkpoint(cancel)?;
             color[object] = Color::Black;
-            for q in min_neighbors(object) {
-                if color[q] == Color::White {
-                    color[q] = Color::Grey;
-                }
-            }
+            grey_whites(min_neighbors(object), &mut color);
             solution.push(g.external_id(object));
         }
     }

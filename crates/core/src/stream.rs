@@ -235,11 +235,7 @@ impl RepairableSolution {
         }
         let mut covered = vec![false; view.len()];
         for &b in &blacks {
-            for part in row(&view, b) {
-                for &w in part {
-                    covered[w] = true;
-                }
-            }
+            row(&view, b).for_each(|w| covered[w] = true);
         }
         for &v in view.live_vertices() {
             let ext = view.external_id(v);
@@ -370,10 +366,8 @@ impl RepairableSolution {
             let v = view
                 .vertex_of(ext)
                 .ok_or(RepairError::UnknownExternalId { id: ext })?;
-            let still_covered = row(&view, v).iter().any(|part| {
-                part.iter()
-                    .any(|&w| self.color_of(view.external_id(w)) == Some(Color::Black))
-            });
+            let still_covered =
+                row(&view, v).any(|w| self.color_of(view.external_id(w)) == Some(Color::Black));
             if !still_covered {
                 whites.push(v);
             }

@@ -19,8 +19,10 @@
 //! A row is the union of [`Adjacency::neighbors`] and
 //! [`Adjacency::appended`]. An absent vertex keeps its slot and its row,
 //! and the rows of its former neighbours still list it, so a runner
-//! takes it out before seeding: it is coloured non-white and never a
-//! candidate, and every neighbour's white count drops by one.
+//! colours it non-white before seeding: it is never a candidate and
+//! never counted as a white neighbour. [`Adjacency::degree`] still
+//! counts it, so a degree bounds a vertex's white neighbours from
+//! above; the runners seed their heaps with it.
 
 use disc_metric::ObjId;
 

@@ -12,7 +12,7 @@ use disc_mtree::JoinError;
 /// ([`crate::StratifiedDiskGraph::from_csr_parts`]) validates every
 /// structural invariant the query paths rely on and names the first
 /// violation precisely.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub enum GraphError {
     /// A radius argument was NaN or negative.
     InvalidRadius(f64),
@@ -187,6 +187,47 @@ impl fmt::Display for GraphError {
         }
     }
 }
+
+impl GraphError {
+    /// The variant and its payload as integers, each `f64` by its bits.
+    fn image(&self) -> (std::mem::Discriminant<Self>, [u64; 3]) {
+        let bits = f64::to_bits;
+        let fields = match *self {
+            Self::InvalidRadius(r) => [bits(r), 0, 0],
+            Self::RadiusExceedsBuild { r, r_max } => [bits(r), bits(r_max), 0],
+            Self::Cancelled | Self::EmptyOffsets | Self::LastVertex => [0; 3],
+            Self::OffsetsStart { found } => [found as u64, 0, 0],
+            Self::OffsetsNotMonotone { row } => [row as u64, 0, 0],
+            Self::ArrayLengthMismatch {
+                expected,
+                neighbors,
+                dists,
+            } => [expected as u64, neighbors as u64, dists as u64],
+            Self::NeighborOutOfRange { row, index, id } => [row as u64, index as u64, id as u64],
+            Self::SelfLoop { row, index } | Self::RowNotSorted { row, index } => {
+                [row as u64, index as u64, 0]
+            }
+            Self::DistanceOutOfRange { row, index, value } => {
+                [row as u64, index as u64, bits(value)]
+            }
+            Self::MisroutedEdge { part, edge } => [part as u64, edge.0 as u64, edge.1 as u64],
+            Self::VertexOutOfRange { id, len } => [id as u64, len as u64, 0],
+            Self::DuplicateNeighbor { id } | Self::DuplicateExternalId { id } => [id as u64, 0, 0],
+            Self::MissingMirror { row, id } => [row as u64, id as u64, 0],
+        };
+        (std::mem::discriminant(self), fields)
+    }
+}
+
+/// Compares the variant and its fields, each `f64` by its bits, so an
+/// error that holds a NaN equals itself.
+impl PartialEq for GraphError {
+    fn eq(&self, other: &Self) -> bool {
+        self.image() == other.image()
+    }
+}
+
+impl Eq for GraphError {}
 
 impl std::error::Error for GraphError {}
 

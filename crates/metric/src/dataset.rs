@@ -30,7 +30,7 @@ use crate::{
 /// that exists is guaranteed non-empty, rectangular and entirely finite,
 /// so downstream distance computations can never observe NaN/±inf
 /// garbage.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum DatasetError {
     /// The point collection (or flat buffer) was empty.
     Empty,
@@ -107,6 +107,35 @@ impl fmt::Display for DatasetError {
         }
     }
 }
+
+impl DatasetError {
+    /// The variant and its payload as integers, the `f64` by its bits.
+    fn image(&self) -> (std::mem::Discriminant<Self>, [u64; 3]) {
+        let fields = match *self {
+            Self::Empty | Self::ZeroDim => [0; 3],
+            Self::MixedDim {
+                id,
+                expected,
+                found,
+            } => [id as u64, expected as u64, found as u64],
+            Self::RaggedBuffer { len, dim } => [len as u64, dim as u64, 0],
+            Self::NonFinite { id, dim, value } => [id as u64, dim as u64, value.to_bits()],
+            Self::ExternalIdTaken { external } => [external as u64, 0, 0],
+            Self::OutOfRange { id, len } => [id as u64, len as u64, 0],
+        };
+        (std::mem::discriminant(self), fields)
+    }
+}
+
+/// Compares the variant and its fields, the `f64` by its bits, so an
+/// error that holds a NaN equals itself.
+impl PartialEq for DatasetError {
+    fn eq(&self, other: &Self) -> bool {
+        self.image() == other.image()
+    }
+}
+
+impl Eq for DatasetError {}
 
 impl std::error::Error for DatasetError {}
 

@@ -87,7 +87,7 @@
 //!
 //! Every edge is emitted as `(a, b)` with `a < b`, and the edge list is
 //! in **task order**: the traversal is a sequence of *node-pair tasks*
-//! ([`Task`] below — a subtree joined with itself, or two disjoint
+//! (`Task` below — a subtree joined with itself, or two disjoint
 //! subtrees joined with a known pivot distance), visited depth first;
 //! the output is the concatenation of each leaf-level task's edges in
 //! that order. The list, order included, and the counters it charges

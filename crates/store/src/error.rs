@@ -62,7 +62,10 @@ impl fmt::Display for SectionId {
 /// damaged input always surfaces as one of these — never a panic, never
 /// a silently wrong [`disc_metric::Dataset`] or
 /// [`disc_graph::StratifiedDiskGraph`].
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Equality compares the wrapped errors' `f64` payloads by their bits,
+/// so an error that holds a NaN equals itself.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// The buffer is shorter than the format requires — either shorter
     /// than the fixed header, or shorter than the total length the
@@ -240,5 +243,43 @@ impl From<StreamError> for StoreError {
                 detail: "streaming state references an unknown external id",
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nan_holding_errors_equal_their_clones() {
+        let errors = [
+            StoreError::InvalidDataset(DatasetError::NonFinite {
+                id: 1,
+                dim: 0,
+                value: f64::NAN,
+            }),
+            StoreError::InvalidGraph(GraphError::InvalidRadius(f64::NAN)),
+            StoreError::InvalidGraph(GraphError::RadiusExceedsBuild {
+                r: f64::NAN,
+                r_max: 0.5,
+            }),
+            StoreError::InvalidGraph(GraphError::DistanceOutOfRange {
+                row: 0,
+                index: 1,
+                value: f64::NAN,
+            }),
+        ];
+        for e in &errors {
+            assert_eq!(e, &e.clone());
+        }
+        // Payloads still tell errors apart.
+        assert_ne!(
+            StoreError::InvalidGraph(GraphError::InvalidRadius(f64::NAN)),
+            StoreError::InvalidGraph(GraphError::InvalidRadius(-1.0))
+        );
+        assert_ne!(
+            StoreError::InvalidGraph(GraphError::SelfLoop { row: 0, index: 1 }),
+            StoreError::InvalidGraph(GraphError::RowNotSorted { row: 0, index: 1 })
+        );
     }
 }

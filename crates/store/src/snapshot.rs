@@ -1128,7 +1128,7 @@ pub fn decode_stream(bytes: &[u8]) -> Result<StreamingCatalog, StoreError> {
 /// written. Every encode check runs before the file is created, so an
 /// encoding failure (surfaced as an `InvalidData` I/O error) leaves an
 /// existing file untouched. The write streams through one
-/// [`CHUNK`]-sized buffer: the bytes are [`encode`]'s, but the file is
+/// 64 KiB buffer: the bytes are [`encode`]'s, but the file is
 /// never held in memory.
 pub fn write_snapshot(
     path: impl AsRef<Path>,

@@ -296,4 +296,32 @@ proptest! {
             prop_assert!(verify_disc(&data, &graph_z.result.solution, r_new).is_valid());
         }
     }
+
+    /// Multi-radius greedy selection over the stratified graph equals
+    /// the tree-backed generalisation for random per-object radii in
+    /// `[r_lo, r_max]`. The graph's white pass seeds each object with its
+    /// prefix length at `r(p)`, which over-counts every neighbour `q`
+    /// with `r(q) < d(p, q)`; random radii vary how far.
+    #[test]
+    fn multi_radius_graph_always_matches(
+        seed in 0u64..1_000,
+        r_lo in 0.02..0.08f64,
+        r_max in 0.1..0.25f64,
+        cap in 4usize..12,
+        shares in prop::collection::vec(0.0..=1.0f64, 110),
+    ) {
+        let data = random_data_metric(110, seed, Metric::Euclidean);
+        let tree = MTree::build(&data, MTreeConfig::with_capacity(cap));
+        let radii: Vec<f64> = shares
+            .iter()
+            .map(|s| (r_lo + s * (r_max - r_lo)).min(r_max))
+            .collect();
+        let g = StratifiedDiskGraph::from_mtree(&tree, r_max);
+        let graph_sol = multi_radius_graph(&tree, &g, &radii, true);
+        let tree_sol = multi_radius_greedy_disc(&tree, &radii, true);
+        prop_assert_eq!(&graph_sol.solution, &tree_sol.solution);
+        let (uncovered, dependent) = verify_multi_radius(&data, &graph_sol.solution, &radii);
+        prop_assert!(uncovered.is_empty());
+        prop_assert!(dependent.is_empty());
+    }
 }
