@@ -15,13 +15,14 @@
 //! (coverage counts shrink monotonically). The caller does not touch
 //! the heap when a key falls, so a stored key is an **upper bound** on
 //! the current one — and a seed key need only be such a bound. The
-//! caller owns the authoritative keys: the tree-backed runners keep a
-//! `counts` array, the graph-resident ones count a candidate's row when
-//! it is asked for. [`LazyMaxHeap::pop_valid`] asks for the current key
-//! of the top entry: if it is lower, the entry is re-queued at that
-//! key; if it matches, the object is returned. The returned object is
-//! then the exact maximum by (current key desc, rank asc) over every
-//! live candidate, since every other entry's current key is at most its
+//! caller owns the authoritative keys: the tree-backed runners and the
+//! graph-resident cover run keep a `counts` array, the graph-resident
+//! white passes count a candidate's row when it is asked for.
+//! [`LazyMaxHeap::pop_valid`] asks for the current key of the top
+//! entry: if it is lower, the entry is re-queued at that key; if it
+//! matches, the object is returned. The returned object is then the
+//! exact maximum by (current key desc, rank asc) over every live
+//! candidate, since every other entry's current key is at most its
 //! stored key, which is at most the winner's. This is the lazy-greedy
 //! pattern (CELF, Leskovec et al., KDD 2007): the heap never holds more
 //! than one entry per object, and a key that falls costs no heap push.

@@ -41,20 +41,23 @@
 //! tie-breaking (largest count first, smallest id on ties), so
 //! [`greedy_disc_graph`] is pinned **byte-identical** to the exact
 //! tree-backed Greedy-DisC variants and [`greedy_c_graph`] to
-//! Greedy-C. [`fast_c_graph`] is Fast-C's lazy-update strategy (no
-//! per-grey cascades, pop-time revalidation); because CSR adjacency is
-//! exact where Fast-C's truncated climbs are not, it is the same run
-//! as [`greedy_c_graph`] under its own label.
+//! Greedy-C. Because CSR adjacency is exact where Fast-C's truncated
+//! climbs are not, [`fast_c_graph`] picks exactly what
+//! [`greedy_c_graph`] picks: the two are one run under two labels.
 //!
-//! No runner keeps white counts. Every candidate enters the heap once,
-//! keyed by its row length — an upper bound on its white neighbours,
-//! read without a scan — and its key is counted from its row when it
-//! reaches the top. [`LazyMaxHeap::pop_valid`] re-queues it while that
-//! count falls short of the stored key, so each pop is still the exact
-//! (count desc, external rank asc) maximum, and the pop sequence is the
-//! one exact counts would give. Greedy-DisC, both greedy zoom-ins, the
-//! greedy zoom-out second pass, multi-radius greedy selection and the
-//! repair re-cover of [`crate::stream`] all run one such white pass.
+//! The white passes keep no white counts. Every white object enters the
+//! heap once, keyed by its row length — an upper bound on its white
+//! neighbours, read without a scan — and its key is counted from its
+//! row when it reaches the top. [`LazyMaxHeap::pop_valid`] re-queues it
+//! while that count falls short of the stored key, so each pop is still
+//! the exact (count desc, external rank asc) maximum, and the pop
+//! sequence is the one exact counts would give. Greedy-DisC, both
+//! greedy zoom-ins, the greedy zoom-out second pass, multi-radius
+//! greedy selection and the repair re-cover of [`crate::stream`] all
+//! run one such white pass. The cover run of Greedy-C and Fast-C keeps
+//! exact counts instead: grey objects stay candidates there, so a key
+//! counted at pop would rescan a grey's row at each pop while its key
+//! keeps falling, where a count drops once per newly grey neighbour.
 //!
 //! ## The id-set runners take any [`Adjacency`]
 //!
@@ -209,13 +212,11 @@ pub fn greedy_c_graph_checked(
     run_cover_graph(g, "G-C (Graph)", cancel)
 }
 
-/// Fast-C over any [`Adjacency`]: the lazy-update strategy (no count
-/// updates at all; the heap's pop-time key is one adjacency scan of the
-/// popped candidate, and [`LazyMaxHeap::pop_valid`] re-queues it if
-/// that key dropped). With exact CSR adjacency the revalidated keys are
-/// exact, so — unlike the tree-backed [`crate::fast_c`], whose truncated
-/// bottom-up climbs can leave counts stale — it is the same run as
-/// [`greedy_c_graph`] under its own label.
+/// Fast-C over any [`Adjacency`]. The tree-backed [`crate::fast_c`]
+/// saves range-query work with bottom-up climbs that stop at the first
+/// grey ancestor, and pays with stale counts that a pop must
+/// revalidate. Exact adjacency has no climbs to truncate, so this is
+/// the same run as [`greedy_c_graph`] under its own label.
 pub fn fast_c_graph(g: &impl Adjacency) -> DiscResult {
     never_cancelled(run_cover_graph(g, "Fast-C (Graph)", None))
 }
@@ -230,7 +231,7 @@ pub fn fast_c_graph_checked(
 }
 
 /// The one body of [`greedy_c_graph`] and [`fast_c_graph`], reporting
-/// `heuristic` as its label.
+/// `heuristic` as its label. It keeps exact white counts (module docs).
 fn run_cover_graph(
     g: &impl Adjacency,
     heuristic: &str,
@@ -239,28 +240,43 @@ fn run_cover_graph(
     // Absent vertices go black: grey ones are candidates here. They
     // never reach the solution, which lists picks, not the black class.
     let mut color = colors_without_absent(g, Color::Black);
+    // counts[v] = |N_r(v) ∩ white|, exact for every non-black v.
+    let mut counts: Vec<u32> = (0..g.len()).map(|v| g.degree(v) as u32).collect();
+    for &a in g.absent() {
+        uncount(row(g, a), &color, &mut counts);
+    }
     let mut white = g.len() - g.absent().len();
     let mut heap = LazyMaxHeap::with_capacity(white);
-    for (id, _) in color.iter().enumerate().filter(|(_, &c)| c == Color::White) {
-        // Row length plus the self-term bounds the key from above.
-        heap.push_ranked(id, g.external_id(id), g.degree(id) as u32 + 1);
+    for (id, &c) in counts.iter().enumerate() {
+        if color[id] == Color::White {
+            heap.push_ranked(id, g.external_id(id), c + 1); // all white: self-term applies
+        }
     }
     let mut solution = Vec::new();
     while white > 0 {
         checkpoint(cancel)?;
-        // The key — white neighbours plus one while the candidate is
-        // itself uncovered — is counted at pop; `pop_valid` re-queues a
-        // candidate while it falls short of the stored key.
+        // The key: white neighbours plus one while the candidate is
+        // itself uncovered. No heap push on a count drop: `pop_valid`
+        // re-queues a candidate whose key fell short of the stored one.
         let picked = heap.pop_valid(|id| {
-            (color[id] != Color::Black)
-                .then(|| white_count(row(g, id), &color) + u32::from(color[id] == Color::White))
+            (color[id] != Color::Black).then(|| counts[id] + u32::from(color[id] == Color::White))
         });
         let Some(picked) = picked else {
             unreachable!("white objects remain, so candidates exist")
         };
-        white -= usize::from(color[picked] == Color::White);
+        let was_white = color[picked] == Color::White;
         color[picked] = Color::Black;
-        white -= grey_whites(row(g, picked), &mut color);
+        if was_white {
+            white -= 1;
+            uncount(row(g, picked), &color, &mut counts);
+        }
+        row(g, picked).for_each(|u| {
+            if color[u] == Color::White {
+                color[u] = Color::Grey;
+                white -= 1;
+                uncount(row(g, u), &color, &mut counts);
+            }
+        });
         solution.push(g.external_id(picked));
     }
     Ok(DiscResult {
@@ -269,6 +285,13 @@ fn run_cover_graph(
         solution,
         node_accesses: 0,
     })
+}
+
+/// Takes one object out of the white set: the count of each non-black
+/// object of `ids` — its neighbours — drops by one.
+#[inline]
+fn uncount(ids: impl Iterator<Item = ObjId>, color: &[Color], counts: &mut [u32]) {
+    ids.for_each(|w| counts[w] -= u32::from(color[w] != Color::Black));
 }
 
 // ---------------------------------------------------------------------

@@ -22,7 +22,8 @@
 //! colours it non-white before seeding: it is never a candidate and
 //! never counted as a white neighbour. [`Adjacency::degree`] still
 //! counts it, so a degree bounds a vertex's white neighbours from
-//! above; the runners seed their heaps with it.
+//! above: the white passes seed their heaps with it, and the cover run
+//! starts its exact counts from it minus each absent neighbour.
 
 use disc_metric::ObjId;
 
