@@ -176,6 +176,52 @@ fn corrupted_snapshot_rejected_at_startup_naming_the_section() {
     let _ = std::fs::remove_file(&bad_path);
 }
 
+#[test]
+fn asymmetric_snapshot_refused_by_doctor_and_serve_naming_the_section() {
+    // Rows 0:[2,3] 1:[0] 2:[0] 3:[0], sealed with valid checksums: every
+    // entry is valid, but (1, 0) has no mirror, and Greedy-DisC would
+    // answer the dependent set {0, 1}.
+    let bytes = disc_store::encode_parts(&disc_store::SnapshotParts {
+        name: "asymmetric",
+        metric: disc_metric::Metric::Euclidean,
+        dim: 2,
+        coords: &[0.0, 0.0, 0.25, 0.0, 0.1, 0.0, 0.0, 0.2],
+        radius: R_MAX,
+        offsets: &[0, 2, 3, 4, 5],
+        neighbors: &[2, 3, 0, 0, 0],
+        dists: &[0.1, 0.2, 0.25, 0.1, 0.2],
+        ext_ids: None,
+    })
+    .expect("structurally consistent parts encode");
+    let dir = std::env::temp_dir().join("disc-cli-serve-tests");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("asymmetric-{}.snap", std::process::id()));
+    std::fs::write(&path, &bytes).expect("write snapshot");
+    for verb in ["doctor", "serve"] {
+        let argv: Vec<String> = [verb, "--snapshot", &path.display().to_string()]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = disc_cli::run(&argv).expect_err("asymmetric snapshot is refused");
+        assert_eq!(err.exit_code(), 3, "{verb}: {err}");
+        assert!(
+            matches!(
+                err,
+                CliError::Store(disc_store::StoreError::Asymmetric {
+                    below: 3,
+                    entries: 5
+                })
+            ),
+            "{verb}: {err:?}"
+        );
+        assert!(
+            err.to_string().contains("neighbors section"),
+            "{verb} must name the section: {err}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 // ------------------------------------------------------------------
 // Parity: served solutions == in-process graph-resident runners.
 // ------------------------------------------------------------------

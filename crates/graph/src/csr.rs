@@ -2,7 +2,9 @@
 //! [`crate::UnitDiskGraph`] (plain id rows) and
 //! [`crate::StratifiedDiskGraph`] (distance-annotated rows). Every
 //! constructor of either graph, the sharded production build included,
-//! ends in [`assemble_rows`].
+//! ends in [`assemble_rows`]; both constructors from raw arrays
+//! (`from_csr_parts`, `from_stored_csr`) end in the one row check,
+//! [`check_rows`].
 //!
 //! The rows are cut into contiguous **parts**, and the input is a list
 //! of undirected edge lists, each tagged with the part or pair of parts
@@ -60,9 +62,22 @@
 //! until they are small enough for a branch-light integer sort. Unit
 //! tests pin order-identity against the comparison sort on duplicate
 //! distances, ±0.0, subnormals and all-equal rows.
+//!
+//! ## Checking rows from outside
+//!
+//! Arrays that did not come from this assembly (a snapshot's) are
+//! checked by [`check_rows`], over the same entry-balanced row ranges
+//! as the row sort ([`entry_balanced_rows`]), one task per range. A
+//! range can first fill its rows' slots of the final arrays, so a
+//! stored entry is read once, written widened into its slot and checked
+//! there. The check can also fold a keyed symmetry fingerprint
+//! ([`Mirrors`]); the error it reports is the first in row order at
+//! every worker count.
 
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use disc_metric::cancel::{CancelToken, Cancelled};
@@ -396,27 +411,7 @@ fn sort_rows<E: Edge>(
     workers: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<(), Cancelled> {
-    let n = offsets.len() - 1;
-    let total = offsets[n];
-    // Row cut before each worker's even share of the entries; cuts are
-    // row indices, non-decreasing, so ranges partition 0..n exactly.
-    let mut cuts = Vec::with_capacity(workers + 1);
-    cuts.push(0usize);
-    for w in 1..workers {
-        let target = total * w / workers;
-        cuts.push(offsets.partition_point(|&o| o < target).min(n));
-    }
-    cuts.push(n);
-
-    let (mut rest_p, mut rest_n) = (payloads, neighbors);
-    let mut ranges = Vec::with_capacity(workers);
-    for rows in cuts.windows(2).map(|c| c[0]..c[1]) {
-        let len = offsets[rows.end] - offsets[rows.start];
-        let (mine_p, tail_p) = std::mem::take(&mut rest_p).split_at_mut(len);
-        let (mine_n, tail_n) = std::mem::take(&mut rest_n).split_at_mut(len);
-        (rest_p, rest_n) = (tail_p, tail_n);
-        ranges.push((rows, mine_p, mine_n));
-    }
+    let ranges = entry_balanced_rows(offsets, workers, payloads, neighbors);
     run_tasks(ranges, workers, |(rows, ps, ids)| {
         let base = offsets[rows.start];
         let mut scratch = RowScratch::default();
@@ -431,6 +426,209 @@ fn sort_rows<E: Edge>(
     })
     .into_iter()
     .collect()
+}
+
+/// One row range of [`entry_balanced_rows`], with its slices of the
+/// payload and id arrays.
+type RowSlices<'a, P> = (Range<usize>, &'a mut [P], &'a mut [ObjId]);
+
+/// Cuts the rows of `offsets` into `parts` contiguous ranges balanced
+/// by **entry count** (one binary search on `offsets` per cut), each
+/// with its disjoint slices of the aligned `payloads`/`ids` arrays. The
+/// ranges tile `0..n` in order; a part may be empty when a few rows
+/// hold most entries. The row sort and the row check run one task per
+/// range.
+fn entry_balanced_rows<'a, P>(
+    offsets: &[usize],
+    parts: usize,
+    payloads: &'a mut [P],
+    ids: &'a mut [ObjId],
+) -> Vec<RowSlices<'a, P>> {
+    let n = offsets.len() - 1;
+    let total = offsets[n];
+    // Row cut before each part's even share of the entries; cuts are
+    // row indices, non-decreasing, so ranges partition 0..n exactly.
+    let mut cuts = Vec::with_capacity(parts + 1);
+    cuts.push(0usize);
+    for w in 1..parts {
+        let target = total * w / parts;
+        cuts.push(offsets.partition_point(|&o| o < target).min(n));
+    }
+    cuts.push(n);
+
+    let (mut rest_p, mut rest_n) = (payloads, ids);
+    let mut ranges = Vec::with_capacity(parts);
+    for rows in cuts.windows(2).map(|c| c[0]..c[1]) {
+        let len = offsets[rows.end] - offsets[rows.start];
+        let (mine_p, tail_p) = std::mem::take(&mut rest_p).split_at_mut(len);
+        let (mine_n, tail_n) = std::mem::take(&mut rest_n).split_at_mut(len);
+        (rest_p, rest_n) = (tail_p, tail_n);
+        ranges.push((rows, mine_p, mine_n));
+    }
+    ranges
+}
+
+/// Below this many directed entries [`check_rows`] runs on the
+/// caller's thread. A v4 snapshot stores 12 bytes per entry, so any
+/// snapshot under disc-store's 1 MiB threading cutoff is also under
+/// this one, and a small open spawns no thread.
+const CHECK_MIN_PARALLEL: usize = 1 << 17;
+
+/// The worker count of [`check_rows`] for a CSR of `entries` directed
+/// entries: one below [`CHECK_MIN_PARALLEL`], one per core above.
+pub(crate) fn check_workers(entries: usize) -> usize {
+    if entries < CHECK_MIN_PARALLEL {
+        1
+    } else {
+        disc_metric::tasks::workers(0)
+    }
+}
+
+/// The order-independent symmetry fingerprint of a distance CSR. Each
+/// entry `(v, u, d)` adds a keyed mix of `(min(v, u), max(v, u),
+/// d.to_bits())` into the wrapping sum of its half: `u < v` (below) or
+/// `u > v` (above). An entry and its mirror `(u, v, d)` mix to the same
+/// value and land in opposite halves, so a symmetric CSR has equal sums
+/// and half its entries below, for every key.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Mirrors {
+    /// Entries whose neighbor id is below their row's.
+    pub(crate) below: usize,
+    below_sum: u64,
+    above_sum: u64,
+}
+
+impl Mirrors {
+    /// Folds entry `(v, u, d)` into its half.
+    #[inline]
+    fn fold(&mut self, key: u64, v: ObjId, u: ObjId, d: f64) {
+        let below = u < v;
+        let h = mirror_mix(key, v.min(u) as u64, v.max(u) as u64, d.to_bits());
+        // Branch-free: `u < v` is a coin flip inside a distance-sorted row.
+        let mask = 0u64.wrapping_sub(u64::from(below));
+        self.below += usize::from(below);
+        self.below_sum = self.below_sum.wrapping_add(h & mask);
+        self.above_sum = self.above_sum.wrapping_add(h & !mask);
+    }
+
+    fn merge(self, other: Self) -> Self {
+        Self {
+            below: self.below + other.below,
+            below_sum: self.below_sum.wrapping_add(other.below_sum),
+            above_sum: self.above_sum.wrapping_add(other.above_sum),
+        }
+    }
+
+    /// Whether the halves match over a CSR of `entries` entries.
+    pub(crate) fn balanced(&self, entries: usize) -> bool {
+        self.below * 2 == entries && self.below_sum == self.above_sum
+    }
+}
+
+/// The keyed mix of [`Mirrors`]: each word is absorbed with an XOR and
+/// a multiply-xorshift round. Every round is a bijection of the state,
+/// so two entries that differ in one word (an id, or a distance by one
+/// ulp) always mix differently; the key keeps a crafted file from
+/// aiming at the sum.
+#[inline]
+fn mirror_mix(key: u64, lo: u64, hi: u64, bits: u64) -> u64 {
+    let mut h = key;
+    for word in [lo.rotate_left(32) ^ hi, bits] {
+        h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 29;
+    }
+    h
+}
+
+/// The key of [`Mirrors`], drawn once per process from the standard
+/// library's randomly seeded hasher. A symmetric CSR passes for every
+/// key, so results never depend on it.
+pub(crate) fn mirror_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0x6D69_7272_6F72_u64))
+}
+
+/// Checks every row of a stratified CSR and returns its [`Mirrors`]
+/// (folded only when `key` is given), over `workers` entry-balanced
+/// row ranges (see [`entry_balanced_rows`]), one task each. A range
+/// first hands each row's slots of the final `neighbors`/`dists` arrays
+/// to `fill` (with the row's global entry range), then checks the row
+/// there (see [`check_range`]); a caller whose arrays are already final
+/// passes a no-op. Ranges run in row order and each stops at its own
+/// first violation, so the error returned is the first in row order at
+/// every worker count.
+pub(crate) fn check_rows<F>(
+    radius: f64,
+    offsets: &[usize],
+    neighbors: &mut [ObjId],
+    dists: &mut [f64],
+    key: Option<u64>,
+    workers: usize,
+    fill: F,
+) -> Result<Mirrors, GraphError>
+where
+    F: Fn(Range<usize>, &mut [ObjId], &mut [f64]) + Sync,
+{
+    let ranges = entry_balanced_rows(offsets, workers, dists, neighbors);
+    run_tasks(ranges, workers, |(rows, ds, ids)| {
+        check_range(radius, offsets, rows, ids, ds, key, &fill)
+    })
+    .into_iter()
+    .try_fold(Mirrors::default(), |all, range| Ok(all.merge(range?)))
+}
+
+/// The row validator of [`check_rows`], over the rows `rows` whose
+/// entries `ids`/`ds` hold (from `offsets[rows.start]`). For each
+/// entry, in order: the id is in `0..n` and not the row's own, the
+/// distance lies in `[0, radius]` and is not NaN, and the row is
+/// strictly `(total_cmp(dist), id)`-sorted. The first violation is
+/// named with its row and global entry index.
+fn check_range<F>(
+    radius: f64,
+    offsets: &[usize],
+    rows: Range<usize>,
+    ids: &mut [ObjId],
+    ds: &mut [f64],
+    key: Option<u64>,
+    fill: &F,
+) -> Result<Mirrors, GraphError>
+where
+    F: Fn(Range<usize>, &mut [ObjId], &mut [f64]),
+{
+    let n = offsets.len() - 1;
+    let base = offsets[rows.start];
+    let mut mirrors = Mirrors::default();
+    for v in rows {
+        let row = offsets[v]..offsets[v + 1];
+        let local = row.start - base..row.end - base;
+        let (ids, ds) = (&mut ids[local.clone()], &mut ds[local]);
+        fill(row.clone(), ids, ds);
+        let mut prev: Option<(u64, ObjId)> = None;
+        for (index, (&id, &d)) in row.zip(ids.iter().zip(ds.iter())) {
+            if id >= n {
+                return Err(GraphError::NeighborOutOfRange { row: v, index, id });
+            }
+            if id == v {
+                return Err(GraphError::SelfLoop { row: v, index });
+            }
+            if d.is_nan() || d < 0.0 || d > radius {
+                return Err(GraphError::DistanceOutOfRange {
+                    row: v,
+                    index,
+                    value: d,
+                });
+            }
+            let order = (dist_order_key(d), id);
+            if prev.is_some_and(|p| order <= p) {
+                return Err(GraphError::RowNotSorted { row: v, index });
+            }
+            prev = Some(order);
+            if let Some(key) = key {
+                mirrors.fold(key, v, id, d);
+            }
+        }
+    }
+    Ok(mirrors)
 }
 
 /// Reusable scatter buffers for [`Edge::order_row`], one per sort
@@ -941,5 +1139,159 @@ mod tests {
                     .is_ok()
             );
         }
+    }
+
+    /// A symmetric path CSR: row `v` holds `v - k` and `v + k` (where
+    /// they exist) at distance `0.01 * k`, for `k` in `1..=reach`.
+    fn path_csr(n: usize, reach: usize) -> (Vec<usize>, Vec<ObjId>, Vec<f64>) {
+        let (mut offsets, mut ids, mut ds) = (vec![0], Vec::new(), Vec::new());
+        for v in 0..n {
+            for k in 1..=reach {
+                for u in [v.checked_sub(k), Some(v + k).filter(|&u| u < n)]
+                    .into_iter()
+                    .flatten()
+                {
+                    ids.push(u);
+                    ds.push(0.01 * k as f64);
+                }
+            }
+            offsets.push(ids.len());
+        }
+        (offsets, ids, ds)
+    }
+
+    #[test]
+    fn row_check_is_the_same_at_every_worker_count() {
+        let n = 3_000;
+        let (offsets, ids, ds) = path_csr(n, 4);
+        let key = mirror_key();
+        // Checked in place, and filled from the arrays into zeroed ones.
+        let check = |ids: &[ObjId], ds: &[f64], workers: usize| {
+            let (mut i, mut d) = (ids.to_vec(), ds.to_vec());
+            let in_place = check_rows(
+                0.5,
+                &offsets,
+                &mut i,
+                &mut d,
+                Some(key),
+                workers,
+                |_, _, _| {},
+            );
+            let (mut fi, mut fd) = (vec![0; ids.len()], vec![0.0; ds.len()]);
+            let filled = check_rows(
+                0.5,
+                &offsets,
+                &mut fi,
+                &mut fd,
+                Some(key),
+                workers,
+                |row, i, d| {
+                    i.copy_from_slice(&ids[row.clone()]);
+                    d.copy_from_slice(&ds[row]);
+                },
+            );
+            assert_eq!(in_place, filled, "workers={workers}");
+            if filled.is_ok() {
+                assert_eq!((fi.as_slice(), fd.as_slice()), (ids, ds));
+            }
+            filled
+        };
+        let clean = check(&ids, &ds, 1).expect("a symmetric path is valid");
+        assert!(clean.balanced(ids.len()));
+
+        // Each kind of damage in an early row and a late one, at the
+        // row's second entry (flat index `at`).
+        type Damage = fn(&mut [ObjId], &mut [f64], usize, usize) -> Result<Mirrors, GraphError>;
+        let damages: [Damage; 4] = [
+            |_, ds, row, at| {
+                ds[at] = f64::NAN;
+                Err(GraphError::DistanceOutOfRange {
+                    row,
+                    index: at,
+                    value: f64::NAN,
+                })
+            },
+            |ids, _, row, at| {
+                ids[at] = row;
+                Err(GraphError::SelfLoop { row, index: at })
+            },
+            |ids, ds, row, at| {
+                ids.swap(at - 1, at);
+                ds.swap(at - 1, at);
+                Err(GraphError::RowNotSorted { row, index: at })
+            },
+            |ids, _, row, at| {
+                ids[at] = 3_000;
+                Err(GraphError::NeighborOutOfRange {
+                    row,
+                    index: at,
+                    id: 3_000,
+                })
+            },
+        ];
+        for row in [10, n - 10] {
+            let at = offsets[row] + 1;
+            for damage in damages {
+                let (mut bad_ids, mut bad_ds) = (ids.clone(), ds.clone());
+                let want = damage(&mut bad_ids, &mut bad_ds, row, at);
+                for workers in [1, 2, 3, 8] {
+                    assert_eq!(check(&bad_ids, &bad_ds, workers), want, "row {row}");
+                }
+            }
+            // A mirrored distance one ulp off: every entry is valid, the
+            // halves are not.
+            let mut bad_ds = ds.clone();
+            bad_ds[offsets[row + 1] - 1] =
+                f64::from_bits(bad_ds[offsets[row + 1] - 1].to_bits() + 1);
+            let off = check(&ids, &bad_ds, 1).expect("entries are valid one by one");
+            assert!(!off.balanced(ids.len()), "row {row}");
+            for workers in [2, 3, 8] {
+                assert_eq!(check(&ids, &bad_ds, workers), Ok(off), "row {row}");
+            }
+        }
+
+        // Two violations in different ranges: the earlier row wins,
+        // whichever kind it is.
+        let (early, late) = (offsets[10] + 1, offsets[n - 10] + 1);
+        let mut bad_ids = ids.clone();
+        let mut bad_ds = ds.clone();
+        bad_ds[early] = f64::NAN;
+        bad_ids[late] = n - 10;
+        let mut loop_first = ids.clone();
+        loop_first[early] = 10;
+        let mut nan_late = ds.clone();
+        nan_late[late] = f64::NAN;
+        for workers in [1, 2, 3, 8] {
+            assert_eq!(
+                check(&bad_ids, &bad_ds, workers),
+                Err(GraphError::DistanceOutOfRange {
+                    row: 10,
+                    index: early,
+                    value: f64::NAN
+                })
+            );
+            assert_eq!(
+                check(&loop_first, &nan_late, workers),
+                Err(GraphError::SelfLoop {
+                    row: 10,
+                    index: early
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn mirrors_pass_a_symmetric_csr_for_every_key() {
+        let (offsets, mut ids, mut ds) = path_csr(200, 3);
+        let entries = ids.len();
+        for key in [0, 1, u64::MAX, 0x9E37_79B9_7F4A_7C15, mirror_key()] {
+            let m = check_rows(0.5, &offsets, &mut ids, &mut ds, Some(key), 1, |_, _, _| {})
+                .expect("valid rows");
+            assert!(m.balanced(entries), "key {key:#x}");
+            assert_eq!(m.below * 2, entries);
+        }
+        // Without a key nothing is folded.
+        let none = check_rows(0.5, &offsets, &mut ids, &mut ds, None, 1, |_, _, _| {});
+        assert_eq!(none, Ok(Mirrors::default()));
     }
 }

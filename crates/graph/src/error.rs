@@ -9,7 +9,8 @@ use disc_mtree::JoinError;
 
 /// Why a checked graph operation refused to run, stopped early, or
 /// rejected its input. Reconstruction from untrusted raw CSR arrays
-/// ([`crate::StratifiedDiskGraph::from_csr_parts`]) validates every
+/// ([`crate::StratifiedDiskGraph::from_csr_parts`],
+/// [`crate::StratifiedDiskGraph::from_stored_csr`]) validates every
 /// structural invariant the query paths rely on and names the first
 /// violation precisely.
 #[derive(Clone, Copy, Debug)]
@@ -124,6 +125,17 @@ pub enum GraphError {
         /// The vertex whose entry is missing from that row.
         id: usize,
     },
+    /// Stored CSR arrays are not symmetric: some entry `(v, u, d)` has
+    /// no mirror `(u, v, d)`. Found by the keyed symmetry fingerprint
+    /// of [`crate::StratifiedDiskGraph::from_stored_csr`], which does
+    /// not say which entry.
+    Asymmetric {
+        /// Entries whose neighbor id is below their row's; a symmetric
+        /// CSR has exactly half its entries here.
+        below: usize,
+        /// All directed entries.
+        entries: usize,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -184,6 +196,11 @@ impl fmt::Display for GraphError {
                 f,
                 "row {row} lacks the mirrored entry of its edge to {id}; the CSR is not symmetric"
             ),
+            Self::Asymmetric { below, entries } => write!(
+                f,
+                "CSR is not symmetric: some entry (v, u, d) lacks its mirror (u, v, d) \
+                 ({below} of {entries} entries point to a lower id)"
+            ),
         }
     }
 }
@@ -214,6 +231,7 @@ impl GraphError {
             Self::VertexOutOfRange { id, len } => [id as u64, len as u64, 0],
             Self::DuplicateNeighbor { id } | Self::DuplicateExternalId { id } => [id as u64, 0, 0],
             Self::MissingMirror { row, id } => [row as u64, id as u64, 0],
+            Self::Asymmetric { below, entries } => [below as u64, entries as u64, 0],
         };
         (std::mem::discriminant(self), fields)
     }

@@ -65,17 +65,28 @@
 //! * a **persisted, served** catalog → `disc_core::build_sharded` (the
 //!   `disc build` pipeline): per-shard self-joins and boundary
 //!   cross-joins handed by value, routed to their shards' row ranges,
-//!   to [`StratifiedDiskGraph::from_dist_edge_parts_checked`].
+//!   to [`StratifiedDiskGraph::from_dist_edge_parts_checked`]. Its
+//!   snapshot opens through [`StratifiedDiskGraph::from_stored_csr`].
 //!
-//! Every constructor, for this graph and for [`UnitDiskGraph`], ends in
-//! the same assembly: a degree count and fill over contiguous row
-//! parts, in parallel across parts, then the entry-balanced parallel
-//! row sort. The sharded build fills one part per shard; every other
-//! constructor is the one-part case, whose fill is serial. Only the
-//! sort's worker count differs: one for
+//! Every constructor from edges, for this graph and for
+//! [`UnitDiskGraph`], ends in the same assembly: a degree count and
+//! fill over contiguous row parts, in parallel across parts, then the
+//! entry-balanced parallel row sort. The sharded build fills one part
+//! per shard; every other constructor is the one-part case, whose fill
+//! is serial. Only the sort's worker count differs: one for
 //! [`StratifiedDiskGraph::from_dist_edges`] and
 //! [`StratifiedDiskGraph::build`], one per core for
 //! [`StratifiedDiskGraph::from_mtree`], the caller's for the rest.
+//!
+//! The two constructors from raw CSR arrays,
+//! [`StratifiedDiskGraph::from_csr_parts`] (owned `usize`/`f64`
+//! arrays) and [`StratifiedDiskGraph::from_stored_csr`] (a snapshot's
+//! stored arrays, widened as they are copied), end in one row
+//! validator, run over the sort's entry-balanced row ranges, one
+//! worker per core on large graphs. It reports the first violation in
+//! row order at every worker count. Only the stored-array entry point
+//! also checks symmetry, with a keyed fingerprint folded in the same
+//! pass.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -223,87 +234,111 @@ impl StratifiedDiskGraph {
         Ok((graph, breakdown))
     }
 
-    /// Reassembles a graph from its raw CSR arrays — the load path of a
-    /// persisted snapshot (`disc-store`), where the arrays come from
-    /// disk rather than from this crate's own assembly. Every
-    /// structural invariant the query paths rely on is re-validated
-    /// fail-closed, with the first violation named by a typed
-    /// [`GraphError`]:
+    /// Reassembles a graph from its raw CSR arrays, built elsewhere than
+    /// in this crate's own assembly. Every structural invariant the
+    /// query paths rely on is re-validated fail-closed, with the first
+    /// violation named by a typed [`GraphError`]:
     ///
     /// * `offsets` non-empty, starting at 0, non-decreasing, with
     ///   `offsets[n]` equal to both array lengths;
     /// * every neighbor id in range and never the row's own vertex;
+    /// * every distance within `[0, r_max]` and never NaN;
     /// * every row strictly `(total_cmp(dist), id)`-sorted (the cutoff
-    ///   binary searches are only correct on sorted rows);
-    /// * every distance within `[0, r_max]` and never NaN.
+    ///   binary searches are only correct on sorted rows).
+    ///
+    /// Entries are checked in row order; the first violation wins.
+    /// Symmetry is not checked: an entry without its mirror is admitted
+    /// here (a delete then fails with [`GraphError::MissingMirror`]).
+    /// A persisted snapshot opens through
+    /// [`StratifiedDiskGraph::from_stored_csr`], which checks it.
     ///
     /// The arrays are stored as given — a graph that round-trips
     /// through `from_csr_parts` is byte-identical to the original.
     pub fn from_csr_parts(
         radius: f64,
         offsets: Vec<usize>,
-        neighbors: Vec<ObjId>,
-        dists: Vec<f64>,
+        mut neighbors: Vec<ObjId>,
+        mut dists: Vec<f64>,
     ) -> Result<Self, GraphError> {
-        if radius.is_nan() || radius < 0.0 {
-            return Err(GraphError::InvalidRadius(radius));
-        }
-        let Some((&first, _)) = offsets.split_first() else {
-            return Err(GraphError::EmptyOffsets);
-        };
-        if first != 0 {
-            return Err(GraphError::OffsetsStart { found: first });
-        }
-        let n = offsets.len() - 1;
-        for v in 0..n {
-            if offsets[v + 1] < offsets[v] {
-                return Err(GraphError::OffsetsNotMonotone { row: v });
-            }
-        }
-        let expected = offsets[n];
-        if neighbors.len() != expected || dists.len() != expected {
-            return Err(GraphError::ArrayLengthMismatch {
-                expected,
-                neighbors: neighbors.len(),
-                dists: dists.len(),
-            });
-        }
-        for v in 0..n {
-            let mut prev: Option<(u64, ObjId)> = None;
-            for k in offsets[v]..offsets[v + 1] {
-                let id = neighbors[k];
-                let d = dists[k];
-                if id >= n {
-                    return Err(GraphError::NeighborOutOfRange {
-                        row: v,
-                        index: k,
-                        id,
-                    });
-                }
-                if id == v {
-                    return Err(GraphError::SelfLoop { row: v, index: k });
-                }
-                if d.is_nan() || d < 0.0 || d > radius {
-                    return Err(GraphError::DistanceOutOfRange {
-                        row: v,
-                        index: k,
-                        value: d,
-                    });
-                }
-                let key = (crate::csr::dist_order_key(d), id);
-                if let Some(p) = prev {
-                    if key <= p {
-                        return Err(GraphError::RowNotSorted { row: v, index: k });
-                    }
-                }
-                prev = Some(key);
-            }
-        }
+        check_offsets(radius, &offsets, neighbors.len(), dists.len())?;
+        let workers = crate::csr::check_workers(dists.len());
+        crate::csr::check_rows(
+            radius,
+            &offsets,
+            &mut neighbors,
+            &mut dists,
+            None,
+            workers,
+            |_, _, _| {},
+        )?;
         Ok(Self {
             radius,
             offsets,
             neighbors,
             dists,
+            perm: None,
+        })
+    }
+
+    /// Builds a graph from CSR arrays as a snapshot stores them — the
+    /// open of a persisted snapshot (`disc-store`): neighbor ids of any
+    /// stored width (`u32`, or `u64` in legacy formats) and distances
+    /// borrowed from the file's bytes. One pass over entry-balanced row
+    /// ranges, in parallel above a size cutoff, reads each stored entry
+    /// once, writes it widened into its slot of the graph's own arrays
+    /// and runs every check of [`StratifiedDiskGraph::from_csr_parts`]
+    /// on it there, with the same first violation in row order.
+    ///
+    /// The same pass folds a keyed symmetry fingerprint (one wrapping
+    /// sum per half, `u < v` and `u > v`, of a mix of `(min id, max id,
+    /// distance bits)`, keyed once per process). When the halves differ
+    /// or do not hold half the entries each, some entry `(v, u, d)`
+    /// lacks its mirror `(u, v, d)` and the open fails with
+    /// [`GraphError::Asymmetric`]; a per-entry violation takes
+    /// precedence. A symmetric CSR passes for every key.
+    ///
+    /// A stored id that does not fit a `usize` is out of range.
+    pub fn from_stored_csr<I>(
+        radius: f64,
+        offsets: Vec<usize>,
+        neighbors: &[I],
+        dists: &[f64],
+    ) -> Result<Self, GraphError>
+    where
+        I: Copy + Sync,
+        ObjId: TryFrom<I>,
+    {
+        check_offsets(radius, &offsets, neighbors.len(), dists.len())?;
+        let entries = dists.len();
+        // Zeroed allocations are fresh pages: the row ranges' tasks
+        // fault them in as they write, so the pages fill in parallel.
+        let mut ids: Vec<ObjId> = vec![0; entries];
+        let mut ds = vec![0.0; entries];
+        let mirrors = crate::csr::check_rows(
+            radius,
+            &offsets,
+            &mut ids,
+            &mut ds,
+            Some(crate::csr::mirror_key()),
+            crate::csr::check_workers(entries),
+            |row, ids, ds| {
+                for (out, &id) in ids.iter_mut().zip(&neighbors[row.clone()]) {
+                    *out = ObjId::try_from(id).unwrap_or(ObjId::MAX);
+                }
+                ds.copy_from_slice(&dists[row]);
+            },
+        )?;
+        if !mirrors.balanced(entries) {
+            return Err(GraphError::Asymmetric {
+                below: mirrors.below,
+                entries,
+            });
+        }
+        Ok(Self {
+            radius,
+            offsets,
+            neighbors: ids,
+            dists: ds,
             perm: None,
         })
     }
@@ -837,6 +872,38 @@ impl StratifiedDiskGraph {
     pub fn vertices(&self) -> impl Iterator<Item = ObjId> + '_ {
         0..self.len()
     }
+}
+
+/// The checks that precede the row check of both constructors from raw
+/// arrays, in order: a valid radius, then non-empty offsets that start
+/// at 0, never decrease and end at both array lengths.
+fn check_offsets(
+    radius: f64,
+    offsets: &[usize],
+    neighbors: usize,
+    dists: usize,
+) -> Result<(), GraphError> {
+    if radius.is_nan() || radius < 0.0 {
+        return Err(GraphError::InvalidRadius(radius));
+    }
+    let Some((&first, _)) = offsets.split_first() else {
+        return Err(GraphError::EmptyOffsets);
+    };
+    if first != 0 {
+        return Err(GraphError::OffsetsStart { found: first });
+    }
+    if let Some(row) = offsets.windows(2).position(|w| w[1] < w[0]) {
+        return Err(GraphError::OffsetsNotMonotone { row });
+    }
+    let expected = offsets[offsets.len() - 1];
+    if neighbors != expected || dists != expected {
+        return Err(GraphError::ArrayLengthMismatch {
+            expected,
+            neighbors,
+            dists,
+        });
+    }
+    Ok(())
 }
 
 /// Debug-only input validation: every annotated distance must be a
@@ -1767,5 +1834,108 @@ mod tests {
         );
         let v = g.try_view(0.25).expect("in-range radius");
         assert_eq!(v.radius(), 0.25);
+    }
+
+    #[test]
+    fn from_stored_csr_matches_from_csr_parts_and_checks_symmetry() {
+        // A built graph reads back equal from u32 and u64 ids.
+        let data = random_data_metric(150, 11, Metric::Euclidean);
+        let g = StratifiedDiskGraph::build(&data, 0.3).with_permutation(None);
+        let narrow: Vec<u32> = g.neighbors_flat().iter().map(|&v| v as u32).collect();
+        let wide: Vec<u64> = g.neighbors_flat().iter().map(|&v| v as u64).collect();
+        let (offsets, dists) = (g.offsets().to_vec(), g.dists_flat());
+        let from_narrow =
+            StratifiedDiskGraph::from_stored_csr(0.3, offsets.clone(), &narrow, dists);
+        assert_eq!(from_narrow.as_ref(), Ok(&g));
+        let from_wide = StratifiedDiskGraph::from_stored_csr(0.3, offsets, &wide, dists);
+        assert_eq!(from_wide.as_ref(), Ok(&g));
+
+        // Every CSR from_csr_parts refuses, from_stored_csr refuses with
+        // the same error: offsets and lengths first, then entries in row
+        // order.
+        let ok = (
+            vec![0usize, 1, 3, 4],
+            vec![1usize, 0, 2, 1],
+            vec![0.1, 0.1, 0.2, 0.2],
+        );
+        let cases = [
+            (f64::NAN, ok.0.clone(), ok.1.clone(), ok.2.clone()),
+            (0.5, vec![], ok.1.clone(), ok.2.clone()),
+            (0.5, vec![1, 1, 3, 4], ok.1.clone(), ok.2.clone()),
+            (0.5, vec![0, 3, 1, 4], ok.1.clone(), ok.2.clone()),
+            (0.5, ok.0.clone(), vec![1, 0, 2], ok.2.clone()),
+            (0.5, ok.0.clone(), vec![9, 0, 2, 1], ok.2.clone()),
+            (0.5, ok.0.clone(), vec![1, 1, 2, 1], ok.2.clone()),
+            (0.5, ok.0.clone(), ok.1.clone(), vec![0.9, 0.1, 0.2, 0.2]),
+            (
+                0.5,
+                ok.0.clone(),
+                vec![1, 2, 0, 1],
+                vec![0.1, 0.2, 0.1, 0.2],
+            ),
+            // A self-loop and a bad distance in one row: the first entry
+            // in row order wins, as in from_csr_parts.
+            (
+                0.5,
+                ok.0.clone(),
+                vec![1, 1, 2, 1],
+                vec![0.1, 0.1, 0.7, 0.2],
+            ),
+        ];
+        for (r, o, nb, ds) in cases {
+            let want = StratifiedDiskGraph::from_csr_parts(r, o.clone(), nb.clone(), ds.clone())
+                .expect_err("invalid parts");
+            let got =
+                StratifiedDiskGraph::from_stored_csr(r, o, &nb, &ds).expect_err("invalid parts");
+            assert_eq!(got, want);
+        }
+
+        // Asymmetric CSRs whose every entry is valid: from_csr_parts
+        // admits them, from_stored_csr does not.
+        // (offsets, neighbors, dists, entries pointing to a lower id)
+        type Asymmetric = (Vec<usize>, Vec<usize>, Vec<f64>, usize);
+        let asymmetric: [Asymmetric; 4] = [
+            // remove_object's two cases: 0:[1,2] 1:[] 2:[0], and
+            // 0:[1,2] 1:[0,2] 2:[1].
+            (vec![0, 2, 2, 3], vec![1, 2, 0], vec![0.1, 0.2, 0.2], 1),
+            (
+                vec![0, 2, 4, 5],
+                vec![1, 2, 0, 2, 1],
+                vec![0.1, 0.2, 0.1, 0.3, 0.3],
+                2,
+            ),
+            // 0:[2,3] 1:[0] 2:[0] 3:[0]: Greedy-DisC would answer {0, 1}.
+            (
+                vec![0, 2, 3, 4, 5],
+                vec![2, 3, 0, 0, 0],
+                vec![0.1, 0.2, 0.3, 0.1, 0.2],
+                3,
+            ),
+            // Symmetric but for one mirrored distance one ulp off.
+            (
+                vec![0, 2, 4, 6],
+                vec![1, 2, 0, 2, 1, 0],
+                vec![
+                    0.1,
+                    0.3,
+                    f64::from_bits(0.1f64.to_bits() + 1),
+                    0.2,
+                    0.2,
+                    0.3,
+                ],
+                3,
+            ),
+        ];
+        for (o, nb, ds, below) in asymmetric {
+            StratifiedDiskGraph::from_csr_parts(0.5, o.clone(), nb.clone(), ds.clone())
+                .expect("rows are valid one by one");
+            assert_eq!(
+                StratifiedDiskGraph::from_stored_csr(0.5, o, &nb, &ds),
+                Err(GraphError::Asymmetric {
+                    below,
+                    entries: nb.len()
+                })
+            );
+        }
     }
 }

@@ -2,7 +2,8 @@
 //! `u64`/`u32`/`f64` slices — the zero-copy substrate of the validated
 //! snapshot views — plus [`AlignedBytes`], an owned byte buffer whose
 //! storage is guaranteed to start on an 8-byte boundary, filled in
-//! place through a byte view of its words.
+//! place through a byte view of its words by positional file reads
+//! over disjoint byte ranges.
 //!
 //! This is the only module in the workspace that uses `unsafe`. The
 //! casts check the invariants they rely on (8-byte start alignment and a
@@ -11,7 +12,10 @@
 //! misaligned buffers with [`crate::StoreError::Misaligned`] and
 //! enforcing 8-byte-granular section extents.
 
+use std::fs::File;
 use std::io::{self, Read};
+
+use disc_metric::tasks::run_tasks;
 
 /// Reinterprets `bytes` as native-endian `u64`s without copying.
 ///
@@ -98,8 +102,46 @@ fn words_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
     }
 }
 
-/// Bytes per `read` call in [`AlignedBytes::read_to_end`].
+/// Bytes per positional read in [`AlignedBytes::read_file`].
 const READ_CHUNK: usize = 1 << 20;
+
+/// Reads `file` from byte `at` into `buf` until `buf` is full or the
+/// file ends, [`READ_CHUNK`] bytes per call; returns the bytes read.
+/// A positional read neither uses nor moves `file`'s cursor, so tasks
+/// can read disjoint ranges of one handle at once. Otherwise the read
+/// goes through the cursor, which must stand at `at`: that serves a
+/// file that cannot seek, such as a pipe.
+fn read_range(file: &File, buf: &mut [u8], at: u64, positional: bool) -> io::Result<usize> {
+    let mut cursor = file;
+    let mut got = 0;
+    while got < buf.len() {
+        let end = buf.len().min(got + READ_CHUNK);
+        let read = if positional {
+            read_at(file, &mut buf[got..end], at + got as u64)
+        } else {
+            cursor.read(&mut buf[got..end])
+        };
+        match read {
+            Ok(0) => break,
+            // `as_bytes` relies on the length staying inside the
+            // words, so no count is trusted past the buffer.
+            Ok(read) => got += read.min(end - got),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<usize> {
+    std::os::unix::fs::FileExt::read_at(file, buf, at)
+}
+
+#[cfg(windows)]
+fn read_at(file: &File, buf: &mut [u8], at: u64) -> io::Result<usize> {
+    std::os::windows::fs::FileExt::seek_read(file, buf, at)
+}
 
 /// An owned byte buffer backed by `u64` storage, so its first byte is
 /// always 8-byte aligned. File reads land here before validation:
@@ -123,28 +165,43 @@ impl AlignedBytes {
         }
     }
 
-    /// Reads `reader` to EOF straight into fresh 8-byte-aligned
-    /// storage, [`READ_CHUNK`] bytes per `read` — the file's one copy.
-    /// `size_hint` (the file length, when known) sizes the storage up
-    /// front with one spare word, so the read that sees EOF needs no
-    /// growth; a reader that yields more than the hint doubles it.
-    pub(crate) fn read_to_end(reader: &mut impl Read, size_hint: usize) -> io::Result<Self> {
+    /// Reads `file` to EOF straight into fresh 8-byte-aligned storage,
+    /// the file's one copy: the bytes a serial read to EOF returns.
+    /// `size_hint` (the probed file length) sizes the storage with one
+    /// spare word, cut into `workers` byte ranges of positional reads,
+    /// one task each, so the reads and the page faults of the fresh
+    /// storage run in parallel. The bytes end at the first range that
+    /// meets EOF (a file that shrank since the probe); when every range
+    /// fills, spare word included, the file grew, and the read goes on
+    /// serially, doubling the storage, until EOF. One worker reads in
+    /// order through the file's cursor, which must stand at the start;
+    /// so a pipe, which cannot seek and reports no length, reads too.
+    pub(crate) fn read_file(file: &File, size_hint: usize, workers: usize) -> io::Result<Self> {
+        let positional = workers > 1;
         let mut words = vec![0u64; size_hint / 8 + 1];
+        let bytes = words_as_bytes_mut(&mut words);
+        let piece = bytes.len().div_ceil(workers.max(1));
+        let ranges: Vec<(u64, &mut [u8])> =
+            (0..).step_by(piece).zip(bytes.chunks_mut(piece)).collect();
+        let reads = run_tasks(ranges, workers, |(at, buf)| {
+            (buf.len(), read_range(file, buf, at, positional))
+        });
         let mut len = 0;
-        loop {
-            if len == words.len() * 8 {
-                words.resize(words.len() * 2, 0);
+        for (want, got) in reads {
+            let got = got?;
+            len += got;
+            if got < want {
+                return Ok(Self { words, len });
             }
+        }
+        loop {
+            words.resize(words.len() * 2, 0);
             let bytes = words_as_bytes_mut(&mut words);
-            let end = bytes.len().min(len + READ_CHUNK);
-            match reader.read(&mut bytes[len..end]) {
-                Ok(0) => return Ok(Self { words, len }),
-                // `Read` is safe to implement, so a reader may overstate
-                // its count; `as_bytes` relies on `len` staying inside
-                // the words.
-                Ok(read) => len += read.min(end - len),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+            let want = bytes.len() - len;
+            let got = read_range(file, &mut bytes[len..], len as u64, positional)?;
+            len += got;
+            if got < want {
+                return Ok(Self { words, len });
             }
         }
     }
@@ -199,6 +256,41 @@ mod tests {
             as_u32s(AlignedBytes::copy_from(&halves).as_bytes()),
             &[0xDEAD_BEEF, 7]
         );
+    }
+
+    #[test]
+    fn file_reads_return_the_file_whatever_the_probe_said() {
+        // A probe shorter than the file is a file that grew after it; a
+        // longer one, a file that shrank. Either way, and at every
+        // worker count, the bytes are the file's.
+        let path = std::env::temp_dir().join(format!("disc-store-cast-{}.bin", std::process::id()));
+        let bytes: Vec<u8> = (0..100_003u32).map(|i| (i % 251) as u8).collect();
+        std::fs::write(&path, &bytes).expect("write");
+        for hint in [0, 7, 8, 50_000, 100_002, 100_003, 100_004, 100_008, 300_000] {
+            for workers in [1, 2, 3, 8] {
+                let file = File::open(&path).expect("open");
+                let read = AlignedBytes::read_file(&file, hint, workers).expect("read");
+                assert!(
+                    read.as_bytes() == &bytes[..],
+                    "hint {hint} workers {workers}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn one_worker_reads_a_pipe() {
+        // A pipe cannot seek and reports no length: the probe says 0.
+        let bytes: Vec<u8> = (0..300_001u32).map(|i| (i % 241) as u8).collect();
+        let (reader, mut writer) = io::pipe().expect("pipe");
+        let feed = bytes.clone();
+        let feeder = std::thread::spawn(move || io::Write::write_all(&mut writer, &feed));
+        let file = File::from(std::os::fd::OwnedFd::from(reader));
+        let read = AlignedBytes::read_file(&file, 0, 1).expect("read");
+        feeder.join().expect("feeder").expect("write");
+        assert!(read.as_bytes() == &bytes[..]);
     }
 
     #[test]

@@ -157,6 +157,19 @@ pub enum StoreError {
     /// (offset monotonicity, neighbor range, row order, distance range —
     /// see [`GraphError`]).
     InvalidGraph(GraphError),
+    /// The neighbors section holds an asymmetric CSR: some entry
+    /// `(v, u, d)` has no mirror `(u, v, d)`, though every entry is
+    /// valid on its own. Checksums cannot rule this out (a buggy writer
+    /// or a crafted file reseals them); the open's keyed symmetry
+    /// fingerprint does (see
+    /// [`disc_graph::StratifiedDiskGraph::from_stored_csr`]).
+    Asymmetric {
+        /// Entries whose neighbor id is below their row's; a symmetric
+        /// CSR has exactly half its entries here.
+        below: u64,
+        /// All directed entries.
+        entries: u64,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -207,6 +220,12 @@ impl fmt::Display for StoreError {
             ),
             Self::InvalidDataset(e) => write!(f, "stored dataset invalid: {e}"),
             Self::InvalidGraph(e) => write!(f, "stored graph invalid: {e}"),
+            Self::Asymmetric { below, entries } => write!(
+                f,
+                "{} section is not symmetric: some entry (v, u, d) lacks its mirror \
+                 (u, v, d) ({below} of {entries} entries point to a lower id)",
+                SectionId::Neighbors
+            ),
         }
     }
 }

@@ -109,6 +109,7 @@
 //! | unknown metric tag                             | [`StoreError::UnknownMetric`]             |
 //! | stored coordinates invalid as a dataset        | [`StoreError::InvalidDataset`]            |
 //! | stored CSR invalid as a graph (offsets, order) | [`StoreError::InvalidGraph`]              |
+//! | valid entries, but one lacks its mirror        | [`StoreError::Asymmetric`] (neighbors)    |
 //!
 //! # Typical use
 //!
@@ -135,8 +136,9 @@
 //! The writer streams each section through a fixed-size buffer, so
 //! [`encode`]'s bytes and the file are the same by construction and a
 //! write never holds the file in memory. The reader reads straight into
-//! an [`AlignedBytes`] buffer, the file's one copy: `Vec<u8>` from
-//! `std::fs::read` carries no alignment guarantee.
+//! an [`AlignedBytes`] buffer, the file's one copy (`Vec<u8>` from
+//! `std::fs::read` carries no alignment guarantee), one byte range per
+//! core on large files.
 //!
 //! The [`fault`] module provides the corruption harness ([`Fault`],
 //! [`fault::corrupt`]) used by the fault-injection test suite, and the

@@ -7,6 +7,15 @@
 //! table → per-section checksums → semantic invariants) and returns a
 //! zero-copy [`SnapshotView`] over it. Every rejection is a typed
 //! [`StoreError`]; nothing on the load path panics on untrusted bytes.
+//!
+//! The open of a serving process, [`read_snapshot`] then
+//! [`decode_stream`], uses every core on large files: the file is read
+//! as disjoint byte ranges with positional reads, the section checksums
+//! run one task per section, and the graph is built in one pass over
+//! entry-balanced row ranges that widens each stored entry into its
+//! final slot and checks it there, symmetry included
+//! ([`StratifiedDiskGraph::from_stored_csr`]). Below 1 MiB every step
+//! stays on the caller's thread.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Cursor, Seek, SeekFrom, Write};
@@ -94,9 +103,10 @@ pub(crate) fn section_checksum(version: u32, bytes: &[u8]) -> u64 {
     }
 }
 
-/// Below this payload size one worker checksums every section: the
-/// serial pass beats thread spawns, and the exhaustive bit-flip fault
-/// suite (thousands of tiny loads) stays on the caller's thread.
+/// Below this many bytes one worker reads the file ([`read_snapshot`])
+/// and checksums every section ([`load`]): the serial pass beats thread
+/// spawns, and the exhaustive bit-flip fault suite (thousands of tiny
+/// loads) stays on the caller's thread.
 const PARALLEL_MIN_BYTES: usize = 1 << 20;
 
 pub(crate) fn read_u64(bytes: &[u8], off: usize) -> u64 {
@@ -564,14 +574,21 @@ fn to_usize(v: u64, what: &'static str) -> Result<usize, StoreError> {
     usize::try_from(v).map_err(|_| StoreError::BadLayout { detail: what })
 }
 
-/// Widens stored ids to `usize` in one exact-size pass. The range
-/// check, `what` on failure, compiles away where `usize` is 64 bits.
-fn widen(values: &[u64], what: &'static str) -> Result<Vec<usize>, StoreError> {
+/// Fails with `what` when a stored id does not fit a `usize`. The
+/// check compiles away where `usize` is 64 bits.
+fn check_width(values: &[u64], what: &'static str) -> Result<(), StoreError> {
     if usize::BITS < u64::BITS {
         if let Some(&max) = values.iter().max() {
             to_usize(max, what)?;
         }
     }
+    Ok(())
+}
+
+/// Widens stored ids to `usize` in one exact-size pass, after
+/// [`check_width`].
+fn widen(values: &[u64], what: &'static str) -> Result<Vec<usize>, StoreError> {
+    check_width(values, what)?;
     Ok(values.iter().map(|&v| v as usize).collect())
 }
 
@@ -878,10 +895,11 @@ pub fn load(bytes: &[u8]) -> Result<SnapshotView<'_>, StoreError> {
     }
 
     // Offsets semantics: start at 0, monotone, end at the edge total.
-    // (Row order, neighbor ranges and distance ranges are re-validated
-    // by StratifiedDiskGraph::from_csr_parts when a graph is
-    // materialised; the view only guarantees what its own accessors
-    // rely on.)
+    // These run first, before any entry is read. Neighbor ranges,
+    // self-loops, distance ranges, row order and symmetry are checked
+    // by StratifiedDiskGraph::from_stored_csr when a graph is
+    // materialised, in the one pass that widens the entries; the view
+    // only guarantees what its own accessors rely on.
     if offsets[0] != 0 {
         return Err(GraphError::OffsetsStart {
             found: to_usize(offsets[0], "offset exceeds usize")?,
@@ -1080,10 +1098,14 @@ impl<'a> SnapshotView<'a> {
     }
 
     /// Materialises the stored graph through
-    /// [`StratifiedDiskGraph::from_csr_parts`], which re-validates every
-    /// structural invariant (row order, neighbor range, self-loops,
-    /// distance range) and fails closed on violation; the stored id
-    /// permutation is attached to the result.
+    /// [`StratifiedDiskGraph::from_stored_csr`]: one pass over
+    /// entry-balanced row ranges, in parallel on large graphs, widens
+    /// each stored entry into the graph's own arrays and re-validates it
+    /// there (neighbor range, self-loops, distance range, row order),
+    /// failing closed on the first violation in row order. The same
+    /// pass checks symmetry: a CSR with an entry whose mirror is missing
+    /// fails with [`StoreError::Asymmetric`]. The stored id permutation
+    /// is attached to the result.
     pub fn graph(&self) -> Result<StratifiedDiskGraph, StoreError> {
         self.graph_with(self.permutation()?)
     }
@@ -1095,17 +1117,24 @@ impl<'a> SnapshotView<'a> {
         perm: Option<Arc<IdPermutation>>,
     ) -> Result<StratifiedDiskGraph, StoreError> {
         let offsets = widen(self.offsets, "offset exceeds usize")?;
-        let neighbors = match self.neighbors {
-            NeighborIds::Wide(ids) => widen(ids, "neighbor id exceeds usize")?,
-            NeighborIds::Narrow(ids) => ids.iter().map(|&v| v as usize).collect(),
+        let (radius, dists) = (self.radius, self.dists);
+        let graph = match self.neighbors {
+            NeighborIds::Wide(ids) => {
+                check_width(ids, "neighbor id exceeds usize")?;
+                StratifiedDiskGraph::from_stored_csr(radius, offsets, ids, dists)
+            }
+            NeighborIds::Narrow(ids) => {
+                StratifiedDiskGraph::from_stored_csr(radius, offsets, ids, dists)
+            }
         };
-        let g = StratifiedDiskGraph::from_csr_parts(
-            self.radius,
-            offsets,
-            neighbors,
-            self.dists.to_vec(),
-        )?;
-        Ok(g.with_permutation(perm))
+        match graph {
+            Ok(g) => Ok(g.with_permutation(perm)),
+            Err(GraphError::Asymmetric { below, entries }) => Err(StoreError::Asymmetric {
+                below: below as u64,
+                entries: entries as u64,
+            }),
+            Err(e) => Err(e.into()),
+        }
     }
 }
 
@@ -1145,14 +1174,24 @@ pub fn write_snapshot(
 }
 
 /// Reads a snapshot file to EOF straight into an 8-byte-aligned buffer,
-/// ready for [`load`]: one copy of the file, no intermediate `Vec<u8>`.
-/// Validation is the caller's next step; this function only does I/O.
+/// ready for [`load`]. The buffer is the only copy of the file: there is
+/// no intermediate `Vec<u8>`. From 1 MiB (`PARALLEL_MIN_BYTES`) up, one
+/// worker per core fills its own byte range with positional reads; the
+/// bytes are a serial read's, also when the file's length changes after
+/// it was probed, so a short file still reaches [`load`]'s
+/// [`StoreError::Truncated`]. Validation is the caller's next step;
+/// this function only does I/O.
 pub fn read_snapshot(path: impl AsRef<Path>) -> io::Result<AlignedBytes> {
-    let mut file = File::open(path)?;
+    let file = File::open(path)?;
     let size_hint = file
         .metadata()
         .ok()
         .and_then(|m| usize::try_from(m.len()).ok())
         .unwrap_or(0);
-    AlignedBytes::read_to_end(&mut file, size_hint)
+    let workers = if size_hint < PARALLEL_MIN_BYTES {
+        1
+    } else {
+        tasks::workers(0)
+    };
+    AlignedBytes::read_file(&file, size_hint, workers)
 }

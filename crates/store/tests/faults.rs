@@ -552,3 +552,74 @@ fn encode_rejects_inconsistent_inputs() {
     assert_eq!(std::fs::read(&path).expect("file still there"), before);
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn asymmetric_csrs_are_refused_at_open() {
+    // Every entry valid on its own, every checksum sealed, but some
+    // entry (v, u, d) lacks its mirror (u, v, d). `load` reads the
+    // layout; the serving open refuses the CSR, naming the neighbors
+    // section, and doctor's verdict is that refusal.
+    // (offsets, neighbors, dists, entries pointing to a lower id)
+    type Case<'a> = (&'a [usize], &'a [usize], &'a [f64], u64);
+    let cases: [Case; 4] = [
+        // remove_object's two cases: 0:[1,2] 1:[] 2:[0], and 0:[1,2]
+        // 1:[0,2] 2:[1].
+        (&[0, 2, 2, 3], &[1, 2, 0], &[0.1, 0.2, 0.2], 1),
+        (
+            &[0, 2, 4, 5],
+            &[1, 2, 0, 2, 1],
+            &[0.1, 0.2, 0.1, 0.3, 0.3],
+            2,
+        ),
+        // 0:[2,3] 1:[0] 2:[0] 3:[0]: Greedy-DisC would answer {0, 1},
+        // which is not independent.
+        (
+            &[0, 2, 3, 4, 5],
+            &[2, 3, 0, 0, 0],
+            &[0.1, 0.2, 0.3, 0.1, 0.2],
+            3,
+        ),
+        // A symmetric CSR with one mirrored distance moved by one ulp.
+        (
+            &[0, 2, 4, 6],
+            &[1, 2, 0, 2, 1, 0],
+            &[
+                0.1,
+                0.3,
+                f64::from_bits(0.1f64.to_bits() + 1),
+                0.2,
+                0.2,
+                0.3,
+            ],
+            3,
+        ),
+    ];
+    for (offsets, neighbors, dists, below) in cases {
+        let n = offsets.len() - 1;
+        let coords: Vec<f64> = (0..2 * n).map(|i| i as f64 * 0.01).collect();
+        let bytes = encode_parts(&SnapshotParts {
+            name: "asymmetric",
+            metric: Metric::Euclidean,
+            dim: 2,
+            coords: &coords,
+            radius: 0.5,
+            offsets,
+            neighbors,
+            dists,
+            ext_ids: None,
+        })
+        .expect("structurally consistent parts encode");
+        let holder = AlignedBytes::copy_from(&bytes);
+        let bytes = holder.as_bytes();
+        assert!(load(bytes).is_ok(), "checksummed layout intact");
+        let want = StoreError::Asymmetric {
+            below,
+            entries: neighbors.len() as u64,
+        };
+        let open = decode_stream(bytes).map(|_| ());
+        assert_eq!(open, Err(want.clone()));
+        assert!(want.to_string().starts_with("neighbors section"), "{want}");
+        assert_eq!(inspect(bytes).verdict, open);
+        assert_eq!(decode(bytes).map(|_| ()), open);
+    }
+}

@@ -323,3 +323,52 @@ fn read_snapshot_matches_fs_read_at_edge_lengths() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn read_snapshot_matches_fs_read_around_the_parallel_cutoff() {
+    // From 1 MiB up the file is read as byte ranges on one worker per
+    // core; just below the cutoff, at it and past it (also with a ragged
+    // last word and several MiB per range), the bytes are fs::read's.
+    let dir = std::env::temp_dir().join("disc-store-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(format!("cutoff-{}.bin", std::process::id()));
+    let mib = 1 << 20;
+    for len in [mib - 1, mib, mib + 1, mib + 8, 3 * mib + 5] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 131 % 253) as u8).collect();
+        std::fs::write(&path, &bytes).expect("write");
+        let holder = disc_store::read_snapshot(&path).expect("read");
+        assert_eq!(holder.len(), len);
+        assert!(holder.as_bytes() == &bytes[..], "len {len}");
+        assert_eq!(holder.as_bytes().as_ptr().align_offset(8), 0, "len {len}");
+    }
+
+    // A snapshot past the cutoff, cut short by a word on disk: the read
+    // returns the short file, and load names the truncation.
+    let n = 50_000;
+    let coords: Vec<f64> = (0..2 * n).map(|i| (i % 1_000) as f64 * 1e-3).collect();
+    let offsets = vec![0usize; n + 1];
+    let snapshot = encode_parts(&SnapshotParts {
+        name: "cutoff",
+        metric: Metric::Euclidean,
+        dim: 2,
+        coords: &coords,
+        radius: 0.1,
+        offsets: &offsets,
+        neighbors: &[],
+        dists: &[],
+        ext_ids: None,
+    })
+    .expect("valid parts encode");
+    assert!(snapshot.len() > mib);
+    std::fs::write(&path, &snapshot[..snapshot.len() - 8]).expect("write");
+    let holder = disc_store::read_snapshot(&path).expect("read");
+    assert_eq!(holder.len(), snapshot.len() - 8);
+    assert_eq!(
+        load(holder.as_bytes()).map(|_| ()),
+        Err(StoreError::Truncated {
+            needed: snapshot.len() as u64,
+            have: snapshot.len() as u64 - 8,
+        })
+    );
+    std::fs::remove_file(&path).ok();
+}
